@@ -160,11 +160,10 @@ def _random_even_sparse(algebra: HeckeAlgebra, rng, terms: int = 2) -> HeckeElem
 
 @dataclass
 class CrossedSystemWitness:
-    """The data realizing the Hecke algebra as a Z2-crossed product."""
+    """The data realizing the Hecke algebra as a Z2-crossed product (trivial cocycle)."""
 
     rank: int
     conjugator: HeckeElement        # T'_1; conjugation by it is the weak action
-    cocycle_value: HeckeElement     # constantly 1
 
     def apply(self, sign: int, a: HeckeElement) -> HeckeElement:
         if sign == 1:
@@ -200,7 +199,7 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
 
     tp1 = algebra.tprime(1)
     one = algebra.one()
-    witness = CrossedSystemWitness(rank, tp1, one)
+    witness = CrossedSystemWitness(rank, tp1)
 
     if exhaustive:
         basis_elems = [algebra.tprime_basis_element(w) for w in even.words]

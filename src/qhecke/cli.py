@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--bound", type=int, default=6,
                        help="largest admissible rank (default 6)")
-        p.add_argument("--dump", action="store_true",
-                       help="include truncated matrix dumps in the report")
         return p
 
     def add_tensor_suite(name, helptext):
@@ -176,8 +174,6 @@ def _report_doc(command: str, args, config_keys, report: Report, dumps=None) -> 
 def _suite_dumps(args) -> dict:
     """Truncated sparse dumps of the generator matrices in play."""
     out = {}
-    if getattr(args, "m", None) is None:
-        return out
     space = GradedSpace(args.m, args.n, args.r)
     rep = PiRepresentation(space)
     for i in range(1, args.r):

@@ -19,10 +19,14 @@ second normal-form basis (products of T' factors along the same words).  The
 conversion between the two bases is triangular with respect to word length,
 which is what `to_tprime_basis` exploits.
 
-Internally, coefficients arising from these constructions always lie in the
-localization Q[q, q^-1, (q+q^-1)^-1]; a compact integer representation
-(`_LC`) is used on hot paths and converted to `RationalFunction` at the API
-boundary.  All values are immutable once built.
+Coefficients.  One engine serves every coefficient.  A coefficient that lies
+in the localization Q[q, q^-1, (q+q^-1)^-1] -- all that these constructions
+produce -- is stored in a compact integer form (`_LC`); any other (after a
+division by q - 1, say) is stored as a `RationalFunction`.  An `_LC` combined
+with a `RationalFunction` converts itself and yields one, so the same table
+routines run on both, and the element constructors restore the `_LC` form
+wherever the value allows.  `RationalFunction` values are produced again only
+at the API boundary (`coeffs`, `repr`).  All values are immutable once built.
 """
 
 from __future__ import annotations
@@ -33,13 +37,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Mapping
 
-from .qfield import (
-    LaurentPolynomial,
-    RationalFunction,
-    Q_MINUS_QINV,
-    _dense,
-    _qsq_power_of,
-)
+from .qfield import LaurentPolynomial, RationalFunction, _dense, _qsq_power_of
 
 Word = tuple[int, ...]
 
@@ -147,7 +145,11 @@ def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 class _LC:
-    """num / (d * (q+q^-1)^ek), canonical: gcd(content, d) = 1, q^2+1 ∤ num."""
+    """num / (d * (q+q^-1)^ek), canonical: gcd(content, d) = 1, q^2+1 ∤ num.
+
+    Combined with a `RationalFunction` (either side of ``+``, ``-``, ``*``),
+    an `_LC` converts itself and the result is a `RationalFunction`.
+    """
 
     __slots__ = ("num", "d", "ek")
 
@@ -163,10 +165,15 @@ class _LC:
         return (isinstance(other, _LC) and self.num == other.num
                 and self.d == other.d and self.ek == other.ek)
 
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), self.d, self.ek))
+
     def __neg__(self) -> "_LC":
         return _LC({e: -c for e, c in self.num.items()}, self.d, self.ek)
 
-    def __add__(self, other: "_LC") -> "_LC":
+    def __add__(self, other):
+        if type(other) is not _LC:
+            return _lc_to_rf(self) + other
         if not other.num:
             return self
         if not self.num:
@@ -190,13 +197,24 @@ class _LC:
                 del out[e]
         return _lc_norm(out, d, ek)
 
-    def __sub__(self, other: "_LC") -> "_LC":
+    def __radd__(self, other):
+        return other + _lc_to_rf(self)
+
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "_LC") -> "_LC":
+    def __rsub__(self, other):
+        return other - _lc_to_rf(self)
+
+    def __mul__(self, other):
+        if type(other) is not _LC:
+            return _lc_to_rf(self) * other
         if not self.num or not other.num:
             return _LC_ZERO
         return _lc_norm(_imul(self.num, other.num), self.d * other.d, self.ek + other.ek)
+
+    def __rmul__(self, other):
+        return other * _lc_to_rf(self)
 
     def __repr__(self):
         return f"_LC({self.num!r}, {self.d}, {self.ek})"
@@ -228,13 +246,8 @@ def _lc_norm(num: dict[int, int], d: int, ek: int) -> _LC:
 
 _LC_ONE = _LC({0: 1}, 1, 0)
 _LC_TWO = _LC({0: 2}, 1, 0)
-_LC_HALF = _LC({0: 1}, 2, 0)
 _LC_QM = _LC({1: 1, -1: -1}, 1, 0)     # q - q^-1
 _LC_QP_INV = _LC({0: 1}, 1, 1)         # (q + q^-1)^-1
-
-
-def _lc_from_int(n: int) -> _LC:
-    return _LC({0: n}, 1, 0) if n else _LC_ZERO
 
 
 _QSQ_POW_CACHE: list[dict[int, Fraction]] = [{0: Fraction(1)}]
@@ -277,6 +290,37 @@ def _rf_to_lc(f: RationalFunction) -> _LC | None:
     return _lc_norm(num, lcm, k)
 
 
+def _stored(c):
+    """The stored form of a coefficient: `_LC` when it lies in the localization."""
+    if type(c) is _LC:
+        return c
+    lc = _rf_to_lc(c)
+    return c if lc is None else lc
+
+
+def _field_value(c) -> RationalFunction:
+    """A stored coefficient as an element of K, for the API boundary."""
+    return _lc_to_rf(c) if type(c) is _LC else c
+
+
+def _axpy(out: dict, a, pairs) -> dict:
+    """``out += a * x`` in place over the (key, value) pairs of x; zeros are dropped.
+
+    ``a=None`` stands for 1.
+    """
+    for k, v in pairs:
+        if a is not None:
+            v = a * v
+        s = out.get(k)
+        if s is not None:
+            v = s + v
+        if v:
+            out[k] = v
+        elif s is not None:
+            del out[k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the per-rank table: words, permutations, generator actions, lazy caches
 # ---------------------------------------------------------------------------
@@ -287,6 +331,9 @@ class SymmetricGroupTable:
     Words are indexed by position in `normal_form_words(rank)`.  The tables
     below are built eagerly; the Goldman and T'-expansion caches are filled
     lazily because they are only needed by a subset of operations.
+
+    The methods act on coefficient vectors (wid -> coefficient) whose values
+    are `_LC` or `RationalFunction`; the cached expansions are all `_LC`.
     """
 
     def __init__(self, rank: int):
@@ -299,7 +346,6 @@ class SymmetricGroupTable:
         if len(self.perm_index) != len(self.words):
             raise AssertionError("normal-form words do not biject onto permutations")
         self.length = [sum(w) for w in self.words]
-        self.max_length = rank * (rank - 1) // 2
         self.identity = self.index[tuple([0] * (rank - 1))]
         self.seqs = [generator_sequence(w) for w in self.words]
         # left_mult[g-1][wid] = word index of s_g . w;
@@ -323,40 +369,23 @@ class SymmetricGroupTable:
             else:
                 g, rest = _first_factor(w)
                 self.first.append((g, self.index[rest]))
-        self._goldman_lc: list[dict[int, _LC] | None] = [None] * len(self.words)
-        self._tprime_lc: list[dict[int, _LC] | None] = [None] * len(self.words)
-        self._goldman_rf: dict[int, dict[int, RationalFunction]] = {}
-        self._tprime_rf: dict[int, dict[int, RationalFunction]] = {}
+        self._goldman: list[dict[int, _LC] | None] = [None] * len(self.words)
+        self._tprime: list[dict[int, _LC] | None] = [None] * len(self.words)
         self._tp_left: dict[tuple[int, int], dict[int, _LC]] = {}
-        self._beta_lc: dict[int, _LC] = {}
+        self._beta: dict[int, _LC] = {}
 
-    # -- generator actions on coefficient vectors (wid -> _LC)
+    # -- generator actions on coefficient vectors
 
-    def gen_mul_lc(self, g: int, vec: dict[int, _LC]) -> dict[int, _LC]:
-        """Left multiplication by T_g in the normal-form basis."""
-        lm = self.left_mult[g - 1]
+    def gen_mul(self, row: list[int], vec: dict) -> dict:
+        """Multiplication by one generator T_g under the length rule.
+
+        ``row`` is ``left_mult[g-1]`` for T_g * vec and ``right_mult[g-1]``
+        for vec * T_g.
+        """
         length = self.length
-        out: dict[int, _LC] = {}
+        out: dict = {}
         for wid, c in vec.items():
-            w2 = lm[wid]
-            if length[w2] > length[wid]:
-                s = out.get(w2)
-                out[w2] = c if s is None else s + c
-            else:
-                s = out.get(w2)
-                out[w2] = c if s is None else s + c
-                extra = c * _LC_QM
-                s = out.get(wid)
-                out[wid] = extra if s is None else s + extra
-        return {k: v for k, v in out.items() if v}
-
-    def gen_mul_right_lc(self, g: int, vec: dict[int, _LC]) -> dict[int, _LC]:
-        """Right multiplication by T_g (length rule on the right)."""
-        rm = self.right_mult[g - 1]
-        length = self.length
-        out: dict[int, _LC] = {}
-        for wid, c in vec.items():
-            w2 = rm[wid]
+            w2 = row[wid]
             s = out.get(w2)
             out[w2] = c if s is None else s + c
             if length[w2] < length[wid]:
@@ -365,36 +394,25 @@ class SymmetricGroupTable:
                 out[wid] = extra if s is None else s + extra
         return {k: v for k, v in out.items() if v}
 
-    def elem_mul_lc(self, x: dict[int, _LC], y: dict[int, _LC]) -> dict[int, _LC]:
+    def elem_mul(self, x: dict, y: dict) -> dict:
         # decompose the factor with the smaller support into generator cascades
-        out: dict[int, _LC] = {}
+        out: dict = {}
         if len(x) <= len(y):
-            decompose, anchor, gen_mul, reverse = x, y, self.gen_mul_lc, True
+            decompose, anchor, rows, reverse = x, y, self.left_mult, True
         else:
-            decompose, anchor, gen_mul, reverse = y, x, self.gen_mul_right_lc, False
+            decompose, anchor, rows, reverse = y, x, self.right_mult, False
         for wid, c in decompose.items():
             tmp = anchor
             seq = self.seqs[wid]
             for g in (reversed(seq) if reverse else seq):
-                tmp = gen_mul(g, tmp)
-            for u, cu in tmp.items():
-                v = c * cu
-                if v:
-                    s = out.get(u)
-                    if s is None:
-                        out[u] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[u] = s
-                        else:
-                            del out[u]
+                tmp = self.gen_mul(rows[g - 1], tmp)
+            _axpy(out, c, tmp.items())
         return out
 
-    def tprime_gen_apply_lc(self, g: int, vec: dict[int, _LC]) -> dict[int, _LC]:
+    def tprime_gen_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by T'_g = (2 T_g - (q - q^-1)) / (q + q^-1)."""
-        tg = self.gen_mul_lc(g, vec)
-        out: dict[int, _LC] = {}
+        tg = self.gen_mul(self.left_mult[g - 1], vec)
+        out: dict = {}
         for wid in tg.keys() | vec.keys():
             v = _LC_TWO * tg.get(wid, _LC_ZERO) - _LC_QM * vec.get(wid, _LC_ZERO)
             if v:
@@ -403,8 +421,8 @@ class SymmetricGroupTable:
 
     # -- lazy expansions in the T basis
 
-    def goldman_word_lc(self, wid: int) -> dict[int, _LC]:
-        cached = self._goldman_lc[wid]
+    def goldman_word(self, wid: int) -> dict[int, _LC]:
+        cached = self._goldman[wid]
         if cached is not None:
             return cached
         ff = self.first[wid]
@@ -412,18 +430,18 @@ class SymmetricGroupTable:
             result = {wid: _LC_ONE}
         else:
             g, rest = ff
-            prev = self.goldman_word_lc(rest)
-            tg = self.gen_mul_lc(g, prev)
+            prev = self.goldman_word(rest)
+            tg = self.gen_mul(self.left_mult[g - 1], prev)
             result = {}
             for u in tg.keys() | prev.keys():
                 v = _LC_QM * prev.get(u, _LC_ZERO) - tg.get(u, _LC_ZERO)
                 if v:
                     result[u] = v
-        self._goldman_lc[wid] = result
+        self._goldman[wid] = result
         return result
 
-    def tprime_word_lc(self, wid: int) -> dict[int, _LC]:
-        cached = self._tprime_lc[wid]
+    def tprime_word(self, wid: int) -> dict[int, _LC]:
+        cached = self._tprime[wid]
         if cached is not None:
             return cached
         ff = self.first[wid]
@@ -431,37 +449,23 @@ class SymmetricGroupTable:
             result = {wid: _LC_ONE}
         else:
             g, rest = ff
-            result = self.tprime_gen_apply_lc(g, self.tprime_word_lc(rest))
-        self._tprime_lc[wid] = result
+            result = self.tprime_gen_apply(g, self.tprime_word(rest))
+        self._tprime[wid] = result
         return result
-
-    def goldman_word_rf(self, wid: int) -> dict[int, RationalFunction]:
-        cached = self._goldman_rf.get(wid)
-        if cached is None:
-            cached = {u: _lc_to_rf(c) for u, c in self.goldman_word_lc(wid).items()}
-            self._goldman_rf[wid] = cached
-        return cached
-
-    def tprime_word_rf(self, wid: int) -> dict[int, RationalFunction]:
-        cached = self._tprime_rf.get(wid)
-        if cached is None:
-            cached = {u: _lc_to_rf(c) for u, c in self.tprime_word_lc(wid).items()}
-            self._tprime_rf[wid] = cached
-        return cached
 
     # -- T'-basis coordinates
 
-    def _beta_factor_lc(self, L: int) -> _LC:
+    def _beta_factor(self, L: int) -> _LC:
         """(q+q^-1)^L / 2^L, the inverse leading coefficient at length L."""
-        cached = self._beta_lc.get(L)
+        cached = self._beta.get(L)
         if cached is None:
             cached = _lc_norm(dict(_qp_pow(L)), 2 ** L, 0)
-            self._beta_lc[L] = cached
+            self._beta[L] = cached
         return cached
 
-    def to_tprime_lc(self, vec: dict[int, _LC]) -> dict[int, _LC]:
+    def to_tprime(self, vec: dict) -> dict:
         """Coordinates in the T'-normal-form basis (triangular elimination)."""
-        out: dict[int, _LC] = {}
+        out: dict = {}
         work = dict(vec)
         heap: list[tuple[int, int]] = [(-self.length[w], w) for w in work]
         heapq.heapify(heap)
@@ -471,10 +475,10 @@ class SymmetricGroupTable:
             if a is None or not a:
                 continue
             L = self.length[wid]
-            beta = a * self._beta_factor_lc(L)
+            beta = a * self._beta_factor(L)
             out[wid] = beta
             if L:
-                for u, cu in self.tprime_word_lc(wid).items():
+                for u, cu in self.tprime_word(wid).items():
                     if u == wid:
                         continue
                     old = work.get(u)
@@ -485,21 +489,10 @@ class SymmetricGroupTable:
                         work[u] = old - beta * cu
         return out
 
-    def from_tprime_lc(self, vec: dict[int, _LC]) -> dict[int, _LC]:
-        out: dict[int, _LC] = {}
+    def from_tprime(self, vec: dict) -> dict:
+        out: dict = {}
         for wid, c in vec.items():
-            for u, cu in self.tprime_word_lc(wid).items():
-                v = c * cu
-                if v:
-                    s = out.get(u)
-                    if s is None:
-                        out[u] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[u] = s
-                        else:
-                            del out[u]
+            _axpy(out, c, self.tprime_word(wid).items())
         return out
 
     def tp_left_col(self, g: int, wid: int) -> dict[int, _LC]:
@@ -507,27 +500,16 @@ class SymmetricGroupTable:
         key = (g, wid)
         cached = self._tp_left.get(key)
         if cached is None:
-            z = self.tprime_gen_apply_lc(g, self.tprime_word_lc(wid))
-            cached = self.to_tprime_lc(z)
+            z = self.tprime_gen_apply(g, self.tprime_word(wid))
+            cached = self.to_tprime(z)
             self._tp_left[key] = cached
         return cached
 
-    def tp_left_apply(self, g: int, vec: dict[int, _LC]) -> dict[int, _LC]:
+    def tp_left_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by T'_g on T'-coordinate vectors."""
-        out: dict[int, _LC] = {}
+        out: dict = {}
         for wid, c in vec.items():
-            for u, cu in self.tp_left_col(g, wid).items():
-                v = c * cu
-                if v:
-                    s = out.get(u)
-                    if s is None:
-                        out[u] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[u] = s
-                        else:
-                            del out[u]
+            _axpy(out, c, self.tp_left_col(g, wid).items())
         return out
 
 
@@ -543,70 +525,10 @@ def symmetric_group_table(rank: int) -> SymmetricGroupTable:
 
 
 # ---------------------------------------------------------------------------
-# RationalFunction fallback engine (for coefficients outside the localization)
+# public element types
 # ---------------------------------------------------------------------------
 
-def _gen_mul_rf(table, g, vec):
-    lm = table.left_mult[g - 1]
-    length = table.length
-    out = {}
-    for wid, c in vec.items():
-        w2 = lm[wid]
-        s = out.get(w2)
-        out[w2] = c if s is None else s + c
-        if length[w2] < length[wid]:
-            extra = c * Q_MINUS_QINV
-            s = out.get(wid)
-            out[wid] = extra if s is None else s + extra
-    return {k: v for k, v in out.items() if v}
-
-
-def _gen_mul_right_rf(table, g, vec):
-    rm = table.right_mult[g - 1]
-    length = table.length
-    out = {}
-    for wid, c in vec.items():
-        w2 = rm[wid]
-        s = out.get(w2)
-        out[w2] = c if s is None else s + c
-        if length[w2] < length[wid]:
-            extra = c * Q_MINUS_QINV
-            s = out.get(wid)
-            out[wid] = extra if s is None else s + extra
-    return {k: v for k, v in out.items() if v}
-
-
-def _elem_mul_rf(table, x, y):
-    out = {}
-    if len(x) <= len(y):
-        decompose, anchor, gen_mul, reverse = x, y, _gen_mul_rf, True
-    else:
-        decompose, anchor, gen_mul, reverse = y, x, _gen_mul_right_rf, False
-    for wid, c in decompose.items():
-        tmp = anchor
-        seq = table.seqs[wid]
-        for g in (reversed(seq) if reverse else seq):
-            tmp = gen_mul(table, g, tmp)
-        for u, cu in tmp.items():
-            v = c * cu
-            if v:
-                s = out.get(u)
-                if s is None:
-                    out[u] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[u] = s
-                    else:
-                        del out[u]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public element type
-# ---------------------------------------------------------------------------
-
-def _as_rf(c) -> RationalFunction:
+def _as_field(c) -> RationalFunction:
     if isinstance(c, RationalFunction):
         return c
     if isinstance(c, (int, Fraction, LaurentPolynomial)):
@@ -616,34 +538,42 @@ def _as_rf(c) -> RationalFunction:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+def _scalar(value):
+    """A public scalar in stored form."""
+    return _stored(_as_field(value))
+
+
+def _word_vec(rank: int, coeffs: Mapping[Word, object] | None) -> dict:
+    """Word-keyed public coefficients as a zero-free wid-keyed vector."""
+    table = symmetric_group_table(rank)
+    pairs = []
+    for word, value in (coeffs or {}).items():
+        word = tuple(word)
+        check_word(word, rank)
+        pairs.append((table.index[word], _as_field(value)))
+    return _axpy({}, None, pairs)
+
+
 class HeckeElement:
-    """Sparse linear combination of normal-form basis words, coefficients in K."""
+    """Sparse linear combination of normal-form basis words, coefficients in K.
+
+    ``_c`` maps word indices to nonzero coefficients in `_stored` form, which
+    the constructor enforces, so ``==`` and ``hash`` compare it directly.
+    """
 
     __slots__ = ("rank", "_c")
 
     def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _wids=None):
         self.rank = rank
-        if _wids is not None:
-            self._c = _wids
-            return
-        table = symmetric_group_table(rank)
-        c: dict[int, RationalFunction] = {}
-        if coeffs:
-            for word, value in coeffs.items():
-                word = tuple(word)
-                check_word(word, rank)
-                v = _as_rf(value)
-                if v:
-                    wid = table.index[word]
-                    prev = c.get(wid)
-                    c[wid] = v if prev is None else prev + v
-        self._c = {k: v for k, v in c.items() if v}
+        if _wids is None:
+            _wids = _word_vec(rank, coeffs)
+        self._c = {k: _stored(v) for k, v in _wids.items()}
 
     @property
     def coeffs(self) -> dict[Word, RationalFunction]:
         """Word-keyed view of the coefficients (a fresh dict)."""
         words = symmetric_group_table(self.rank).words
-        return {words[wid]: v for wid, v in sorted(self._c.items())}
+        return {words[wid]: _field_value(v) for wid, v in sorted(self._c.items())}
 
     @property
     def is_zero(self) -> bool:
@@ -662,21 +592,13 @@ class HeckeElement:
     def __add__(self, other):
         if isinstance(other, HeckeElement):
             self._check_rank(other)
-            out = dict(self._c)
-            for k, v in other._c.items():
-                s = out.get(k)
-                s = v if s is None else s + v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-            return HeckeElement(self.rank, _wids=out)
+            return HeckeElement(self.rank, _wids=_axpy(dict(self._c), None, other._c.items()))
         return self + _scalar_elem(self.rank, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, HeckeElement) else -_as_rf(other))
+        return self + (-other if isinstance(other, HeckeElement) else -_as_field(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -688,15 +610,8 @@ class HeckeElement:
         if isinstance(other, HeckeElement):
             self._check_rank(other)
             table = symmetric_group_table(self.rank)
-            xlc = _lc_vec(self._c)
-            ylc = _lc_vec(other._c) if xlc is not None else None
-            if xlc is not None and ylc is not None:
-                return HeckeElement(self.rank, _wids=_rf_vec(table.elem_mul_lc(xlc, ylc)))
-            return HeckeElement(self.rank, _wids=_elem_mul_rf(table, self._c, other._c))
-        v = _as_rf(other)
-        if not v:
-            return HeckeElement(self.rank, _wids={})
-        return HeckeElement(self.rank, _wids={k: c * v for k, c in self._c.items()})
+            return HeckeElement(self.rank, _wids=table.elem_mul(self._c, other._c))
+        return HeckeElement(self.rank, _wids=_axpy({}, _scalar(other), self._c.items()))
 
     def __rmul__(self, other):
         # scalars commute with everything; elements use __mul__
@@ -705,7 +620,7 @@ class HeckeElement:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        v = _as_rf(other)
+        v = _as_field(other)
         return self * v.inverse()
 
     def __eq__(self, other):
@@ -716,13 +631,13 @@ class HeckeElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rank, tuple(sorted((k, v) for k, v in self._c.items()))))
+        return hash((self.rank, tuple(sorted(self._c.items()))))
 
     def __repr__(self):
         if not self._c:
             return f"HeckeElement(rank={self.rank}, 0)"
         words = symmetric_group_table(self.rank).words
-        parts = [f"({v})*T{words[k]}" for k, v in sorted(self._c.items())]
+        parts = [f"({_field_value(v)})*T{words[k]}" for k, v in sorted(self._c.items())]
         return " + ".join(parts)
 
     # -- structure maps
@@ -730,71 +645,33 @@ class HeckeElement:
     def goldman(self) -> "HeckeElement":
         """Image under the algebra involution determined by T_i -> (q-q^-1) - T_i."""
         table = symmetric_group_table(self.rank)
-        xlc = _lc_vec(self._c)
-        if xlc is not None:
-            out: dict[int, _LC] = {}
-            for wid, c in xlc.items():
-                for u, cu in table.goldman_word_lc(wid).items():
-                    v = c * cu
-                    if v:
-                        s = out.get(u)
-                        out[u] = v if s is None else s + v
-            return HeckeElement(self.rank, _wids=_rf_vec({k: v for k, v in out.items() if v}))
-        out_rf: dict[int, RationalFunction] = {}
+        out: dict = {}
         for wid, c in self._c.items():
-            for u, cu in table.goldman_word_rf(wid).items():
-                v = c * cu
-                if v:
-                    s = out_rf.get(u)
-                    out_rf[u] = v if s is None else s + v
-        return HeckeElement(self.rank, _wids={k: v for k, v in out_rf.items() if v})
+            _axpy(out, c, table.goldman_word(wid).items())
+        return HeckeElement(self.rank, _wids=out)
 
 
 def _scalar_elem(rank: int, value) -> HeckeElement:
-    v = _as_rf(value)
+    v = _scalar(value)
     table = symmetric_group_table(rank)
     return HeckeElement(rank, _wids=({table.identity: v} if v else {}))
 
 
-def _lc_vec(c: dict[int, RationalFunction]) -> dict[int, _LC] | None:
-    out = {}
-    for k, v in c.items():
-        lc = _rf_to_lc(v)
-        if lc is None:
-            return None
-        out[k] = lc
-    return out
-
-
-def _rf_vec(c: dict[int, _LC]) -> dict[int, RationalFunction]:
-    return {k: _lc_to_rf(v) for k, v in c.items() if v}
-
-
 class TPrimeExpansion:
-    """Coordinates of an element in the T'-normal-form basis."""
+    """Coordinates of an element in the T'-normal-form basis (stored as in HeckeElement)."""
 
     __slots__ = ("rank", "_c")
 
     def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _wids=None):
         self.rank = rank
-        if _wids is not None:
-            self._c = _wids
-            return
-        table = symmetric_group_table(rank)
-        c: dict[int, RationalFunction] = {}
-        if coeffs:
-            for word, value in coeffs.items():
-                word = tuple(word)
-                check_word(word, rank)
-                v = _as_rf(value)
-                if v:
-                    c[table.index[word]] = v
-        self._c = c
+        if _wids is None:
+            _wids = _word_vec(rank, coeffs)
+        self._c = {k: _stored(v) for k, v in _wids.items()}
 
     @property
     def coeffs(self) -> dict[Word, RationalFunction]:
         words = symmetric_group_table(self.rank).words
-        return {words[wid]: v for wid, v in sorted(self._c.items())}
+        return {words[wid]: _field_value(v) for wid, v in sorted(self._c.items())}
 
     def parities(self) -> set[int]:
         length = symmetric_group_table(self.rank).length
@@ -811,56 +688,20 @@ class TPrimeExpansion:
 
     def __repr__(self):
         words = symmetric_group_table(self.rank).words
-        parts = [f"({v})*T'{words[k]}" for k, v in sorted(self._c.items())] or ["0"]
+        parts = [f"({_field_value(v)})*T'{words[k]}" for k, v in sorted(self._c.items())] or ["0"]
         return " + ".join(parts)
 
 
 def to_tprime_basis(x: HeckeElement) -> TPrimeExpansion:
     """Re-express an element in the T'-normal-form basis."""
     table = symmetric_group_table(x.rank)
-    xlc = _lc_vec(x._c)
-    if xlc is not None:
-        return TPrimeExpansion(x.rank, _wids=_rf_vec(table.to_tprime_lc(xlc)))
-    # generic fallback: triangular elimination over K
-    out: dict[int, RationalFunction] = {}
-    work = dict(x._c)
-    heap = [(-table.length[w], w) for w in work]
-    heapq.heapify(heap)
-    while heap:
-        _, wid = heapq.heappop(heap)
-        a = work.pop(wid, None)
-        if a is None or not a:
-            continue
-        L = table.length[wid]
-        beta = a * _lc_to_rf(table._beta_factor_lc(L))
-        out[wid] = beta
-        if L:
-            for u, cu in table.tprime_word_rf(wid).items():
-                if u == wid:
-                    continue
-                old = work.get(u)
-                if old is None:
-                    work[u] = -(beta * cu)
-                    heapq.heappush(heap, (-table.length[u], u))
-                else:
-                    work[u] = old - beta * cu
-    return TPrimeExpansion(x.rank, _wids={k: v for k, v in out.items() if v})
+    return TPrimeExpansion(x.rank, _wids=table.to_tprime(x._c))
 
 
 def from_tprime_basis(y: TPrimeExpansion) -> HeckeElement:
     """Inverse of `to_tprime_basis` (linear extension of the T'-word products)."""
     table = symmetric_group_table(y.rank)
-    ylc = _lc_vec(y._c)
-    if ylc is not None:
-        return HeckeElement(y.rank, _wids=_rf_vec(table.from_tprime_lc(ylc)))
-    out: dict[int, RationalFunction] = {}
-    for wid, c in y._c.items():
-        for u, cu in table.tprime_word_rf(wid).items():
-            v = c * cu
-            if v:
-                s = out.get(u)
-                out[u] = v if s is None else s + v
-    return HeckeElement(y.rank, _wids={k: v for k, v in out.items() if v})
+    return HeckeElement(y.rank, _wids=table.from_tprime(y._c))
 
 
 def goldman(x: HeckeElement) -> HeckeElement:
@@ -893,46 +734,41 @@ class HeckeAlgebra:
         return HeckeElement(self.rank, _wids={})
 
     def one(self) -> HeckeElement:
-        return HeckeElement(self.rank, _wids={self.table.identity: RationalFunction.one()})
+        return HeckeElement(self.rank, _wids={self.table.identity: _LC_ONE})
 
     def generator(self, i: int) -> HeckeElement:
         """The generator T_i, 1 <= i <= rank-1."""
         if not 1 <= i <= self.rank - 1:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
         word = tuple(1 if j == i - 1 else 0 for j in range(self.rank - 1))
-        return HeckeElement(self.rank, _wids={self.table.index[word]: RationalFunction.one()})
+        return HeckeElement(self.rank, _wids={self.table.index[word]: _LC_ONE})
 
     def tprime(self, i: int) -> HeckeElement:
         """T'_i = (2 T_i - (q - q^-1)) / (q + q^-1), an involutive generator."""
         if not 1 <= i <= self.rank - 1:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        vec = self.table.tprime_gen_apply_lc(i, {self.table.identity: _LC_ONE})
-        return HeckeElement(self.rank, _wids=_rf_vec(vec))
+        vec = self.table.tprime_gen_apply(i, {self.table.identity: _LC_ONE})
+        return HeckeElement(self.rank, _wids=vec)
 
     def basis_element(self, word: Word) -> HeckeElement:
         word = tuple(word)
         check_word(word, self.rank)
-        return HeckeElement(self.rank, _wids={self.table.index[word]: RationalFunction.one()})
+        return HeckeElement(self.rank, _wids={self.table.index[word]: _LC_ONE})
 
     def tprime_basis_element(self, word: Word) -> HeckeElement:
         """The product of T' factors along a normal-form word, in the T basis."""
         word = tuple(word)
         check_word(word, self.rank)
         wid = self.table.index[word]
-        return HeckeElement(self.rank, _wids=_rf_vec(self.table.tprime_word_lc(wid)))
+        return HeckeElement(self.rank, _wids=self.table.tprime_word(wid))
 
     def element(self, coeffs: Mapping[Word, object]) -> HeckeElement:
         return HeckeElement(self.rank, coeffs)
 
     def random_element(self, rng, terms: int = 3, coeff_bound: int = 4) -> HeckeElement:
         """Seeded sparse element with small integer Laurent coefficients."""
-        out: dict[int, RationalFunction] = {}
         nwords = len(self.table.words)
-        for _ in range(terms):
-            wid = rng.randrange(nwords)
-            c = RationalFunction(LaurentPolynomial(
-                {rng.randint(-2, 2): Fraction(rng.randint(-coeff_bound, coeff_bound))}))
-            if c:
-                prev = out.get(wid)
-                out[wid] = c if prev is None else prev + c
-        return HeckeElement(self.rank, _wids={k: v for k, v in out.items() if v})
+        pairs = ((rng.randrange(nwords), RationalFunction(LaurentPolynomial(
+                     {rng.randint(-2, 2): Fraction(rng.randint(-coeff_bound, coeff_bound))})))
+                 for _ in range(terms))
+        return HeckeElement(self.rank, _wids=_axpy({}, None, pairs))

@@ -346,21 +346,30 @@ def rho_weight_vector(space: GradedSpace, weights: tuple[int, ...]) -> OperatorM
     return OperatorMatrix._raw(space.dim, entries)
 
 
-def rho_e(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:
-    """Raising operator at root i, coproduct-expanded over the r slots."""
+def _rho_root(space: GradedSpace, datum: RootDatum, i: int, raising: bool) -> OperatorMatrix:
+    """Root operator at root i, coproduct-expanded over the r slots.
+
+    The raising operator moves a letter i+1 at slot t to i and weighs it by
+    q to the negated pairing sum over the slots after t; the lowering operator
+    moves i to i+1 and uses the pairing sum over the slots before t.
+    """
     if i not in datum.index_set:
         raise ValueError(f"root index {i} out of range")
     p = datum.parity(i)
+    src, dst = (i + 1, i) if raising else (i, i + 1)
     entries: dict[tuple[int, int], object] = {}
     for col, idx in enumerate(space.indices()):
         for t in range(space.r):
-            if idx[t] != i + 1:
+            if idx[t] != src:
                 continue
             sign = 1
             if p:
                 sign = (-1) ** sum(space.degree(idx[s]) for s in range(t))
-            expo = -sum(datum.alpha_pairing(i, idx[s]) for s in range(t + 1, space.r))
-            moved = idx[:t] + (i,) + idx[t + 1:]
+            if raising:
+                expo = -sum(datum.alpha_pairing(i, idx[s]) for s in range(t + 1, space.r))
+            else:
+                expo = sum(datum.alpha_pairing(i, idx[s]) for s in range(t))
+            moved = idx[:t] + (dst,) + idx[t + 1:]
             row = space.rank_of(moved)
             coeff = RationalFunction.q(expo) if sign == 1 else -RationalFunction.q(expo)
             key = (row, col)
@@ -371,33 +380,16 @@ def rho_e(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:
             else:
                 del entries[key]
     return OperatorMatrix._raw(space.dim, entries)
+
+
+def rho_e(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:
+    """Raising operator at root i, coproduct-expanded over the r slots."""
+    return _rho_root(space, datum, i, raising=True)
 
 
 def rho_f(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:
     """Lowering operator at root i, coproduct-expanded over the r slots."""
-    if i not in datum.index_set:
-        raise ValueError(f"root index {i} out of range")
-    p = datum.parity(i)
-    entries: dict[tuple[int, int], object] = {}
-    for col, idx in enumerate(space.indices()):
-        for t in range(space.r):
-            if idx[t] != i:
-                continue
-            sign = 1
-            if p:
-                sign = (-1) ** sum(space.degree(idx[s]) for s in range(t))
-            expo = sum(datum.alpha_pairing(i, idx[s]) for s in range(t))
-            moved = idx[:t] + (i + 1,) + idx[t + 1:]
-            row = space.rank_of(moved)
-            coeff = RationalFunction.q(expo) if sign == 1 else -RationalFunction.q(expo)
-            key = (row, col)
-            s = entries.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return OperatorMatrix._raw(space.dim, entries)
+    return _rho_root(space, datum, i, raising=False)
 
 
 def rho_generator(space: GradedSpace, kind: str, index: int | None = None,
@@ -511,8 +503,8 @@ class PiRepresentation:
         if x.rank != self.space.r:
             raise ValueError(f"element rank {x.rank} != tensor power {self.space.r}")
         out = OperatorMatrix(self.space.dim)
-        for wid, c in sorted(x._c.items()):
-            out = out + self._word_matrix(wid).scale(c)
+        for word, c in x.coeffs.items():
+            out = out + self.word_matrix(word).scale(c)
         return out
 
 

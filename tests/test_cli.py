@@ -54,6 +54,12 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["params"]["points"].startswith("2")
 
+    @pytest.mark.parametrize("suite", ["hecke", "alt"])
+    def test_dump_flag_rejected_without_tensor_space(self, suite, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--r", "3", "--dump"])
+        assert exc.value.code == 2
+
     def test_dump_flag_includes_matrices(self, capsys):
         code, out, _ = run(["verify", "schur-weyl", "--m", "1", "--n", "1",
                             "--r", "2", "--dump"], capsys)

@@ -145,13 +145,13 @@ class TestMultiply:
             assert lhs == rhs
 
     def test_general_coefficients_fall_back(self):
-        # a coefficient with denominator q-1 leaves the localized fast path
+        # a coefficient with denominator q-1 is stored as a RationalFunction
         H = HeckeAlgebra(3)
         c = RationalFunction(LaurentPolynomial.one(), LaurentPolynomial({1: 1, 0: -1}))
         x = H.generator(1) * c
         y = H.generator(2) + H.one()
         assert (x * y) == (H.generator(1) * y) * c
-        assert to_tprime_basis(x).coeffs  # fallback conversion path
+        assert to_tprime_basis(x).coeffs
         assert from_tprime_basis(to_tprime_basis(x)) == x
         assert goldman(goldman(x)) == x
 
@@ -280,17 +280,36 @@ class TestAlgebraLaws:
 
 
 def test_fast_and_fallback_engines_agree():
-    # the localized-coefficient engine and the generic field engine compute
-    # the same products on elements that both can represent
-    import qhecke.hecke as hk
+    # the table product over localized coefficients agrees with the same
+    # table product run on RationalFunction-lifted coefficients, which is the
+    # arithmetic that coefficients outside the localization go through
+    from qhecke.hecke import _lc_to_rf
     H = HeckeAlgebra(4)
     table = H.table
     rng = random.Random(17)
     for _ in range(10):
         x, y = H.random_element(rng, 3), H.random_element(rng, 3)
-        fast = (x * y)._c
-        slow = hk._elem_mul_rf(table, x._c, y._c)
+        fast = {k: _lc_to_rf(v) for k, v in (x * y)._c.items()}
+        slow = table.elem_mul({k: _lc_to_rf(v) for k, v in x._c.items()},
+                              {k: _lc_to_rf(v) for k, v in y._c.items()})
+        assert all(isinstance(v, RationalFunction) for v in slow.values())
         assert fast == slow
+
+
+def test_coefficients_outside_the_localization():
+    H = HeckeAlgebra(4)
+    rng = random.Random(23)
+    q_minus_one = RationalFunction(LaurentPolynomial({1: 1, 0: -1}))
+    for _ in range(4):
+        x, y = H.random_element(rng, 3), H.random_element(rng, 3)
+        xs = x / q_minus_one
+        assert xs._c and all(isinstance(v, RationalFunction) for v in xs._c.values())
+        assert xs * y == (x * y) / q_minus_one
+        back = xs * q_minus_one
+        assert back._c == x._c and hash(back) == hash(x)
+        assert goldman(goldman(xs)) == xs
+        assert goldman(xs * y) == goldman(xs) * goldman(y)
+        assert from_tprime_basis(to_tprime_basis(xs)) == xs
 
 
 def test_tprime_left_multiplication_columns_match_products():
