@@ -5,8 +5,15 @@ row-major.  The elimination code is generic in the coefficient field: it only
 needs ``+ - * /``, truthiness for zero tests, and ``1 / c`` for inverses, so
 the same routines run over Q(q) (exact mode) and over Q at a specialization
 point (fast mode).  Pivots are chosen at the first nonzero column in
-lexicographic position and reductions are applied in insertion order, which
-makes every produced basis deterministic.
+lexicographic position, and a vector's residual modulo a span does not depend
+on the order its rows are applied in, which makes every produced basis
+deterministic.
+
+`LinearSpan` indexes its rows by pivot column, so reducing a vector touches
+only the rows whose pivots the vector (or its running residual) reaches, not
+every stored row.  The commutant of a commutant stops eliminating as soon as
+the rank leaves room for nothing beyond the algebra it started from; see
+`commutant_basis`.
 
 Rank certification follows a two-tier strategy: the default evaluates all
 matrices at two seeded nonzero rational points (avoiding 0 and +-1 and any
@@ -17,6 +24,7 @@ requested outright.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +33,7 @@ from typing import Iterable, Sequence
 from .qfield import (
     PoleError,
     RationalFunction,
+    _axpy,
     _dense,
     _dense_exact_div,
     _from_dense,
@@ -52,32 +61,59 @@ class RankDisagreementError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class LinearSpan:
-    """Row space with incremental insertion; rows are pivot-normalized."""
+    """Row space with incremental insertion; rows are pivot-normalized.
 
-    __slots__ = ("rows",)
+    Each stored row has coefficient 1 at its pivot, its smallest column, and 0
+    at the pivots of the rows stored before it.  Hence a vector's residual
+    modulo the span -- the vector minus the combination of rows that clears
+    every pivot column -- is unique, whatever order the rows are applied in.
+    """
+
+    __slots__ = ("_by_pivot",)
 
     def __init__(self):
-        self.rows: list[tuple[int, dict]] = []   # (pivot column, row vector)
+        self._by_pivot: dict[int, dict] = {}   # pivot column -> row, in insertion order
+
+    @property
+    def rows(self) -> list[tuple[int, dict]]:
+        """(pivot column, row vector) pairs in insertion order."""
+        return list(self._by_pivot.items())
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._by_pivot)
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec modulo the span (vec is not modified)."""
+        """Residual of vec modulo the span (vec is not modified).
+
+        The pivot columns present in the residual wait in a heap and are
+        cleared smallest first.  A row with pivot p only adds columns > p, so
+        a cleared pivot never returns and rows the residual never reaches are
+        not visited.
+        """
         vec = dict(vec)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c:
-                for col, v in row.items():
-                    s = vec.get(col)
-                    s = -(c * v) if s is None else s - c * v
+        by_pivot = self._by_pivot
+        heap = [col for col in vec if col in by_pivot]
+        heapq.heapify(heap)
+        while heap:
+            pivot = heapq.heappop(heap)
+            c = vec.pop(pivot, None)     # the row's 1 there clears it
+            if not c:                    # cancelled after it was queued
+                continue
+            for col, v in by_pivot[pivot].items():
+                if col == pivot:
+                    continue
+                s = vec.get(col)
+                if s is None:
+                    vec[col] = -(c * v)
+                    if col in by_pivot:
+                        heapq.heappush(heap, col)
+                else:
+                    s = s - c * v
                     if s:
                         vec[col] = s
                     else:
-                        vec.pop(col, None)
-            elif c is not None:
-                del vec[pivot]
+                        del vec[col]
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -87,7 +123,7 @@ class LinearSpan:
             return False
         pivot = min(res)
         inv = 1 / res[pivot]
-        self.rows.append((pivot, {c: v * inv for c, v in res.items()}))
+        self._by_pivot[pivot] = {c: v * inv for c, v in res.items()}
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -111,6 +147,8 @@ class AlgebraBasis:
     closed: bool = False
     generators: list[OperatorMatrix] = field(default_factory=list)
     _span: LinearSpan | None = field(default=None, repr=False)
+    # set by `commutant_basis`: the closed algebra this basis is the commutant of
+    _commutant_of: AlgebraBasis | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -188,80 +226,69 @@ def span_closure(generators: Sequence[OperatorMatrix], *,
 # commutant / anticommutant as exact nullspaces
 # ---------------------------------------------------------------------------
 
-def _echelon_nullspace(rows: Iterable[dict], ncols: int, one) -> list[dict]:
-    """Basis of the solution space of the homogeneous system (sparse rows)."""
+def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
+                       max_rank: int | None = None) -> list[dict]:
+    """Basis of the solution space of the homogeneous system (sparse rows).
+
+    With ``max_rank`` set, rows stop being read once the rank reaches it; the
+    caller vouches that the full system's rank is at most ``max_rank``.
+    """
     span = LinearSpan()
     for row in rows:
+        if span.rank == max_rank:
+            break
         span.add(row)
-    # back-eliminate to reduced row echelon form
+    # back-eliminate to reduced row echelon form, largest pivot first: a
+    # finished row is 0 at every other pivot, so clearing one pivot entry of a
+    # row leaves its other entries at pivot columns as they were
     rows_ = span.rows
-    for idx in range(len(rows_) - 1, -1, -1):
-        pivot, row = rows_[idx]
-        for jdx in range(idx):
-            pj, rowj = rows_[jdx]
-            c = rowj.get(pivot)
-            if c:
-                for col, v in row.items():
-                    s = rowj.get(col)
-                    s = -(c * v) if s is None else s - c * v
-                    if s:
-                        rowj[col] = s
-                    else:
-                        rowj.pop(col, None)
-    pivots = {p for p, _ in rows_}
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: one}
-        for pivot, row in rows_:
-            c = row.get(free)
-            if c:
-                vec[pivot] = -c
-        basis.append(vec)
-    return basis
+    reduced: dict[int, dict] = {}
+    for pivot, row in sorted(rows_, reverse=True):    # pivots are distinct
+        out = dict(row)
+        for col, c in row.items():
+            if col != pivot and col in reduced:
+                _axpy(out, -c, reduced[col].items())
+        reduced[pivot] = out
+    # one basis vector per free column; a reduced row has its non-pivot
+    # entries in free columns only
+    basis = {free: {free: one} for free in range(ncols) if free not in reduced}
+    for pivot, _ in rows_:
+        for col, v in reduced[pivot].items():
+            if col != pivot:
+                basis[col][pivot] = -v
+    return list(basis.values())
 
 
 def _commutation_rows(constraint: OperatorMatrix, sign: int) -> Iterable[dict]:
     """Rows of the linear system X*G - sign*G*X = 0 in the unknowns X[i,k]."""
     dim = constraint.dim
-    by_row: dict[int, list[tuple[int, object]]] = {}
-    by_col: dict[int, list[tuple[int, object]]] = {}
+    by_row: dict[int, list[tuple[int, object]]] = {}   # i -> (k, -sign * G[i,k])
+    by_col: dict[int, list[tuple[int, object]]] = {}   # j -> (k, G[k,j])
     for (a, b), v in constraint.entries.items():
-        by_row.setdefault(a, []).append((b, v))
+        by_row.setdefault(a, []).append((b, -v if sign == 1 else v))
         by_col.setdefault(b, []).append((a, v))
     for i in range(dim):
+        base = i * dim
+        left = by_row.get(i, ())
         for j in range(dim):
-            row: dict[int, object] = {}
-            for k, v in by_col.get(j, ()):    # X[i,k] * G[k,j]
-                col = i * dim + k
-                s = row.get(col)
-                s = v if s is None else s + v
-                if s:
-                    row[col] = s
-                else:
-                    row.pop(col, None)
-            for k, v in by_row.get(i, ()):    # - sign * G[i,k] * X[k,j]
-                col = k * dim + j
-                w = -v if sign == 1 else v
-                s = row.get(col)
-                s = w if s is None else s + w
-                if s:
-                    row[col] = s
-                else:
-                    row.pop(col, None)
+            row = _axpy({}, None, ((base + k, v) for k, v in by_col.get(j, ())))
+            _axpy(row, None, ((k * dim + j, w) for k, w in left))
             if row:
                 yield row
 
 
-def _constraint_matrices(source) -> tuple[int, list[OperatorMatrix]]:
+def _constraint_matrices(source, dim: int | None) -> tuple[int, list[OperatorMatrix]]:
+    """Ambient dimension and constraint matrices: a basis's generating set
+    (its elements when it has none) or the given list; ``dim`` is needed
+    only for an empty list."""
     if isinstance(source, AlgebraBasis):
-        mats = source.generators or source.elements
-        return source.dim, list(mats)
+        return source.dim, list(source.generators or source.elements)
     mats = list(source)
-    if not mats:
-        raise ValueError("need at least one constraint matrix")
-    return mats[0].dim, mats
+    if mats:
+        return mats[0].dim, mats
+    if dim is None:
+        raise ValueError("empty constraint set needs an explicit dim")
+    return dim, []
 
 
 def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
@@ -271,36 +298,40 @@ def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     with generators implies commuting with the generated algebra) or an
     explicit list of matrices.  An empty constraint list yields the full
     matrix algebra, which requires passing ``dim``.
+
+    Early stop for the commutant of a commutant.  When ``source`` is a closed
+    `AlgebraBasis` B, the result D records B.  Closed means B is the algebra
+    generated by its constraint matrices, as `span_closure` and this function
+    build it, so every element of B commutes with D: B is contained in D'.
+    When D is passed back in, its commutant D' therefore has dimension at
+    least len(B), and the constraint system rank at most dim^2 - len(B).
+    Elimination stops reading constraint rows once the rank reaches that
+    bound.  The row space is then already the full system's, so the reduced
+    echelon basis returned is the same as without the stop.  Plain lists,
+    unclosed bases and the empty list are never recorded.
     """
-    if isinstance(source, AlgebraBasis):
-        mats = list(source.generators or source.elements)
-        dim = source.dim
-    else:
-        mats = list(source)
-        if mats:
-            dim = mats[0].dim
-    if not mats:
-        if dim is None:
-            raise ValueError("empty constraint set needs an explicit dim")
-        one = RationalFunction.one()
-        elems = [OperatorMatrix(dim, {(i, j): one}) for i in range(dim) for j in range(dim)]
-        return AlgebraBasis(dim, elems, closed=True, generators=list(elems))
+    dim, mats = _constraint_matrices(source, dim)
     one = _infer_one(mats)
+    inner = source._commutant_of if isinstance(source, AlgebraBasis) else None
+    max_rank = None if inner is None else dim * dim - len(inner)
     rows = (row for g in mats for row in _commutation_rows(g, sign=1))
-    vecs = _echelon_nullspace(rows, dim * dim, one)
+    vecs = _echelon_nullspace(rows, dim * dim, one, max_rank)
     elems = [OperatorMatrix.from_flat(dim, v) for v in vecs]
+    closed_source = source if isinstance(source, AlgebraBasis) and source.closed else None
     # a commutant is closed under products; no generating set smaller than
     # the basis is known for it, so the basis doubles as the generator list
-    return AlgebraBasis(dim, elems, closed=True, generators=list(elems))
+    return AlgebraBasis(dim, elems, closed=True, generators=list(elems),
+                        _commutant_of=closed_source)
 
 
 def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     """Basis of the space of matrices anticommuting with every generator.
 
     The result is a subspace, not a subalgebra: `closed` stays False and no
-    generator list is attached.
+    generator list is attached.  An empty constraint list yields the whole
+    matrix space, which requires passing ``dim``.
     """
-    src_dim, mats = _constraint_matrices(source)
+    src_dim, mats = _constraint_matrices(source, dim)
     one = _infer_one(mats)
     rows = (row for g in mats for row in _commutation_rows(g, sign=-1))
     vecs = _echelon_nullspace(rows, src_dim * src_dim, one)

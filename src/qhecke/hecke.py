@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Mapping
 
-from .qfield import LaurentPolynomial, RationalFunction, _dense, _qsq_power_of
+from .qfield import LaurentPolynomial, RationalFunction, _axpy, _dense, _qsq_power_of
 
 Word = tuple[int, ...]
 
@@ -301,24 +301,6 @@ def _stored(c):
 def _field_value(c) -> RationalFunction:
     """A stored coefficient as an element of K, for the API boundary."""
     return _lc_to_rf(c) if type(c) is _LC else c
-
-
-def _axpy(out: dict, a, pairs) -> dict:
-    """``out += a * x`` in place over the (key, value) pairs of x; zeros are dropped.
-
-    ``a=None`` stands for 1.
-    """
-    for k, v in pairs:
-        if a is not None:
-            v = a * v
-        s = out.get(k)
-        if s is not None:
-            v = s + v
-        if v:
-            out[k] = v
-        elif s is not None:
-            del out[k]
-    return out
 
 
 # ---------------------------------------------------------------------------

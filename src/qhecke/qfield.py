@@ -32,6 +32,28 @@ class PoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# sparse vectors over any scalar type (key -> nonzero value)
+# ---------------------------------------------------------------------------
+
+def _axpy(out: dict, a, pairs) -> dict:
+    """``out += a * x`` in place over the (key, value) pairs of x; zeros are dropped.
+
+    ``a=None`` stands for 1.
+    """
+    for k, v in pairs:
+        if a is not None:
+            v = a * v
+        s = out.get(k)
+        if s is not None:
+            v = s + v
+        if v:
+            out[k] = v
+        elif s is not None:
+            del out[k]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # low-level term-dict helpers (exponent -> Fraction, zero coefficients absent)
 # ---------------------------------------------------------------------------
 

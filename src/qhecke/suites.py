@@ -10,8 +10,18 @@ linear-algebra-heavy suites:
   points (never 0 or +-1) with all checks repeated per point and required to
   agree; any disagreement escalates to exact mode.
 
-Specialized dimensions can only undershoot the generic ones, so agreement of
-both points with the combinatorial prediction is a sound certificate.
+At a point, a dimension can move away from its generic value in one
+direction only, and which one depends on the kind of check:
+
+* closure dimensions (the images of the generators) are ranks of specialized
+  matrices, which can only drop: they can only undershoot, so a point that
+  meets the prediction shows the generic dimension is at least the prediction;
+* commutant and anticommutant dimensions are nullities of a specialized
+  constraint system whose rank can only drop: they can only overshoot, so a
+  point that meets the prediction shows the generic dimension is at most it;
+* span equalities, containments and direct sums compare spaces at the point,
+  each of which may have moved in its own direction; a pass there is evidence
+  at that point, not a bound on the generic statement.
 """
 
 from __future__ import annotations
@@ -331,8 +341,7 @@ def _alt_centralizer_core(report: Report, prefix: str, space: GradedSpace,
     report.add(prefix + "hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
 
-    d_alg = commutant_basis(c_alg.generators or [], dim=dim) if not c_alg.generators \
-        else commutant_basis(c_alg)
+    d_alg = commutant_basis(c_alg)
     report.info(prefix + "even-centralizer-dimension", actual=len(d_alg))
     cd = commutant_basis(d_alg)
     report.add(prefix + "double-commutant-returns-even-image", span_equal(cd, c_alg),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -112,6 +113,23 @@ class TestGoldenOutput:
                              "--r", "2", "--out", str(path)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--m", "2", "--n", "1", "--r", "3"],
+         "3205fa77137f2dd6639d90f4e823d9e9fee3ea9bd3b141232f3c73a8b6ffb1a4"),
+        (["--m", "1", "--n", "1", "--r", "3"],
+         "a88e1ef815e3490819a298b5c16ec796cca0bb900e5991cf39b4297fc077a8dc"),
+        (["--m", "2", "--n", "1", "--r", "2", "--mode", "specialized"],
+         "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0"),
+    ], ids=["2-1-3", "1-1-3", "2-1-2-specialized"])
+    def test_alt_centralizer_report_bytes_are_pinned(self, args, digest, tmp_path):
+        # reports are a golden-file contract: a change in the linear algebra
+        # must not change a single byte of them
+        path = tmp_path / "r.json"
+        code = cli.main(["verify", "alt-centralizer", *args, "--seed", "0",
+                         "--out", str(path)])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_no_timestamp_by_default(self, tmp_path):
         path = tmp_path / "r.json"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhecke.commutant import (
     AlgebraBasis,
@@ -25,6 +26,7 @@ from qhecke.tensor import (
     PiRepresentation,
     phi_tensor,
     rho_generators,
+    specialize_matrix,
 )
 
 ONE = RationalFunction.one()
@@ -67,6 +69,75 @@ def brute_force_commutant_dim(generators, dim, t):
             pivot_rows.append((p, [v * inv for v in row]))
             rank += 1
     return ncols - rank
+
+
+# -- independent oracle: dense Gauss-Jordan over Q --------------------------
+
+def dense_rref(vectors, ncols):
+    """(pivot, dense row) pairs of the reduced row echelon form of the span."""
+    rows = [[Fraction(vec.get(c, 0)) for c in range(ncols)] for vec in vectors]
+    out = []
+    for col in range(ncols):
+        piv = next((i for i, row in enumerate(rows) if row[col]), None)
+        if piv is None:
+            continue
+        prow = rows.pop(piv)
+        prow = [v / prow[col] for v in prow]
+        rows = [[a - row[col] * b for a, b in zip(row, prow)] for row in rows]
+        out = [(p, [a - row[col] * b for a, b in zip(row, prow)]) for p, row in out]
+        out.append((col, prow))
+    return out
+
+
+def dense_residual(vec, rref, ncols):
+    res = [Fraction(vec.get(c, 0)) for c in range(ncols)]
+    for p, row in rref:
+        f = res[p]
+        res = [a - f * b for a, b in zip(res, row)]
+    return {c: v for c, v in enumerate(res) if v}
+
+
+NCOLS = 8
+_coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+_sparse = st.dictionaries(st.integers(0, NCOLS - 1), _coeffs, min_size=1, max_size=4)
+
+
+class TestLinearSpan:
+    @given(data=st.data(), base=st.lists(_sparse, min_size=1, max_size=7),
+           probes=st.lists(_sparse, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_elimination(self, data, base, probes):
+        # dependent rows (combinations of two base rows) join the base rows,
+        # and a random order makes later rows take pivots left of earlier ones
+        combos = data.draw(st.lists(
+            st.tuples(st.integers(0, len(base) - 1), st.integers(0, len(base) - 1),
+                      _coeffs, _coeffs), max_size=4))
+        rows = list(base)
+        for i, j, a, b in combos:
+            comb = {}
+            for col in base[i].keys() | base[j].keys():
+                v = a * base[i].get(col, 0) + b * base[j].get(col, 0)
+                if v:
+                    comb[col] = v
+            rows.append(comb)
+        rows = data.draw(st.permutations(rows))
+
+        span = LinearSpan()
+        for k, row in enumerate(rows):
+            before = span.rank
+            grew = span.add(row)
+            rref = dense_rref(rows[:k + 1], NCOLS)
+            assert span.rank == len(rref) == before + grew
+        assert sorted(p for p, _ in span.rows) == [p for p, _ in rref]
+        earlier = set()
+        for pivot, row in span.rows:
+            assert min(row) == pivot and row[pivot] == 1
+            assert not earlier & row.keys()
+            earlier.add(pivot)
+        for vec in rows + probes:
+            expected = dense_residual(vec, rref, NCOLS)
+            assert span.reduce(vec) == expected
+            assert span.contains(vec) == (not expected)
 
 
 class TestSpanClosure:
@@ -127,6 +198,55 @@ class TestCommutant:
         double = commutant_basis(commutant_basis(a_alg))
         assert span_equal(double, a_alg)
 
+    @pytest.mark.parametrize("case", ["exact-1-1-3-even-image",
+                                      "point-2-1-2-hecke-image",
+                                      "point-2-1-2-scalars"])
+    def test_early_stop_matches_full_elimination(self, case, monkeypatch):
+        # the commutant of a recorded commutant reads fewer constraint
+        # matrices than the plain list of the same basis, with the same result
+        sp = GradedSpace(2, 1, 2)
+        t = Fraction(5, 2)
+        b_alg = {
+            "exact-1-1-3-even-image":
+                lambda: span_closure(PiRepresentation(GradedSpace(1, 1, 3)).x_matrices()),
+            "point-2-1-2-hecke-image":
+                lambda: span_closure([specialize_matrix(g, t)
+                                      for g in PiRepresentation(sp).t_matrices()]),
+            "point-2-1-2-scalars":
+                lambda: span_closure([OperatorMatrix.identity(sp.dim, Fraction(1))]),
+        }[case]()
+        import qhecke.commutant as commutant
+        calls = []
+        original = commutant._commutation_rows
+
+        def counting(constraint, sign):
+            calls.append(constraint)
+            return original(constraint, sign)
+
+        monkeypatch.setattr(commutant, "_commutation_rows", counting)
+        d_alg = commutant_basis(b_alg)
+        assert d_alg._commutant_of is b_alg
+        calls.clear()
+        double = commutant_basis(d_alg)
+        stopped_after = len(calls)
+        calls.clear()
+        plain = commutant_basis(list(d_alg.elements))
+        assert plain._commutant_of is None
+        assert stopped_after < len(calls) == len(d_alg)
+        assert double.elements == plain.elements
+        assert span_equal(double, b_alg)
+
+    def test_only_closed_bases_are_recorded(self):
+        sp = GradedSpace(1, 1, 2)
+        t_gens = PiRepresentation(sp).t_matrices()
+        closed = span_closure(t_gens)
+        assert commutant_basis(closed)._commutant_of is closed
+        unclosed = AlgebraBasis(sp.dim, list(closed.elements), closed=False)
+        assert commutant_basis(unclosed)._commutant_of is None
+        assert commutant_basis(t_gens)._commutant_of is None
+        assert commutant_basis([], dim=sp.dim)._commutant_of is None
+        assert anticommutant_basis(closed)._commutant_of is None
+
 
 class TestAnticommutant:
     def test_square_case_dimension_matches(self):
@@ -141,6 +261,11 @@ class TestAnticommutant:
         for mat in anti.elements:
             for g in rep.tprime_matrices():
                 assert mat.anticommutes_with(g)
+
+    def test_empty_constraints_give_everything(self):
+        assert len(anticommutant_basis([], dim=2)) == 4
+        with pytest.raises(ValueError):
+            anticommutant_basis([])
 
     def test_trivial_space(self):
         # one-dimensional tensor space: T'_1 acts as identity, so only 0 anticommutes
