@@ -17,9 +17,9 @@ the rank leaves room for nothing beyond the algebra it started from; see
 
 Rank certification follows a two-tier strategy: the default evaluates all
 matrices at two seeded nonzero rational points (avoiding 0 and +-1 and any
-poles) and demands agreement; exact fraction-free elimination over cleared
-Laurent polynomials is the arbiter whenever the points disagree, and can be
-requested outright.
+poles) and demands agreement; the same `LinearSpan` elimination run over Q(q)
+is the arbiter whenever the points disagree, and can be requested outright.
+There is one elimination engine, whatever the field.
 """
 
 from __future__ import annotations
@@ -30,16 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .qfield import (
-    PoleError,
-    RationalFunction,
-    _axpy,
-    _dense,
-    _dense_exact_div,
-    _from_dense,
-    _mul_terms,
-    _scale_terms,
-)
+from .qfield import PoleError, RationalFunction, _axpy
 from .tensor import OperatorMatrix
 
 
@@ -392,16 +383,25 @@ def draw_points(seed: int, count: int = 2, avoid: frozenset = frozenset()) -> li
     return out
 
 
-def _specialized_rank(vectors: list[dict], t: Fraction) -> int:
+def _rank(vectors: Iterable[dict]) -> int:
+    """Rank over the entries' field: Q(q) for exact vectors, Q at a point."""
     span = LinearSpan()
     for vec in vectors:
-        sv = {}
-        for col, v in vec.items():
-            val = v.specialize(t) if isinstance(v, RationalFunction) else Fraction(v)
-            if val:
-                sv[col] = val
-        span.add(sv)
+        span.add(vec)
     return span.rank
+
+
+def _specialized(vec: dict, t: Fraction) -> dict:
+    out = {}
+    for col, v in vec.items():
+        val = v.specialize(t) if isinstance(v, RationalFunction) else Fraction(v)
+        if val:
+            out[col] = val
+    return out
+
+
+def _specialized_rank(vectors: list[dict], t: Fraction) -> int:
+    return _rank(_specialized(vec, t) for vec in vectors)
 
 
 def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "specialized",
@@ -412,7 +412,7 @@ def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "speci
         raise ValueError("need a nonempty list of matrices")
     vectors = _flatten_all(matrices)
     if mode == "exact":
-        return RankCertificate(exact_rank(vectors), (), exact=True)
+        return RankCertificate(_rank(vectors), (), exact=True)
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -446,86 +446,3 @@ def certified_rank(matrices: Sequence[OperatorMatrix], mode: str = "specialized"
         return rank_with_certificate(matrices, mode, **kw)
     except RankDisagreementError:
         return rank_with_certificate(matrices, "exact")
-
-
-# ---------------------------------------------------------------------------
-# exact fraction-free rank over cleared Laurent polynomials
-# ---------------------------------------------------------------------------
-
-def _clear_vector(vec: dict) -> dict:
-    """Multiply an RF vector by a common denominator: Laurent-term entries."""
-    den = {0: Fraction(1)}
-    seen: list[dict] = []
-    for v in vec.values():
-        d = v.den.terms if isinstance(v, RationalFunction) else {0: Fraction(1)}
-        if len(d) > 1 and d not in seen:
-            seen.append(d)
-            den = _mul_terms(den, d)
-    out = {}
-    for col, v in vec.items():
-        if isinstance(v, RationalFunction):
-            num = _mul_terms(v.num.terms, den)
-            cleared, _ = _exact_terms_div(num, v.den.terms)
-            out[col] = cleared
-        else:
-            out[col] = _scale_terms(den, Fraction(v))
-    return out
-
-
-def _exact_terms_div(a: dict, b: dict) -> tuple[dict, bool]:
-    if not a:
-        return {}, True
-    av, avs = _dense(a)
-    bv, bvs = _dense(b)
-    quot = _dense_exact_div(av, bv)
-    if quot is None:
-        raise ArithmeticError("inexact division while clearing denominators")
-    return _from_dense(quot, avs - bvs), True
-
-
-def exact_rank(vectors: list[dict]) -> int:
-    """Fraction-free (Bareiss) rank of RF vectors, via cleared Laurent rows.
-
-    One-step fraction-free elimination: every remaining row is updated as
-    r <- (r * piv - piv_row * r[pivot_col]) / prev_piv, a division that is
-    exact by the Sylvester minor identity.
-    """
-    rows = [_clear_vector(v) for v in vectors if v]
-    rank = 0
-    prev_pivot: dict = {0: Fraction(1)}
-    while rows:
-        pivot_col = min(min(r) for r in rows)
-        piv_idx = next(i for i, r in enumerate(rows) if pivot_col in r)
-        piv_row = rows.pop(piv_idx)
-        piv = piv_row[pivot_col]
-        rank += 1
-        pd, pds = _dense(prev_pivot)
-        new_rows = []
-        for r in rows:
-            c = r.get(pivot_col)
-            out = {}
-            cols = (r.keys() | piv_row.keys()) if c else r.keys()
-            for col in cols:
-                if col == pivot_col:
-                    continue
-                t = _mul_terms(r.get(col, {}), piv)
-                if c:
-                    u = _mul_terms(piv_row.get(col, {}), c)
-                    merged = {e: t.get(e, Fraction(0)) - u.get(e, Fraction(0))
-                              for e in t.keys() | u.keys()}
-                    merged = {e: v for e, v in merged.items() if v}
-                else:
-                    merged = t
-                if merged:
-                    mv, mvs = _dense(merged)
-                    quot = _dense_exact_div(mv, pd)
-                    if quot is None:
-                        raise ArithmeticError("Bareiss exact division failed")
-                    merged = _from_dense(quot, mvs - pds)
-                    if merged:
-                        out[col] = merged
-            if out:
-                new_rows.append(out)
-        rows = new_rows
-        prev_pivot = piv
-    return rank

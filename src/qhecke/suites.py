@@ -5,10 +5,12 @@ is involved) and returns a `Report`.  Two evaluation modes exist for the
 linear-algebra-heavy suites:
 
 * ``exact``   — all spans, commutants and ranks over Q(q); the default for
-  small tensor spaces (dimension at most 8) and mandatory arbiter elsewhere;
+  small tensor spaces (dimension at most 8) and the arbiter elsewhere;
 * ``specialized`` — generators evaluated at two seeded nonzero rational
   points (never 0 or +-1) with all checks repeated per point and required to
-  agree; any disagreement escalates to exact mode.
+  agree in value; on any disagreement the exact rerun decides the verdict,
+  and is refused (`SizeBoundError`) above `EXACT_DIM_BOUND`.  `_certify`
+  holds this policy for both tensor suites.
 
 At a point, a dimension can move away from its generic value in one
 direction only, and which one depends on the kind of check:
@@ -219,6 +221,50 @@ def _closure_of(gens: list[OperatorMatrix], dim: int, one) -> AlgebraBasis:
     return span_closure(gens)
 
 
+def _certify(report: Report, mode: str, seed: int, dim: int, core) -> None:
+    """Run ``core(report, prefix, point)`` under the mode's certification policy.
+
+    ``point=None`` asks the core for its checks over Q(q).  Exact mode runs
+    that once, unprefixed.  Specialized mode runs the core at the two
+    `draw_points(seed)` and compares every check's value -- its name without
+    the ``q=t: `` prefix, status, expected and actual.  When they agree, both
+    points' records stand, followed by ``point-agreement``.  When they differ,
+    the point records are dropped: a ``point-disagreement`` record names the
+    disputed checks and the core's exact rerun, prefixed
+    ``exact-arbitration: ``, decides the verdict.  That rerun is refused with
+    `SizeBoundError` above `EXACT_DIM_BOUND`.
+    """
+    if mode == "exact":
+        core(report, "", None)
+        return
+    points = draw_points(seed)
+    runs = []
+    for t in points:
+        sub = Report("point", {})
+        prefix = f"q={t}: "
+        core(sub, prefix, t)
+        runs.append((sub.checks, {c.name[len(prefix):]: (c.status, c.expected, c.actual)
+                                  for c in sub.checks}))
+    (first, values1), (second, values2) = runs
+    disputed = [name for name in dict.fromkeys([*values1, *values2])
+                if values1.get(name) != values2.get(name)]
+    if not disputed:
+        report.checks.extend(first + second)
+        report.add("point-agreement", True,
+                   expected="identical outcomes at both points",
+                   actual=f"points {points[0]}, {points[1]} agree")
+        return
+    if dim > EXACT_DIM_BOUND:
+        raise SizeBoundError(
+            f"specialized points {points[0]} and {points[1]} disagreed, and exact "
+            f"arbitration at tensor space dimension {dim} exceeds the exact-mode "
+            f"bound {EXACT_DIM_BOUND}")
+    report.info("point-disagreement", expected="identical outcomes at both points",
+                actual=f"points {points[0]}, {points[1]} disagree on: "
+                       + ", ".join(disputed))
+    core(report, "exact-arbitration: ", None)
+
+
 def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
                      seed: int = 0, bound: int | None = None) -> Report:
     """Double-commutant checks between the Hecke and superalgebra images."""
@@ -236,34 +282,20 @@ def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
                actual="all commute" if not bad else "; ".join(bad[:6]))
 
     pred = predicted_dimensions(m, n, r)
-    if mode == "exact":
-        _schur_weyl_core(report, "", space, t_gens, rho_gens, pred, exact=True)
-    else:
-        points = draw_points(seed)
-        outcomes = []
-        for t in points:
-            sub = Report("point", {})
-            st = [specialize_matrix(g, t) for g in t_gens]
-            sr = [specialize_matrix(g, t) for g in rho_gens]
-            _schur_weyl_core(sub, f"q={t}: ", space, st, sr, pred, exact=False)
-            outcomes.append(sub)
-            report.checks.extend(sub.checks)
-        statuses = [tuple(c.status for c in o.checks) for o in outcomes]
-        if statuses[0] != statuses[1]:
-            arb = Report("arbitration", {})
-            _schur_weyl_core(arb, "exact-arbitration: ", space, t_gens, rho_gens,
-                             pred, exact=True)
-            report.checks.extend(arb.checks)
-        else:
-            report.add("point-agreement", True,
-                       expected="identical outcomes at both points",
-                       actual=f"points {points[0]}, {points[1]} agree")
+    _certify(report, mode, seed, space.dim,
+             lambda sub, prefix, point: _schur_weyl_core(sub, prefix, point, space,
+                                                         t_gens, rho_gens, pred))
     return report
 
 
-def _schur_weyl_core(report: Report, prefix: str, space: GradedSpace,
-                     t_gens, rho_gens, pred, *, exact: bool) -> None:
-    one = RationalFunction.one() if exact else Fraction(1)
+def _schur_weyl_core(report: Report, prefix: str, point, space: GradedSpace,
+                     t_gens, rho_gens, pred) -> None:
+    if point is None:
+        one = RationalFunction.one()
+    else:
+        one = Fraction(1)
+        t_gens = [specialize_matrix(g, point) for g in t_gens]
+        rho_gens = [specialize_matrix(g, point) for g in rho_gens]
     a_alg = _closure_of(t_gens, space.dim, one)
     b_alg = _closure_of(rho_gens, space.dim, one)
     report.add(prefix + "hecke-image-dimension", len(a_alg) == pred.dimA,
@@ -298,38 +330,19 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     ]:
         report.add(name, ok, expected=exp, actual=act)
 
-    if mode == "exact":
-        _alt_centralizer_core(report, "", space, rep, pred, seed, exact=True, point=None)
-    else:
-        points = draw_points(seed)
-        outcomes = []
-        for t in points:
-            sub = Report("point", {})
-            _alt_centralizer_core(sub, f"q={t}: ", space, rep, pred, seed,
-                                  exact=False, point=t)
-            outcomes.append(sub)
-            report.checks.extend(sub.checks)
-        statuses = [tuple(c.status for c in o.checks) for o in outcomes]
-        if statuses[0] != statuses[1]:
-            arb = Report("arbitration", {})
-            _alt_centralizer_core(arb, "exact-arbitration: ", space, rep, pred, seed,
-                                  exact=True, point=None)
-            report.checks.extend(arb.checks)
-        else:
-            report.add("point-agreement", True,
-                       expected="identical outcomes at both points",
-                       actual=f"points {points[0]}, {points[1]} agree")
+    _certify(report, mode, seed, space.dim,
+             lambda sub, prefix, point: _alt_centralizer_core(sub, prefix, point, space,
+                                                              rep, pred, seed))
     return report
 
 
-def _alt_centralizer_core(report: Report, prefix: str, space: GradedSpace,
-                          rep: PiRepresentation, pred, seed: int, *,
-                          exact: bool, point) -> None:
-    one = RationalFunction.one() if exact else Fraction(1)
+def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace,
+                          rep: PiRepresentation, pred, seed: int) -> None:
+    one = RationalFunction.one() if point is None else Fraction(1)
     dim = space.dim
 
     def mat(matrix):
-        return matrix if exact else specialize_matrix(matrix, point)
+        return matrix if point is None else specialize_matrix(matrix, point)
 
     x_gens = [mat(g) for g in rep.x_matrices()]
     t_gens = [mat(g) for g in rep.t_matrices()]

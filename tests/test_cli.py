@@ -131,6 +131,20 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--m", "1", "--n", "1", "--r", "3"],
+         "4373d9ff33a1dd1dbe633478e5565b8dff9d70a28e1662cab715e16fb4695843"),
+        (["--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
+         "912270faa1f89bbe451ab29080bea9dc159f4b15ae39511c07e4542f7daeaf5e"),
+        (["--m", "2", "--n", "0", "--r", "4"],
+         "6db6dfd376f285c5b86ce3855f2c709034b9331e8260a4caa5d9792338df3745"),
+    ], ids=["1-1-3", "1-1-3-specialized", "2-0-4"])
+    def test_schur_weyl_report_bytes_are_pinned(self, args, digest, tmp_path):
+        path = tmp_path / "r.json"
+        code = cli.main(["verify", "schur-weyl", *args, "--seed", "0", "--out", str(path)])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_no_timestamp_by_default(self, tmp_path):
         path = tmp_path / "r.json"
         cli.main(["dims", "--m", "1", "--n", "1", "--r", "2", "--out", str(path)])

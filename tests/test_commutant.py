@@ -13,7 +13,6 @@ from qhecke.commutant import (
     commutant_basis,
     direct_sum_check,
     draw_points,
-    exact_rank,
     rank_with_certificate,
     span_closure,
     span_equal,
@@ -361,44 +360,27 @@ class TestRankCertificates:
 
 
 class TestExactRank:
-    def test_matches_field_elimination_on_random_inputs(self):
-        # oracle: rank over Q(q) via the generic division-based span
-        rng = random.Random(9)
-        for _ in range(10):
-            mats = []
-            for _ in range(4):
-                entries = {}
-                for _ in range(5):
-                    i, j = rng.randrange(3), rng.randrange(3)
-                    entries[(i, j)] = RationalFunction(LaurentPolynomial(
-                        {rng.randint(-2, 2): rng.randint(-3, 3)}))
-                mats.append(OperatorMatrix(3, entries))
-            span = LinearSpan()
-            for m in mats:
-                span.add(m.flatten())
-            vectors = [m.flatten() for m in mats]
-            assert exact_rank(vectors) == span.rank
+    # exact ranks run the same `LinearSpan` elimination, over Q(q)
+    @staticmethod
+    def exact(matrices):
+        return rank_with_certificate(matrices, "exact").rank
 
     def test_rational_function_rows(self):
         qp = RationalFunction(LaurentPolynomial({1: 1, -1: 1}))
         row1 = OperatorMatrix(2, {(0, 0): ONE / qp, (0, 1): ONE})
         row2 = OperatorMatrix(2, {(0, 0): ONE, (0, 1): qp})
-        assert exact_rank([m.flatten() for m in [row1, row2]]) == 1
+        assert self.exact([row1, row2]) == 1
 
     def test_structured_rank_deficiency(self):
         # the 24 word images at (1,1,4) span a space of dimension sum(d^2)
-        # over the hooks; both elimination routes must agree on the defect
+        # over the hooks
         from qhecke.partitions import predicted_dimensions
         sp = GradedSpace(1, 1, 4)
         rep = PiRepresentation(sp)
         words = [rep.word_matrix(w) for w in normal_form_words(4)]
-        vectors = [m.flatten() for m in words]
-        span = LinearSpan()
-        for v in vectors:
-            span.add(v)
-        assert exact_rank(vectors) == span.rank == predicted_dimensions(1, 1, 4).dimA == 20
+        assert self.exact(words) == predicted_dimensions(1, 1, 4).dimA == 20
 
-    def test_bareiss_on_shifted_and_scaled_rows(self):
+    def test_shifted_and_scaled_rows(self):
         # rows that are q-power and rational multiples of each other collapse
         rng = random.Random(21)
         base = {i: RationalFunction(LaurentPolynomial(
@@ -406,4 +388,4 @@ class TestExactRank:
         rows = [base,
                 {k: v * RationalFunction.q(3) for k, v in base.items()},
                 {k: v * RationalFunction.constant(Fraction(-7, 2)) for k, v in base.items()}]
-        assert exact_rank(rows) == 1
+        assert self.exact([OperatorMatrix.from_flat(3, row) for row in rows]) == 1

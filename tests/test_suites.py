@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import qhecke.cli as cli
+import qhecke.suites as suites
 from qhecke.report import Report
 from qhecke.suites import (
     SizeBoundError,
@@ -145,6 +148,52 @@ class TestSpecializationSuite:
             suite_specialization(1, 1, 2, t=0)
         with pytest.raises(ValueError):
             suite_specialization(1, 1, 2, points=[2, 0])
+
+
+class TestPointDisagreement:
+    """At q = 1 the tensor images degenerate, so the points 1 and 2 disagree
+    and the exact rerun over Q(q) must decide the verdict."""
+
+    @pytest.fixture(autouse=True)
+    def disagreeing_points(self, monkeypatch):
+        monkeypatch.setattr(suites, "draw_points", lambda seed: [Fraction(1), Fraction(2)])
+
+    @pytest.mark.parametrize("suite", [suite_schur_weyl, suite_alt_centralizer],
+                             ids=["schur-weyl", "alt-centralizer"])
+    def test_exact_arbitration_decides(self, suite):
+        report = suite(1, 1, 3, mode="specialized")
+        assert report.passed
+        checks = check_map(report)
+        note = checks["point-disagreement"]
+        assert note.status == "info"
+        assert "points 1, 2" in note.actual
+        assert "superalgebra-image-dimension" in note.actual
+        assert "q=" not in note.actual
+        arbitrated = [c for c in report.checks if c.name.startswith("exact-arbitration: ")]
+        assert arbitrated and all(c.status != "fail" for c in arbitrated)
+        assert not any(c.name.startswith("q=") for c in report.checks)
+        assert "point-agreement" not in checks
+
+    def test_a_differing_value_alone_is_arbitrated(self):
+        # equal statuses, different info values: still a disagreement
+        def core(report, prefix, point):
+            report.info(prefix + "dimension", actual=point)
+
+        report = Report("demo", {})
+        suites._certify(report, "specialized", 0, 8, core)
+        assert [(c.name, c.actual) for c in report.checks] == [
+            ("point-disagreement", "points 1, 2 disagree on: dimension"),
+            ("exact-arbitration: dimension", "None"),
+        ]
+
+    def test_arbitration_above_the_exact_bound_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "EXACT_DIM_BOUND", 4)
+        with pytest.raises(SizeBoundError, match="disagreed"):
+            suite_schur_weyl(1, 1, 3, mode="specialized")
+        code = cli.main(["verify", "schur-weyl", "--m", "1", "--n", "1", "--r", "3",
+                         "--mode", "specialized"])
+        assert code == 2
+        assert "disagreed" in capsys.readouterr().err
 
 
 class TestDeterminism:
