@@ -110,7 +110,10 @@ def _parse_points(text: str) -> list[Fraction]:
         part = part.strip()
         if not part:
             continue
-        points.append(Fraction(part))
+        try:
+            points.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"point {part!r} is not a rational number") from None
     if not points:
         raise ValueError("no points given")
     return points
@@ -234,6 +237,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "dump":
+            if args.limit is not None and args.limit < 0:
+                raise ValueError(f"--limit must be >= 0, got {args.limit}")
             space = GradedSpace(args.m, args.n, args.r)
             matrix = _generator_matrix(space, args.gen)
             lines = matrix.dump_lines(args.limit)

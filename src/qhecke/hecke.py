@@ -37,7 +37,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Mapping
 
-from .qfield import LaurentPolynomial, RationalFunction, _axpy, _dense, _qsq_power_of
+from .qfield import (LaurentPolynomial, RationalFunction, _axpy, _mul_terms, _qp_pow,
+                     _qsq_den, _strip_qp)
 
 Word = tuple[int, ...]
 
@@ -100,50 +101,6 @@ def _first_factor(word: Word) -> tuple[int, Word]:
 # localized coefficients: num / (d * (q + q^-1)^ek) with integer num
 # ---------------------------------------------------------------------------
 
-def _idiv_qp(a: dict[int, int]) -> dict[int, int] | None:
-    """Exact division of an integer Laurent dict by q + q^-1, or None."""
-    if not a:
-        return {}
-    lo, hi = min(a), max(a)
-    quot: dict[int, int] = {}
-    for e in range(hi - 1, lo, -1):
-        v = a.get(e + 1, 0) - quot.get(e + 2, 0)
-        if v:
-            quot[e] = v
-    if a.get(lo, 0) != quot.get(lo + 1, 0):
-        return None
-    if a.get(lo + 1, 0) != quot.get(lo, 0) + quot.get(lo + 2, 0):
-        return None
-    return quot
-
-
-_QP_POWS: list[dict[int, int]] = [{0: 1}, {1: 1, -1: 1}]
-
-
-def _qp_pow(n: int) -> dict[int, int]:
-    while len(_QP_POWS) <= n:
-        prev = _QP_POWS[-1]
-        out: dict[int, int] = {}
-        for e, c in prev.items():
-            out[e + 1] = out.get(e + 1, 0) + c
-            out[e - 1] = out.get(e - 1, 0) + c
-        _QP_POWS.append(out)
-    return _QP_POWS[n]
-
-
-def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
 class _LC:
     """num / (d * (q+q^-1)^ek), canonical: gcd(content, d) = 1, q^2+1 ∤ num.
 
@@ -183,19 +140,13 @@ class _LC:
         a = self.num
         fa = d // self.d
         if ek > self.ek:
-            a = _imul(a, _qp_pow(ek - self.ek))
+            a = _mul_terms(a, _qp_pow(ek - self.ek))
         b = other.num
         fb = d // other.d
         if ek > other.ek:
-            b = _imul(b, _qp_pow(ek - other.ek))
+            b = _mul_terms(b, _qp_pow(ek - other.ek))
         out = {e: c * fa for e, c in a.items()} if fa != 1 else dict(a)
-        for e, c in b.items():
-            s = out.get(e, 0) + c * fb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _lc_norm(out, d, ek)
+        return _lc_norm(_axpy(out, fb if fb != 1 else None, b.items()), d, ek)
 
     def __radd__(self, other):
         return other + _lc_to_rf(self)
@@ -211,7 +162,7 @@ class _LC:
             return _lc_to_rf(self) * other
         if not self.num or not other.num:
             return _LC_ZERO
-        return _lc_norm(_imul(self.num, other.num), self.d * other.d, self.ek + other.ek)
+        return _lc_norm(_mul_terms(self.num, other.num), self.d * other.d, self.ek + other.ek)
 
     def __rmul__(self, other):
         return other * _lc_to_rf(self)
@@ -226,12 +177,8 @@ _LC_ZERO = _LC({}, 1, 0)
 def _lc_norm(num: dict[int, int], d: int, ek: int) -> _LC:
     if not num:
         return _LC_ZERO
-    while ek > 0:
-        quot = _idiv_qp(num)
-        if quot is None:
-            break
-        num = quot
-        ek -= 1
+    num, stripped = _strip_qp(num, ek)
+    ek -= stripped
     g = 0
     for c in num.values():
         g = _int_gcd(g, c)
@@ -245,44 +192,26 @@ def _lc_norm(num: dict[int, int], d: int, ek: int) -> _LC:
 
 
 _LC_ONE = _LC({0: 1}, 1, 0)
-_LC_TWO = _LC({0: 2}, 1, 0)
+_LC_MINUS_ONE = _LC({0: -1}, 1, 0)
 _LC_QM = _LC({1: 1, -1: -1}, 1, 0)     # q - q^-1
-_LC_QP_INV = _LC({0: 1}, 1, 1)         # (q + q^-1)^-1
-
-
-_QSQ_POW_CACHE: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-
-
-def _qsq_pow_terms(k: int) -> dict[int, Fraction]:
-    while len(_QSQ_POW_CACHE) <= k:
-        prev = _QSQ_POW_CACHE[-1]
-        out: dict[int, Fraction] = {}
-        for e, c in prev.items():
-            out[e + 2] = out.get(e + 2, Fraction(0)) + c
-            out[e] = out.get(e, Fraction(0)) + c
-        _QSQ_POW_CACHE.append({e: c for e, c in out.items() if c})
-    return _QSQ_POW_CACHE[k]
+# T'_g = _LC_TP_T * T_g + _LC_TP_1
+_LC_TP_T = _LC({0: 2}, 1, 1)           # 2 / (q + q^-1)
+_LC_TP_1 = _LC({1: -1, -1: 1}, 1, 1)   # -(q - q^-1) / (q + q^-1)
 
 
 def _lc_to_rf(x: _LC) -> RationalFunction:
     if not x.num:
         return RationalFunction.zero()
     num = LaurentPolynomial._raw({e + x.ek: Fraction(c, x.d) for e, c in x.num.items()})
-    den = LaurentPolynomial._raw(dict(_qsq_pow_terms(x.ek)))
-    return RationalFunction._make(num, den)
+    return RationalFunction._make(num, LaurentPolynomial._raw(_qsq_den(x.ek)))
 
 
 def _rf_to_lc(f: RationalFunction) -> _LC | None:
     """Convert when the denominator is a power of q^2+1 (else None)."""
-    den = f.den.terms
-    if den == {0: Fraction(1)}:
-        k = 0
-    else:
-        dense, _ = _dense(den)
-        res = _qsq_power_of(dense)
-        if res is None:
-            return None
-        k = res[0]
+    # a canonical denominator (q^2+1)^k leaves the monomial q^k
+    rest, k = _strip_qp(f.den.terms, max(f.den.terms))
+    if len(rest) != 1:
+        return None
     lcm = 1
     for c in f.num.terms.values():
         lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
@@ -366,6 +295,7 @@ class SymmetricGroupTable:
         """
         length = self.length
         out: dict = {}
+        # hand-written: two targets per entry in the hot product; zeros dropped once below
         for wid, c in vec.items():
             w2 = row[wid]
             s = out.get(w2)
@@ -394,12 +324,7 @@ class SymmetricGroupTable:
     def tprime_gen_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by T'_g = (2 T_g - (q - q^-1)) / (q + q^-1)."""
         tg = self.gen_mul(self.left_mult[g - 1], vec)
-        out: dict = {}
-        for wid in tg.keys() | vec.keys():
-            v = _LC_TWO * tg.get(wid, _LC_ZERO) - _LC_QM * vec.get(wid, _LC_ZERO)
-            if v:
-                out[wid] = v * _LC_QP_INV
-        return out
+        return _axpy(_axpy({}, _LC_TP_T, tg.items()), _LC_TP_1, vec.items())
 
     # -- lazy expansions in the T basis
 
@@ -414,11 +339,7 @@ class SymmetricGroupTable:
             g, rest = ff
             prev = self.goldman_word(rest)
             tg = self.gen_mul(self.left_mult[g - 1], prev)
-            result = {}
-            for u in tg.keys() | prev.keys():
-                v = _LC_QM * prev.get(u, _LC_ZERO) - tg.get(u, _LC_ZERO)
-                if v:
-                    result[u] = v
+            result = _axpy(_axpy({}, _LC_QM, prev.items()), _LC_MINUS_ONE, tg.items())
         self._goldman[wid] = result
         return result
 
@@ -460,6 +381,7 @@ class SymmetricGroupTable:
             beta = a * self._beta_factor(L)
             out[wid] = beta
             if L:
+                # hand-written: a newly created key is pushed onto the heap
                 for u, cu in self.tprime_word(wid).items():
                     if u == wid:
                         continue

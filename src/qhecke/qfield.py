@@ -12,6 +12,12 @@ form, so that structural equality (``==``) decides equality in the field:
 
 Every value is immutable; all operations return new objects.  No floating
 point is used anywhere.
+
+This module also owns the sparse kernels the other layers call: `_axpy`
+(accumulate and drop zeros), `_mul_terms` (the Laurent product), and the
+q + q^-1 kernels `_idiv_qp`, `_strip_qp` and `_qp_pow`, which act on term
+dicts with `int` or `Fraction` coefficients and serve both the Hecke layer's
+localized coefficients and the (q^2 + 1)^k fast path of `_reduce`.
 """
 
 from __future__ import annotations
@@ -54,32 +60,22 @@ def _axpy(out: dict, a, pairs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# low-level term-dict helpers (exponent -> Fraction, zero coefficients absent)
+# low-level term-dict helpers (exponent -> coefficient, zero coefficients absent)
 # ---------------------------------------------------------------------------
-
-def _add_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, _F0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
 
 def _neg_terms(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    """Laurent product; the coefficients may be `int` or `Fraction`."""
     if not a or not b:
         return {}
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            s = out.get(e, _F0) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -175,33 +171,32 @@ def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return prim
 
 
-# q^2 + 1, the shifted form of q + q^-1; irreducible over Q
-_QSQ_DENSE = [_F1, _F0, _F1]
+# ---------------------------------------------------------------------------
+# the q + q^-1 kernels (Laurent dicts over int or Fraction)
+# ---------------------------------------------------------------------------
+
+def _idiv_qp(a: dict) -> dict | None:
+    """Exact division of a Laurent dict by q + q^-1, or None."""
+    if not a:
+        return {}
+    lo, hi = min(a), max(a)
+    quot: dict = {}
+    for e in range(hi - 1, lo, -1):
+        v = a.get(e + 1, 0) - quot.get(e + 2, 0)
+        if v:
+            quot[e] = v
+    if a.get(lo, 0) != quot.get(lo + 1, 0):
+        return None
+    if a.get(lo + 1, 0) != quot.get(lo, 0) + quot.get(lo + 2, 0):
+        return None
+    return quot
 
 
-def _dense_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _dense_pow(a: list[Fraction], n: int) -> list[Fraction]:
-    out = [_F1]
-    for _ in range(n):
-        out = _dense_mul(out, a)
-    return out
-
-
-def _strip_qsq(a: list[Fraction], limit: int) -> tuple[list[Fraction], int]:
-    """Divide out up to `limit` factors of q^2+1; return (quotient, count)."""
+def _strip_qp(a: dict, limit: int) -> tuple[dict, int]:
+    """Divide out up to `limit` factors of q + q^-1; return (quotient, count)."""
     n = 0
-    while n < limit and len(a) > 2:
-        quot = _dense_exact_div(a, _QSQ_DENSE)
+    while n < limit:
+        quot = _idiv_qp(a)
         if quot is None:
             break
         a = quot
@@ -209,16 +204,19 @@ def _strip_qsq(a: list[Fraction], limit: int) -> tuple[list[Fraction], int]:
     return a, n
 
 
-def _qsq_power_of(a: list[Fraction]) -> tuple[int, Fraction] | None:
-    """If a == c*(q^2+1)^k for a constant c, return (k, c), else None."""
-    k = 0
-    while len(a) > 1:
-        quot = _dense_exact_div(a, _QSQ_DENSE)
-        if quot is None:
-            return None
-        a = quot
-        k += 1
-    return k, a[0]
+_QP_POWS: list[dict[int, int]] = [{0: 1}, {1: 1, -1: 1}]
+
+
+def _qp_pow(n: int) -> dict[int, int]:
+    """(q + q^-1)^n with integer coefficients (cached; do not mutate)."""
+    while len(_QP_POWS) <= n:
+        _QP_POWS.append(_mul_terms(_QP_POWS[-1], _QP_POWS[1]))
+    return _QP_POWS[n]
+
+
+def _qsq_den(k: int) -> dict:
+    """(q^2 + 1)^k = q^k (q + q^-1)^k, the canonical denominator for k factors."""
+    return {e + k: Fraction(c) for e, c in _qp_pow(k).items()}
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -314,9 +312,6 @@ class LaurentPolynomial:
             raise ZeroDivisionError("cannot evaluate negative q-powers at 0")
         return _eval_terms(self.terms, t)
 
-    def shift(self, k: int) -> "LaurentPolynomial":
-        return LaurentPolynomial._raw(_shift_terms(self.terms, k))
-
     def bar(self) -> "LaurentPolynomial":
         """The substitution q -> q^-1."""
         return LaurentPolynomial._raw({-e: c for e, c in self.terms.items()})
@@ -334,7 +329,7 @@ class LaurentPolynomial:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return LaurentPolynomial._raw(_add_terms(self.terms, other.terms))
+        return LaurentPolynomial._raw(_axpy(dict(self.terms), None, other.terms.items()))
 
     __radd__ = __add__
 
@@ -342,13 +337,13 @@ class LaurentPolynomial:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return LaurentPolynomial._raw(_add_terms(self.terms, _neg_terms(other.terms)))
+        return LaurentPolynomial._raw(_axpy(dict(self.terms), -1, other.terms.items()))
 
     def __rsub__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return LaurentPolynomial._raw(_add_terms(other.terms, _neg_terms(self.terms)))
+        return LaurentPolynomial._raw(_axpy(dict(other.terms), -1, self.terms.items()))
 
     def __neg__(self):
         return LaurentPolynomial._raw(_neg_terms(self.terms))
@@ -407,24 +402,19 @@ def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
     num = _shift_terms(num, -dv)
     if len(den0) == 1:
         c = den0[0]
-        return _scale_terms(num, 1 / c), {0: _F1}
+        return _scale_terms(num, _F1 / c), {0: _F1}
+    rest, k = _strip_qp(den0, max(den0))
+    if len(rest) == 1:
+        # den0 = c*(q^2+1)^k = c*q^k*(q+q^-1)^k; cancel without a general gcd
+        num, s = _strip_qp(num, k)
+        return _scale_terms(_shift_terms(num, -s), _F1 / rest[k]), _qsq_den(k - s)
     nv = min(num)
     ndense, _ = _dense(_shift_terms(num, -nv))
     ddense, _ = _dense(den0)
-
-    res = _qsq_power_of(ddense)
-    if res is not None:
-        # denominator is c*(q^2+1)^k; cancel without a general gcd
-        qk, c = res
-        ndense, stripped = _strip_qsq(ndense, qk)
-        if c != 1:
-            ndense = [x / c for x in ndense]
-        ddense = _dense_pow(_QSQ_DENSE, qk - stripped)
-    else:
-        g = _dense_gcd(ndense, ddense)
-        if len(g) > 1:
-            ndense = _dense_exact_div(ndense, g)
-            ddense = _dense_exact_div(ddense, g)
+    g = _dense_gcd(ndense, ddense)
+    if len(g) > 1:
+        ndense = _dense_exact_div(ndense, g)
+        ddense = _dense_exact_div(ddense, g)
 
     dprim, factor = _dense_primitive(ddense)
     if factor != 1:
@@ -474,10 +464,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self.num.terms == {0: _F1} and self.den.terms == {0: _F1}
-
     def __bool__(self):
         return not self.num.is_zero
 
@@ -498,14 +484,14 @@ class RationalFunction:
             return NotImplemented
         a, b = self, other
         if a.den.terms == b.den.terms:
+            num = _axpy(dict(a.num.terms), None, b.num.terms.items())
             if len(a.den.terms) == 1:
-                return RationalFunction._make(
-                    LaurentPolynomial._raw(_add_terms(a.num.terms, b.num.terms)), a.den)
-            n, d = _reduce(_add_terms(a.num.terms, b.num.terms), a.den.terms)
+                return RationalFunction._make(LaurentPolynomial._raw(num), a.den)
+            n, d = _reduce(num, a.den.terms)
         else:
             n, d = _reduce(
-                _add_terms(_mul_terms(a.num.terms, b.den.terms),
-                           _mul_terms(b.num.terms, a.den.terms)),
+                _axpy(_mul_terms(a.num.terms, b.den.terms), None,
+                      _mul_terms(b.num.terms, a.den.terms).items()),
                 _mul_terms(a.den.terms, b.den.terms))
         return RationalFunction._make(LaurentPolynomial._raw(n), LaurentPolynomial._raw(d))
 

@@ -59,7 +59,3 @@ class Report:
             "checks": [c.as_dict() for c in self.checks],
             "overall": PASS if self.passed else FAIL,
         }
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({len(self.checks)} checks)"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
-from .qfield import PoleError, RationalFunction, _as_point_value
+from .qfield import PoleError, RationalFunction, _as_point_value, _axpy
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ class OperatorMatrix:
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], object] | None = None):
         self.dim = dim
-        self.entries: dict[tuple[int, int], object] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if v:
-                    self.entries[(i, j)] = v
+        self.entries: dict[tuple[int, int], object] = _axpy({}, None, (entries or {}).items())
 
     @classmethod
     def identity(cls, dim: int, one=None) -> "OperatorMatrix":
@@ -107,15 +103,7 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_dim(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._raw(self.dim, out)
+        return self._raw(self.dim, _axpy(dict(self.entries), None, other.entries.items()))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-other)
@@ -130,15 +118,7 @@ class OperatorMatrix:
             rows.setdefault(k, []).append((j, v))
         out: dict[tuple[int, int], object] = {}
         for (i, k), u in self.entries.items():
-            for j, v in rows.get(k, ()):
-                key = (i, j)
-                s = out.get(key)
-                p = u * v
-                s = p if s is None else s + p
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _axpy(out, u, [((i, j), v) for j, v in rows.get(k, ())])
         return self._raw(self.dim, out)
 
     @classmethod
@@ -179,7 +159,7 @@ class OperatorMatrix:
     def dump_lines(self, limit: int | None = None) -> list[str]:
         """Sparse dump: `row col (num)/(den)` per entry, lexicographic order."""
         lines = []
-        for (i, j) in sorted(self.entries):
+        for (i, j) in sorted(self.entries)[:limit]:
             v = self.entries[(i, j)]
             if isinstance(v, RationalFunction):
                 s = v.dump_str()
@@ -188,8 +168,6 @@ class OperatorMatrix:
             else:
                 s = str(v)
             lines.append(f"{i} {j} {s}")
-            if limit is not None and len(lines) >= limit:
-                break
         return lines
 
 
@@ -207,21 +185,14 @@ def _two_site_operator(space: GradedSpace, i: int,
     for k in range(1, letters + 1):
         for l in range(1, letters + 1):
             local[(k, l)] = rule(k, l)
-    entries: dict[tuple[int, int], object] = {}
+    pairs = []
     lo = letters ** (space.r - i - 1)   # weight of the slot i+1 position
     for col, idx in enumerate(space.indices()):
         k, l = idx[i - 1], idx[i]
         base = col - ((k - 1) * letters + (l - 1)) * lo
         for (k2, l2), coeff in local[(k, l)]:
-            row = base + ((k2 - 1) * letters + (l2 - 1)) * lo
-            key = (row, col)
-            s = entries.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return OperatorMatrix._raw(space.dim, entries)
+            pairs.append(((base + ((k2 - 1) * letters + (l2 - 1)) * lo, col), coeff))
+    return OperatorMatrix._raw(space.dim, _axpy({}, None, pairs))
 
 
 def pi_T(space: GradedSpace, i: int) -> OperatorMatrix:
@@ -297,9 +268,6 @@ class RootDatum:
     def parity(self, i: int) -> int:
         return 1 if (i == self.m and self.n >= 1) else 0
 
-    def ell(self, i: int) -> int:
-        return 1 if i <= self.m else -1
-
     def eps_form(self, a: int, b: int) -> int:
         if a != b:
             return 0
@@ -357,7 +325,7 @@ def _rho_root(space: GradedSpace, datum: RootDatum, i: int, raising: bool) -> Op
         raise ValueError(f"root index {i} out of range")
     p = datum.parity(i)
     src, dst = (i + 1, i) if raising else (i, i + 1)
-    entries: dict[tuple[int, int], object] = {}
+    pairs = []
     for col, idx in enumerate(space.indices()):
         for t in range(space.r):
             if idx[t] != src:
@@ -370,16 +338,9 @@ def _rho_root(space: GradedSpace, datum: RootDatum, i: int, raising: bool) -> Op
             else:
                 expo = sum(datum.alpha_pairing(i, idx[s]) for s in range(t))
             moved = idx[:t] + (dst,) + idx[t + 1:]
-            row = space.rank_of(moved)
             coeff = RationalFunction.q(expo) if sign == 1 else -RationalFunction.q(expo)
-            key = (row, col)
-            s = entries.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return OperatorMatrix._raw(space.dim, entries)
+            pairs.append(((space.rank_of(moved), col), coeff))
+    return OperatorMatrix._raw(space.dim, _axpy({}, None, pairs))
 
 
 def rho_e(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:

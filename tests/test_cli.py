@@ -55,6 +55,13 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["params"]["points"].startswith("2")
 
+    @pytest.mark.parametrize("points", ["1/0", "0", "x", ","])
+    def test_bad_points_exit_two(self, points, capsys):
+        code, _, err = run(["verify", "specialize", "--m", "1", "--n", "1",
+                            "--r", "2", "--points", points], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("suite", ["hecke", "alt"])
     def test_dump_flag_rejected_without_tensor_space(self, suite, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -92,6 +99,14 @@ class TestDumpCommand:
                             "--gen", "Tp1", "--limit", "2"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+        code, out, _ = run(["dump", "--m", "1", "--n", "1", "--r", "2",
+                            "--gen", "Tp1", "--limit", "0"], capsys)
+        assert code == 0
+        assert out.strip() == ""
+        code, out, err = run(["dump", "--m", "1", "--n", "1", "--r", "2",
+                              "--gen", "Tp1", "--limit", "-1"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_phi_and_rho_labels(self, capsys):
         for gen in ("phi", "sigma", "qh1", "e1", "f1"):
@@ -142,6 +157,24 @@ class TestGoldenOutput:
     def test_schur_weyl_report_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main(["verify", "schur-weyl", *args, "--seed", "0", "--out", str(path)])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        (["verify", "hecke", "--r", "5"],
+         "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
+        (["verify", "alt", "--r", "5"],
+         "5ed8704803f90b9f882a3b3a4c1ea76c59bc48dda9fb8e9cda2450706f3a6d7b"),
+        (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
+         "30253d8da04a72fd47539094e14a045fc2bf9fb3b399b3a4a0393f60761f502c"),
+        (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "X1"],
+         "2615af7a4d66713b85f8e81dcb5c65f711b82d160b76f5d9412dfbcc441e0222"),
+        (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "e2"],
+         "1cba02b92d719cd99215f48cefb621feffd757b1a12f77c3a4d7885efec3f7a2"),
+    ], ids=["hecke-5", "alt-5", "dump-Tp1", "dump-X1", "dump-e2"])
+    def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
+        path = tmp_path / "r.out"
+        code = cli.main([*args, "--seed", "0", "--out", str(path)])
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,9 @@ from qhecke.qfield import (
     Q_PLUS_QINV,
     RationalFunction,
     SpecializationPoint,
+    _mul_terms,
+    _qp_pow,
+    _strip_qp,
     normalize,
     specialize,
 )
@@ -37,6 +41,64 @@ def rational_function_strategy(draw):
     if den.is_zero:
         den = LaurentPolynomial.one()
     return RationalFunction(num, den)
+
+
+@st.composite
+def term_dict_strategy(draw):
+    """A nonzero Laurent term dict with all-int or all-Fraction coefficients."""
+    exps = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5,
+                         unique=True))
+    if draw(st.booleans()):
+        coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    return {e: draw(coeffs) for e in exps}
+
+
+def _vanishes_at_i(terms: dict) -> bool:
+    """Whether q^2 + 1 divides the Laurent polynomial: its value at q = i is 0."""
+    real = imag = Fraction(0)
+    for e, c in terms.items():
+        unit = (1, 1j, -1, -1j)[e % 4]
+        real += c * int(unit.real)
+        imag += c * int(unit.imag)
+    return real == 0 and imag == 0
+
+
+class TestQPlusQinvKernels:
+    @pytest.mark.parametrize("n", range(6))
+    def test_power_is_binomial(self, n):
+        assert _qp_pow(n) == {n - 2 * j: comb(n, j) for j in range(n + 1)}
+
+    @given(p=term_dict_strategy(), k=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_strip_recovers_the_factors(self, p, k):
+        x = _mul_terms(p, _qp_pow(k))
+        quot, count = _strip_qp(x, 12)
+        assert count >= k
+        assert _mul_terms(quot, _qp_pow(count)) == x
+        assert all(type(c) is type(next(iter(p.values()))) for c in quot.values())
+
+    def test_strip_stops_at_the_limit(self):
+        x = _mul_terms({0: 3}, _qp_pow(3))
+        assert _strip_qp(x, 2) == (_mul_terms({0: 3}, _qp_pow(1)), 2)
+        assert _strip_qp({2: 1, 0: 1, -2: 1}, 5) == ({2: 1, 0: 1, -2: 1}, 0)
+
+    @given(num=term_dict_strategy(), a=st.integers(min_value=0, max_value=3),
+           b=st.integers(min_value=0, max_value=3), s=st.integers(min_value=-3, max_value=3),
+           c=st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_form_over_powers_of_q2_plus_1(self, num, a, b, s, c):
+        qsq = L({2: 1, 0: 1})
+        num_in = L(num) * qsq ** a
+        den_in = L({s: c}) * qsq ** b
+        f = RationalFunction(num_in, den_in)
+        j = max(f.den.terms) // 2
+        assert j <= b
+        assert f.den == qsq ** j
+        assert f.num * den_in == num_in * f.den
+        if j > 0:
+            assert not _vanishes_at_i(f.num.terms)
 
 
 class TestLaurentPolynomial:
