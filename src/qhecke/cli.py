@@ -237,12 +237,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "dump":
-            if args.limit is not None and args.limit < 0:
-                raise ValueError(f"--limit must be >= 0, got {args.limit}")
             space = GradedSpace(args.m, args.n, args.r)
             matrix = _generator_matrix(space, args.gen)
             lines = matrix.dump_lines(args.limit)
-            _emit_text("\n".join(lines) + "\n", args.out)
+            _emit_text("".join(line + "\n" for line in lines), args.out)
             return 0
     except (SizeBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -122,10 +122,6 @@ class LinearSpan:
         return not self.reduce(vec)
 
 
-def _flatten_all(matrices: Sequence[OperatorMatrix]) -> list[dict]:
-    return [m.flatten() for m in matrices]
-
-
 # ---------------------------------------------------------------------------
 # algebra bases and closure
 # ---------------------------------------------------------------------------
@@ -167,34 +163,27 @@ def _infer_one(matrices: Iterable[OperatorMatrix]):
     return RationalFunction.one()
 
 
-def span_closure(generators: Sequence[OperatorMatrix], *,
-                 include_identity: bool = True,
-                 max_products: int | None = None) -> AlgebraBasis:
+def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
     """Basis of the unital subalgebra generated by the given matrices.
 
     Repeatedly multiplies accepted basis elements by the generators on the
     right, reducing each candidate against the current span, until no product
     adds a new direction.  Aborts with `ClosureError` if the number of
-    evaluated products exceeds the bound (default dim^2 * max(dim^2, #gens)),
-    which cannot happen for a genuine subalgebra but guards the loop.
+    evaluated products exceeds dim^2 * max(dim^2, #gens), which cannot happen
+    for a genuine subalgebra but guards the loop.
     """
     generators = list(generators)
-    if not generators and not include_identity:
-        raise ValueError("need at least one generator or the identity")
     dims = {g.dim for g in generators}
-    if len(dims) > 1:
-        raise ValueError(f"generator dimensions differ: {sorted(dims)}")
-    dim = dims.pop() if dims else None
-    if dim is None:
-        raise ValueError("cannot infer ambient dimension without generators")
+    if len(dims) != 1:
+        raise ValueError(f"need generators of one dimension, got {sorted(dims)}")
+    dim = dims.pop()
     one = _infer_one(generators)
-    bound = max_products if max_products is not None else dim * dim * max(dim * dim, len(generators))
+    bound = dim * dim * max(dim * dim, len(generators))
 
     span = LinearSpan()
     basis: list[OperatorMatrix] = []
     queue: list[OperatorMatrix] = []
-    seed = ([OperatorMatrix.identity(dim, one)] if include_identity else []) + generators
-    for m in seed:
+    for m in [OperatorMatrix.identity(dim, one), *generators]:
         if span.add(m.flatten()):
             basis.append(m)
             queue.append(m)
@@ -406,7 +395,7 @@ def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "speci
     """Rank of the span of the given matrices, with its certification trail."""
     if not matrices:
         raise ValueError("need a nonempty list of matrices")
-    vectors = _flatten_all(matrices)
+    vectors = [m.flatten() for m in matrices]
     if mode == "exact":
         return RankCertificate(_rank(vectors), (), exact=True)
     if mode != "specialized":

@@ -21,9 +21,15 @@ direction only, and which one depends on the kind of check:
 * commutant and anticommutant dimensions are nullities of a specialized
   constraint system whose rank can only drop: they can only overshoot, so a
   point that meets the prediction shows the generic dimension is at most it;
-* span equalities, containments and direct sums compare spaces at the point,
-  each of which may have moved in its own direction; a pass there is evidence
-  at that point, not a bound on the generic statement.
+* span equalities compare lengths once an inclusion is known or tested at
+  the point.  Given the exact ``action-commutation``, this proves the two
+  Schur-Weyl commutant equalities generically: rank_t(B) <= dim B <=
+  dim A' <= nullity_t(A), and a pass makes the ends equal (likewise for A in
+  B').  The double commutant (C in C'') and the collapse (C in A once the X's
+  lie in A) stay evidence at the point: C''_t may move either way, and two
+  closure ranks give no upper bound on dim A;
+* containments and direct sums compare spaces at the point, each of which may
+  have moved in its own direction; a pass there is evidence at that point.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .commutant import (
     direct_sum_check,
     draw_points,
     span_closure,
-    span_equal,
 )
 from .crossed import check_crossed_axioms, check_crossed_embedding
 from .hecke import HeckeAlgebra, goldman_eigenproject, to_tprime_basis
@@ -301,14 +306,16 @@ def _schur_weyl_core(report: Report, prefix: str, point, space: GradedSpace,
     report.add(prefix + "hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
     report.info(prefix + "superalgebra-image-dimension", actual=len(b_alg))
+    # B in A' and A in B' hold iff the generators commute
+    commute = all(t.commutes_with(g) for t in t_gens for g in rho_gens)
     ca = commutant_basis(a_alg)
     report.add(prefix + "commutant-of-hecke-image-is-superalgebra-image",
-               span_equal(ca, b_alg),
+               commute and len(ca) == len(b_alg),
                expected=f"span equality at dim {len(b_alg)}",
                actual=f"dims {len(ca)} vs {len(b_alg)}")
     cb = commutant_basis(b_alg)
     report.add(prefix + "commutant-of-superalgebra-image-is-hecke-image",
-               span_equal(cb, a_alg),
+               commute and len(cb) == len(a_alg),
                expected=f"span equality at dim {len(a_alg)}",
                actual=f"dims {len(cb)} vs {len(a_alg)}")
 
@@ -357,7 +364,8 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
     d_alg = commutant_basis(c_alg)
     report.info(prefix + "even-centralizer-dimension", actual=len(d_alg))
     cd = commutant_basis(d_alg)
-    report.add(prefix + "double-commutant-returns-even-image", span_equal(cd, c_alg),
+    # C lies in its double commutant in any field
+    report.add(prefix + "double-commutant-returns-even-image", len(cd) == len(c_alg),
                expected=f"span equality at dim {len(c_alg)}",
                actual=f"dims {len(cd)} vs {len(c_alg)}")
 
@@ -419,7 +427,8 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
                    witness="; ".join(law_failures[:5]) if law_failures else None)
 
     if space.n == 0 and space.m * space.m < space.r:
-        collapse = span_equal(a_alg, c_alg)
+        # A is closed and unital, so C lies in A once the X generators do
+        collapse = all(a_alg.contains(x) for x in x_gens) and len(a_alg) == len(c_alg)
         report.add(prefix + "small-row-collapse", collapse,
                    expected=f"images coincide at dim {pred.dimA}",
                    actual=f"dims {len(a_alg)} vs {len(c_alg)}" + ("" if collapse else " (differ)"))

@@ -158,6 +158,8 @@ class OperatorMatrix:
 
     def dump_lines(self, limit: int | None = None) -> list[str]:
         """Sparse dump: `row col (num)/(den)` per entry, lexicographic order."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         lines = []
         for (i, j) in sorted(self.entries)[:limit]:
             v = self.entries[(i, j)]

@@ -102,7 +102,7 @@ class TestDumpCommand:
         code, out, _ = run(["dump", "--m", "1", "--n", "1", "--r", "2",
                             "--gen", "Tp1", "--limit", "0"], capsys)
         assert code == 0
-        assert out.strip() == ""
+        assert out == ""
         code, out, err = run(["dump", "--m", "1", "--n", "1", "--r", "2",
                               "--gen", "Tp1", "--limit", "-1"], capsys)
         assert code == 2
@@ -136,7 +136,11 @@ class TestGoldenOutput:
          "a88e1ef815e3490819a298b5c16ec796cca0bb900e5991cf39b4297fc077a8dc"),
         (["--m", "2", "--n", "1", "--r", "2", "--mode", "specialized"],
          "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0"),
-    ], ids=["2-1-3", "1-1-3", "2-1-2-specialized"])
+        (["--m", "2", "--n", "2", "--r", "2", "--mode", "specialized"],
+         "5a6a0dabc0e04af12796ab6ee441a30df2cdc6318b8d3ea68a58f3aa0345229f"),
+        (["--m", "1", "--n", "0", "--r", "3"],
+         "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e"),
+    ], ids=["2-1-3", "1-1-3", "2-1-2-specialized", "2-2-2-specialized", "1-0-3"])
     def test_alt_centralizer_report_bytes_are_pinned(self, args, digest, tmp_path):
         # reports are a golden-file contract: a change in the linear algebra
         # must not change a single byte of them
@@ -153,7 +157,11 @@ class TestGoldenOutput:
          "912270faa1f89bbe451ab29080bea9dc159f4b15ae39511c07e4542f7daeaf5e"),
         (["--m", "2", "--n", "0", "--r", "4"],
          "6db6dfd376f285c5b86ce3855f2c709034b9331e8260a4caa5d9792338df3745"),
-    ], ids=["1-1-3", "1-1-3-specialized", "2-0-4"])
+        (["--m", "1", "--n", "1", "--r", "4", "--mode", "exact"],
+         "74d05b6a85a2dd62110173cf8698f5e258e36399aeb1bf858787f6146b172848"),
+        (["--m", "2", "--n", "1", "--r", "2"],
+         "aa82e80cd38531406f4a44add2cacf2bf3ab1597f8bf7543e8da0c52306c0fca"),
+    ], ids=["1-1-3", "1-1-3-specialized", "2-0-4", "1-1-4-exact", "2-1-2"])
     def test_schur_weyl_report_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main(["verify", "schur-weyl", *args, "--seed", "0", "--out", str(path)])

@@ -161,6 +161,8 @@ class TestSpanClosure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             span_closure([OperatorMatrix.identity(2), OperatorMatrix.identity(3)])
+        with pytest.raises(ValueError):
+            span_closure([])   # no generator fixes the ambient dimension
 
 
 class TestCommutant:

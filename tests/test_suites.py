@@ -5,6 +5,9 @@ import pytest
 
 import qhecke.cli as cli
 import qhecke.suites as suites
+from qhecke.commutant import commutant_basis, span_closure, span_equal
+from qhecke.partitions import predicted_dimensions
+from qhecke.qfield import RationalFunction
 from qhecke.report import Report
 from qhecke.suites import (
     SizeBoundError,
@@ -13,6 +16,13 @@ from qhecke.suites import (
     suite_hecke,
     suite_schur_weyl,
     suite_specialization,
+)
+from qhecke.tensor import (
+    GradedSpace,
+    OperatorMatrix,
+    PiRepresentation,
+    rho_generators,
+    specialize_matrix,
 )
 
 
@@ -84,6 +94,72 @@ class TestSchurWeylSuite:
         assert report.passed
         with pytest.raises(SizeBoundError):
             suite_schur_weyl(1, 1, 3, mode="exact", bound=4)
+
+
+COMMUTANT_CHECKS = ("commutant-of-hecke-image-is-superalgebra-image",
+                    "commutant-of-superalgebra-image-is-hecke-image")
+
+
+def _extra_generator(space):
+    """The superalgebra generators plus a matrix unit that does not commute
+    with the T's: B grows."""
+    return [*rho_generators(space),
+            ("E01", OperatorMatrix(space.dim, {(0, 1): RationalFunction.one()}))]
+
+
+def _conjugated(space):
+    """The superalgebra generators with basis vectors 0 and 1 swapped: B moves
+    to a conjugate of itself, so every dimension stays and only the
+    commutation test can tell."""
+    def swap(k):
+        return 1 - k if k < 2 else k
+    return [(name, OperatorMatrix(space.dim, {(swap(i), swap(j)): v
+                                              for (i, j), v in g.entries.items()}))
+            for name, g in rho_generators(space)]
+
+
+class TestSchurWeylCommutantChecks:
+    """The two commutant checks compare lengths once the generators commute;
+    they must agree with the two-sided `span_equal` and never pass on lengths
+    alone."""
+
+    @pytest.mark.parametrize("point, expected", [
+        (Fraction(1), "fail"),   # the superalgebra image drops to 8 < 12 = dim A'
+        (Fraction(2), "pass"),
+        (None, "pass"),          # over Q(q)
+    ], ids=["q=1", "q=2", "Q(q)"])
+    def test_core_agrees_with_span_equal(self, point, expected):
+        space = GradedSpace(1, 1, 3)
+        t_gens = PiRepresentation(space).t_matrices()
+        rho_gens = [g for _, g in rho_generators(space)]
+        report = Report("core", {})
+        suites._schur_weyl_core(report, "", point, space, t_gens, rho_gens,
+                                predicted_dimensions(1, 1, 3))
+        if point is not None:
+            t_gens = [specialize_matrix(g, point) for g in t_gens]
+            rho_gens = [specialize_matrix(g, point) for g in rho_gens]
+        a_alg, b_alg = span_closure(t_gens), span_closure(rho_gens)
+        oracle = [span_equal(commutant_basis(a_alg), b_alg),
+                  span_equal(commutant_basis(b_alg), a_alg)]
+        checks = check_map(report)
+        assert [checks[name].status for name in COMMUTANT_CHECKS] == [expected] * 2
+        assert oracle == [expected == "pass"] * 2
+
+    @pytest.mark.parametrize("mutation", [_extra_generator, _conjugated],
+                             ids=["extra-generator", "conjugated"])
+    @pytest.mark.parametrize("shape, mode", [((1, 1, 2), "exact"), ((1, 1, 3), "specialized")],
+                             ids=["1-1-2-exact", "1-1-3-specialized"])
+    def test_noncommuting_generators_fail(self, mutation, shape, mode, monkeypatch):
+        monkeypatch.setattr(suites, "rho_generators", mutation)
+        report = suite_schur_weyl(*shape, mode=mode)
+        assert check_map(report)["action-commutation"].status == "fail"
+        for name in COMMUTANT_CHECKS:
+            records = [c for c in report.checks
+                       if c.name == name or c.name.endswith(": " + name)]
+            assert records and all(c.status == "fail" for c in records), name
+            if mutation is _conjugated:   # equal lengths: only commutation fails them
+                assert all(len(set(c.actual[len("dims "):].split(" vs "))) == 1
+                           for c in records), name
 
 
 class TestAltCentralizerSuite:

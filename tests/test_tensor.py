@@ -289,3 +289,11 @@ def test_dump_lines_format_and_truncation():
     assert lines[0] == "0 0 (q)/(1)"
     assert all(len(line.split(" ", 2)) == 3 for line in lines)
     assert len(mat.dump_lines(limit=3)) == 3
+    assert mat.dump_lines(limit=0) == []
+
+
+def test_dump_lines_rejects_a_negative_limit():
+    # a negative slice bound would silently drop entries from the end
+    mat = pi_T(GradedSpace(1, 1, 2), 1)
+    with pytest.raises(ValueError, match="limit"):
+        mat.dump_lines(-1)
