@@ -1,10 +1,10 @@
 """Exact linear algebra over K: spans, subalgebra closure, commutants, ranks.
 
 Vectors are sparse maps column -> coefficient; matrices enter flattened
-row-major.  The elimination code is generic in the coefficient field: it only
-needs ``+ - * /``, truthiness for zero tests, and ``1 / c`` for inverses, so
-the same routines run over Q(q) (exact mode) and over Q at a specialization
-point (fast mode).  Pivots are chosen at the first nonzero column in
+row-major.  `LinearSpan` and `_echelon_nullspace` are generic in the
+coefficient field: they only need ``+ - * /``, truthiness for zero tests,
+and ``1 / c`` for inverses, so they run over Q(q) (exact mode) and over Q at
+a specialization point.  Pivots are chosen at the first nonzero column in
 lexicographic position, and a vector's residual modulo a span does not depend
 on the order its rows are applied in, which makes every produced basis
 deterministic.
@@ -15,11 +15,40 @@ every stored row.  The commutant of a commutant stops eliminating as soon as
 the rank leaves room for nothing beyond the algebra it started from; see
 `commutant_basis`.
 
-Rank certification follows a two-tier strategy: the default evaluates all
-matrices at two seeded nonzero rational points (avoiding 0 and +-1 and any
-poles) and demands agreement; the same `LinearSpan` elimination run over Q(q)
-is the arbiter whenever the points disagree, and can be requested outright.
-There is one elimination engine, whatever the field.
+Nullspaces at a point.  When the constraint entries of `commutant_basis` or
+`anticommutant_basis` lie in Q (their first one a `Fraction`), the reduced
+echelon nullspace at the point t is first computed with plain ints modulo
+the prime p = 2^127 - 1: the rows of `_commutation_rows`, the pivot rule,
+the early stop and the back-elimination order are those of
+`_echelon_nullspace`.  Each entry is lifted to Q by rational reconstruction
+(|numerator|, denominator <= isqrt(p // 2)), and each lifted matrix is checked
+exactly, in integer-scaled form, against the constraint matrices.  A pass
+proves that the lifted basis is the one the Q path returns:
+
+* every denominator read is a unit mod p, so the rows read reduce mod p and
+  rank_p <= rank_t, hence nullity_p >= nullity_t;
+* there are nullity_p lifted vectors and each passes the exact check, so they
+  lie in the nullspace W at t.  Each is 1 at its own free column, 0 at the
+  other free columns and nonzero only at smaller pivot columns otherwise, so
+  the largest columns are distinct: the vectors are independent, span W, and
+  nullity_p = nullity_t.  The largest columns of the nonzero vectors of W are
+  exactly the free columns of the reduced echelon form at t, so the two sets
+  of free columns agree, and W has one basis that is the unit vector on them
+  there: the Q path's, element for element;
+* under the early stop (the mod-p rank reached dim^2 - len(B), and B is in D'
+  exactly at t), rank_t of the rows read is at least that bound, which is at
+  least the full system's rank at t: the matrices read already have the full
+  nullspace, and the check runs against only those.  Otherwise it runs
+  against all of them.
+
+A denominator divisible by p, an entry that does not lift or a failed check
+falls back to `_echelon_nullspace` over Q, which also remains the only engine
+over Q(q).  Either way the result, and every report built on it, is the same.
+
+Rank certification evaluates all matrices at two seeded nonzero rational
+points (avoiding 0 and +-1 and any poles) and demands agreement; the
+`LinearSpan` elimination over Q(q) arbitrates whenever the points disagree,
+and can be requested outright.
 """
 
 from __future__ import annotations
@@ -28,6 +57,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .qfield import PoleError, RationalFunction, _axpy
@@ -272,6 +302,179 @@ def _constraint_matrices(source, dim: int | None) -> tuple[int, list[OperatorMat
     return dim, []
 
 
+# ---------------------------------------------------------------------------
+# nullspaces at a point: eliminate mod p, lift to Q, verify exactly
+# ---------------------------------------------------------------------------
+
+# A Mersenne prime.  Lifts reach 63-bit numerators and denominators; with
+# 2^61 - 1 they would stop at 30 bits, which entries of the even centralizer
+# already exceed at (2,0,5) and t = 15 (40 bits).
+_PRIME = 2**127 - 1
+
+
+def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | None:
+    """g with every entry reduced mod p; None when an entry is not in Q or its
+    denominator is divisible by p.  ``inverses`` caches denominator inverses."""
+    out = {}
+    for key, v in g.entries.items():
+        if isinstance(v, Fraction):
+            num, den = v.numerator, v.denominator
+        elif isinstance(v, int):
+            num, den = v, 1
+        else:
+            return None
+        inv = inverses.get(den)
+        if inv is None:
+            if not den % p:
+                return None
+            inv = inverses[den] = pow(den, -1, p)
+        if residue := num * inv % p:
+            out[key] = residue
+    return OperatorMatrix._raw(g.dim, out)
+
+
+def _add_mod_p(by_pivot: dict[int, dict], vec: dict, p: int) -> None:
+    """`LinearSpan.add` on rows of ints mod p: the same pivots, heap and order."""
+    heap = [col for col in vec if col in by_pivot]
+    heapq.heapify(heap)
+    while heap:
+        pivot = heapq.heappop(heap)
+        c = vec.pop(pivot, None)
+        if not c:
+            continue
+        for col, v in by_pivot[pivot].items():
+            if col == pivot:
+                continue
+            s = vec.get(col)
+            if s is None:
+                vec[col] = -c * v % p
+                if col in by_pivot:
+                    heapq.heappush(heap, col)
+            else:
+                s = (s - c * v) % p
+                if s:
+                    vec[col] = s
+                else:
+                    del vec[col]
+    if vec:
+        pivot = min(vec)
+        inv = pow(vec[pivot], -1, p)
+        by_pivot[pivot] = {col: v * inv % p for col, v in vec.items()}
+
+
+def _reconstruct(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= isqrt(p // 2) and n = a*d mod p, if any.
+
+    Extended Euclid on (p, a), stopped at the first remainder within the
+    bound (Wang).  Since 2 * bound^2 < p, at most one such fraction exists.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1 if s1 > 0 else -r1, abs(s1))
+
+
+def _integer_form(entries: dict) -> dict:
+    """The entries (in Q) times the lcm of their denominators, as ints."""
+    den = lcm(*(v.denominator for v in entries.values()))
+    return {key: v.numerator * (den // v.denominator) for key, v in entries.items()}
+
+
+def _commutator_test(g: OperatorMatrix, sign: int):
+    """The exact test whether an integer matrix X ((i, k) -> int) solves
+    X*G = sign*G*X; G (entries in Q) is scaled to integers, which the
+    homogeneous equation allows."""
+    g_rows: dict[int, list] = {}
+    g_cols: dict[int, list] = {}
+    for (a, b), w in _integer_form(g.entries).items():
+        g_rows.setdefault(a, []).append((b, w))
+        g_cols.setdefault(b, []).append((a, w))
+
+    def solves(x: dict) -> bool:
+        out: dict[tuple[int, int], int] = {}
+        for (i, k), v in x.items():
+            for j, w in g_rows.get(k, ()):      # X[i,k] G[k,j] -> (i, j)
+                out[i, j] = out.get((i, j), 0) + v * w
+            for a, w in g_cols.get(i, ()):      # G[a,i] X[i,k] -> (a, k)
+                out[a, k] = out.get((a, k), 0) - sign * w * v
+        return not any(out.values())
+
+    return solves
+
+
+def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
+                        max_rank: int | None) -> list[dict] | None:
+    """`_echelon_nullspace` of the commutation system, computed mod `_PRIME`.
+
+    Returns the lifted basis once it is verified over Q, else None; the module
+    docstring says why a returned basis is the one the Q path gives.
+    """
+    p = _PRIME
+    inverses: dict[int, int] = {}
+    by_pivot: dict[int, dict] = {}
+    read: list[OperatorMatrix] = []
+    for g in mats:
+        if len(by_pivot) == max_rank:
+            break                        # the early stop of `commutant_basis`
+        residues = _residues(g, p, inverses)
+        if residues is None:
+            return None
+        read.append(g)
+        for row in _commutation_rows(residues, sign):
+            _add_mod_p(by_pivot, {col: r for col, v in row.items() if (r := v % p)}, p)
+            if len(by_pivot) == max_rank:
+                break
+    # back-elimination and basis vectors as in `_echelon_nullspace`, mod p
+    reduced: dict[int, dict] = {}
+    for pivot, row in sorted(by_pivot.items(), reverse=True):
+        out = dict(row)
+        for col, c in row.items():
+            if col != pivot and col in reduced:
+                for k, v in reduced[col].items():
+                    s = (out.get(k, 0) - c * v) % p
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        reduced[pivot] = out
+    one = Fraction(1)
+    basis = {free: {free: one} for free in range(dim * dim) if free not in reduced}
+    lifted: dict[int, Fraction | None] = {}
+    for pivot in by_pivot:
+        for col, v in reduced[pivot].items():
+            if col != pivot:
+                if v not in lifted:
+                    lifted[v] = _reconstruct(-v, p)
+                if lifted[v] is None:
+                    return None
+                basis[col][pivot] = lifted[v]
+    vecs = list(basis.values())
+    # the exact check, against the matrices whose rows were read
+    tests = [_commutator_test(g, sign) for g in read]
+    for vec in vecs:
+        x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
+        if not all(solves(x) for solves in tests):
+            return None
+    return vecs
+
+
+def _nullspace(mats: list[OperatorMatrix], sign: int, dim: int,
+               max_rank: int | None = None) -> list[dict]:
+    """Reduced-echelon basis of {X : X*G = sign*G*X for every G in mats}:
+    certified mod p at a point, else eliminated over the entries' field."""
+    one = _infer_one(mats)
+    if isinstance(one, Fraction):
+        vecs = _nullspace_at_point(mats, sign, dim, max_rank)
+        if vecs is not None:
+            return vecs
+    rows = (row for g in mats for row in _commutation_rows(g, sign))
+    return _echelon_nullspace(rows, dim * dim, one, max_rank)
+
+
 def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     """Basis of all matrices commuting with the given generators.
 
@@ -288,15 +491,14 @@ def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     least len(B), and the constraint system rank at most dim^2 - len(B).
     Elimination stops reading constraint rows once the rank reaches that
     bound.  The row space is then already the full system's, so the reduced
-    echelon basis returned is the same as without the stop.  Plain lists,
+    echelon basis returned is the same as without the stop.  At a point the
+    rank mod p decides the stop (see the module docstring).  Plain lists,
     unclosed bases and the empty list are never recorded.
     """
     dim, mats = _constraint_matrices(source, dim)
-    one = _infer_one(mats)
     inner = source._commutant_of if isinstance(source, AlgebraBasis) else None
     max_rank = None if inner is None else dim * dim - len(inner)
-    rows = (row for g in mats for row in _commutation_rows(g, sign=1))
-    vecs = _echelon_nullspace(rows, dim * dim, one, max_rank)
+    vecs = _nullspace(mats, 1, dim, max_rank)
     elems = [OperatorMatrix.from_flat(dim, v) for v in vecs]
     closed_source = source if isinstance(source, AlgebraBasis) and source.closed else None
     # a commutant is closed under products; no generating set smaller than
@@ -313,9 +515,7 @@ def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     matrix space, which requires passing ``dim``.
     """
     src_dim, mats = _constraint_matrices(source, dim)
-    one = _infer_one(mats)
-    rows = (row for g in mats for row in _commutation_rows(g, sign=-1))
-    vecs = _echelon_nullspace(rows, src_dim * src_dim, one)
+    vecs = _nullspace(mats, -1, src_dim)
     elems = [OperatorMatrix.from_flat(src_dim, v) for v in vecs]
     return AlgebraBasis(src_dim, elems, closed=False)
 

@@ -447,6 +447,10 @@ def suite_specialization(m: int, n: int, r: int, *, t=None, points=None,
         points = []
     if any(p == 0 for p in points):
         raise ValueError("specialization points must be nonzero")
+    repeated = [p for i, p in enumerate(points) if p in points[:i]]
+    if repeated:
+        raise ValueError(f"specialization point {repeated[0]} is given more than once; "
+                         "rank agreement needs distinct points")
     if len(points) < 2:
         points = points + [p for p in draw_points(seed) if p not in points]
         points = points[:2]

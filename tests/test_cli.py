@@ -55,7 +55,7 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["params"]["points"].startswith("2")
 
-    @pytest.mark.parametrize("points", ["1/0", "0", "x", ","])
+    @pytest.mark.parametrize("points", ["1/0", "0", "x", ",", "2,2", "2,4/2", "3/2,5,6/4"])
     def test_bad_points_exit_two(self, points, capsys):
         code, _, err = run(["verify", "specialize", "--m", "1", "--n", "1",
                             "--r", "2", "--points", points], capsys)

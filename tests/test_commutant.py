@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhecke.commutant as commutant
 from qhecke.commutant import (
     AlgebraBasis,
     LinearSpan,
@@ -199,12 +201,18 @@ class TestCommutant:
         double = commutant_basis(commutant_basis(a_alg))
         assert span_equal(double, a_alg)
 
-    @pytest.mark.parametrize("case", ["exact-1-1-3-even-image",
-                                      "point-2-1-2-hecke-image",
-                                      "point-2-1-2-scalars"])
-    def test_early_stop_matches_full_elimination(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, prime", [
+        ("exact-1-1-3-even-image", None),
+        ("point-2-1-2-hecke-image", None),
+        ("point-2-1-2-scalars", None),
+        # t = 5/2 puts 2 in the denominators, so every nullspace falls back to Q
+        ("point-2-1-2-hecke-image", 2),
+    ], ids=["exact-1-1-3-even-image", "point-2-1-2-hecke-image", "point-2-1-2-scalars",
+            "point-2-1-2-hecke-image-over-Q"])
+    def test_early_stop_matches_full_elimination(self, case, prime, monkeypatch):
         # the commutant of a recorded commutant reads fewer constraint
-        # matrices than the plain list of the same basis, with the same result
+        # matrices than the plain list of the same basis, with the same result;
+        # at a point the F_p engine stops early, and the Q engine when it runs
         sp = GradedSpace(2, 1, 2)
         t = Fraction(5, 2)
         b_alg = {
@@ -216,7 +224,8 @@ class TestCommutant:
             "point-2-1-2-scalars":
                 lambda: span_closure([OperatorMatrix.identity(sp.dim, Fraction(1))]),
         }[case]()
-        import qhecke.commutant as commutant
+        if prime is not None:
+            monkeypatch.setattr(commutant, "_PRIME", prime)
         calls = []
         original = commutant._commutation_rows
 
@@ -227,13 +236,24 @@ class TestCommutant:
         monkeypatch.setattr(commutant, "_commutation_rows", counting)
         d_alg = commutant_basis(b_alg)
         assert d_alg._commutant_of is b_alg
-        calls.clear()
+
+        def reads():
+            # the Q engine reads D's own matrices, the F_p engine their residues
+            over_q = sum(1 for g in calls if any(g is e for e in d_alg.elements))
+            counts = {"Q": over_q, "F_p": len(calls) - over_q}
+            calls.clear()
+            return counts
+
+        engine = "F_p" if case.startswith("point") and prime is None else "Q"
+        reads()
         double = commutant_basis(d_alg)
-        stopped_after = len(calls)
-        calls.clear()
+        stopped = reads()
         plain = commutant_basis(list(d_alg.elements))
+        full = reads()
         assert plain._commutant_of is None
-        assert stopped_after < len(calls) == len(d_alg)
+        assert stopped[engine] < full[engine] == len(d_alg)
+        if engine == "F_p":
+            assert stopped["Q"] == full["Q"] == 0
         assert double.elements == plain.elements
         assert span_equal(double, b_alg)
 
@@ -247,6 +267,117 @@ class TestCommutant:
         assert commutant_basis(t_gens)._commutant_of is None
         assert commutant_basis([], dim=sp.dim)._commutant_of is None
         assert anticommutant_basis(closed)._commutant_of is None
+
+
+def _q_path(mats, sign, dim):
+    """The nullspace basis `_echelon_nullspace` gives over Q."""
+    rows = (row for g in mats for row in commutant._commutation_rows(g, sign))
+    vecs = commutant._echelon_nullspace(rows, dim * dim, Fraction(1))
+    return [OperatorMatrix.from_flat(dim, v) for v in vecs]
+
+
+def _diag(*values):
+    return OperatorMatrix(len(values), {(i, i): Fraction(v) for i, v in enumerate(values)})
+
+
+@st.composite
+def _constraint_sets(draw):
+    """Small sparse Fraction matrices, sometimes with a dependent extra one."""
+    dim = draw(st.integers(2, 4))
+    entry = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    mats = [OperatorMatrix(dim, draw(st.dictionaries(entry, _coeffs, min_size=1,
+                                                     max_size=dim + 2)))
+            for _ in range(draw(st.integers(1, 3)))]
+    extra = draw(st.sampled_from(["none", "multiple", "sum", "scalar"]))
+    if extra == "multiple":
+        mats.append(mats[0].scale(draw(_coeffs)))
+    elif extra == "sum":
+        mats.append(mats[0] + mats[-1])
+    elif extra == "scalar":
+        mats.append(OperatorMatrix.identity(dim, draw(_coeffs)))
+    mats = [m for m in mats if m.entries] or [OperatorMatrix.identity(dim, Fraction(1))]
+    return dim, mats
+
+
+class TestNullspaceAtAPoint:
+    """Nullspaces with entries in Q are eliminated mod p, lifted and verified;
+    they must be the Q path's bases element for element."""
+
+    @given(case=_constraint_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_elimination_over_q(self, case):
+        dim, mats = case
+        for sign, build in ((1, commutant_basis), (-1, anticommutant_basis)):
+            expected = _q_path(mats, sign, dim)
+            vecs = commutant._nullspace_at_point(mats, sign, dim, None)
+            assert vecs is not None     # the F_p path itself answered
+            assert [OperatorMatrix.from_flat(dim, v) for v in vecs] == expected
+            assert build(mats).elements == expected
+
+    @staticmethod
+    def _record_answers(monkeypatch):
+        answers = []
+        original = commutant._nullspace_at_point
+
+        def recording(*args):
+            answers.append(original(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(commutant, "_nullspace_at_point", recording)
+        return answers
+
+    @pytest.mark.parametrize("build, sign, mats, expected_len", [
+        # diag(1, 8) is the identity mod 7: every matrix commutes with it there
+        (commutant_basis, 1, [_diag(1, 8)], 2),
+        # diag(1, 6) is diag(1, -1) mod 7: the off-diagonal units anticommute there
+        (anticommutant_basis, -1, [_diag(1, 6)], 0),
+    ], ids=["commutant", "anticommutant"])
+    def test_rank_drop_mod_p_falls_back(self, build, sign, mats, expected_len, monkeypatch):
+        # the mod-7 basis lifts without trouble and only the exact check rejects it
+        monkeypatch.setattr(commutant, "_PRIME", 7)
+        answers = self._record_answers(monkeypatch)
+        result = build(mats)
+        assert answers == [None]
+        assert result.elements == _q_path(mats, sign, 2)
+        assert len(result) == expected_len
+
+    @pytest.mark.parametrize("prime, t", [(7, Fraction(5, 2)), (3, Fraction(5, 3))],
+                             ids=["lifts-rejected-mod-7", "denominator-divisible-by-3"])
+    def test_suite_systems_fall_back_to_the_same_bases(self, prime, t, monkeypatch):
+        # mod 7 the lifted bases are wrong or do not lift; mod 3 the T
+        # matrices at 5/3 have denominators 3 and 15
+        sp = GradedSpace(2, 1, 2)
+        rep = PiRepresentation(sp)
+        a_alg = span_closure([specialize_matrix(g, t) for g in rep.t_matrices()])
+        tp_gens = [specialize_matrix(g, t) for g in rep.tprime_matrices()]
+        d_alg = commutant_basis(a_alg)
+        expected = [d_alg, commutant_basis(d_alg), anticommutant_basis(tp_gens)]
+        monkeypatch.setattr(commutant, "_PRIME", prime)
+        answers = self._record_answers(monkeypatch)
+        d_small = commutant_basis(a_alg)
+        got = [d_small, commutant_basis(d_small), anticommutant_basis(tp_gens)]
+        assert answers == [None, None, None]
+        assert [b.elements for b in got] == [b.elements for b in expected]
+
+    def test_denominator_divisible_by_p_is_never_inverted(self, monkeypatch):
+        monkeypatch.setattr(commutant, "_PRIME", 3)
+        assert commutant._nullspace_at_point([_diag(1, Fraction(1, 3))], 1, 2, None) is None
+
+    def test_reconstruction_bound(self):
+        p = commutant._PRIME
+        bound = isqrt(p // 2)
+        assert 2 * bound * bound < p < 2 * (bound + 1) ** 2
+
+        def residue(x):
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        inside = [Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(bound),
+                  Fraction(-bound), Fraction(1, bound), Fraction(-bound, bound - 1)]
+        for x in inside:
+            assert commutant._reconstruct(residue(x), p) == x
+        for x in [Fraction(bound + 1), Fraction(-(bound + 1)), Fraction(1, bound + 1),
+                  Fraction(bound, bound + 1)]:
+            assert commutant._reconstruct(residue(x), p) is None
 
 
 class TestAnticommutant:

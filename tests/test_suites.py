@@ -107,15 +107,18 @@ def _extra_generator(space):
             ("E01", OperatorMatrix(space.dim, {(0, 1): RationalFunction.one()}))]
 
 
+def _swapped(g):
+    """g conjugated by the swap of basis vectors 0 and 1."""
+    def swap(k):
+        return 1 - k if k < 2 else k
+    return OperatorMatrix(g.dim, {(swap(i), swap(j)): v for (i, j), v in g.entries.items()})
+
+
 def _conjugated(space):
     """The superalgebra generators with basis vectors 0 and 1 swapped: B moves
     to a conjugate of itself, so every dimension stays and only the
     commutation test can tell."""
-    def swap(k):
-        return 1 - k if k < 2 else k
-    return [(name, OperatorMatrix(space.dim, {(swap(i), swap(j)): v
-                                              for (i, j), v in g.entries.items()}))
-            for name, g in rho_generators(space)]
+    return [(name, _swapped(g)) for name, g in rho_generators(space)]
 
 
 class TestSchurWeylCommutantChecks:
@@ -178,6 +181,22 @@ class TestAltCentralizerSuite:
         assert checks["even-image-dimension"].actual == "3"
         assert checks["hecke-image-dimension"].actual == "5"
         assert "flip-squares-to-sign" not in checks   # only for m == n
+
+    def test_collapse_fails_when_the_even_image_leaves_the_hecke_image(self):
+        # conjugated X's span a conjugate of C: both images keep dimension 42,
+        # so only the membership of the X's in A can fail the collapse
+        space = GradedSpace(2, 0, 5)
+        rep = PiRepresentation(space)
+        x_gens = [_swapped(g) for g in rep.x_matrices()]
+        rep.x_matrices = lambda: x_gens
+        report = Report("core", {})
+        suites._alt_centralizer_core(report, "", Fraction(2), space, rep,
+                                     predicted_dimensions(2, 0, 5), 0)
+        checks = check_map(report)
+        assert checks["even-image-dimension"].actual == "42"
+        assert checks["hecke-image-dimension"].actual == "42"
+        assert checks["small-row-collapse"].status == "fail"
+        assert checks["small-row-collapse"].actual == "dims 42 vs 42 (differ)"
 
     def test_collapse_regime_small(self):
         report = suite_alt_centralizer(1, 0, 2)
