@@ -15,15 +15,22 @@ every stored row.  The commutant of a commutant stops eliminating as soon as
 the rank leaves room for nothing beyond the algebra it started from; see
 `commutant_basis`.
 
+One row builder, `_commutation_rows`, makes the commutation rows for every
+engine below.  It visits only the entries (i, j) whose row can be nonzero,
+those where G has an entry in row i or in column j.
+
 Nullspaces at a point.  When the constraint entries of `commutant_basis` or
-`anticommutant_basis` lie in Q (their first one a `Fraction`), the reduced
-echelon nullspace at the point t is first computed with plain ints modulo
-the prime p = 2^127 - 1: the rows of `_commutation_rows`, the pivot rule,
-the early stop and the back-elimination order are those of
-`_echelon_nullspace`.  Each entry is lifted to Q by rational reconstruction
-(|numerator|, denominator <= isqrt(p // 2)), and each lifted matrix is checked
-exactly, in integer-scaled form, against the constraint matrices.  A pass
-proves that the lifted basis is the one the Q path returns:
+`anticommutant_basis` lie in Q (their first one a `Fraction` or an `int`),
+the reduced echelon nullspace at the point t is first computed with plain
+ints modulo the prime p = 2^127 - 1: the rows of `_commutation_rows`, the
+pivot rule, the early stop and the back-elimination order are those of
+`_echelon_nullspace`.  The constraint entries enter as balanced residues in
+(-p/2, p/2], so a row entry, a sum of at most two of them, is 0 exactly when
+it is 0 mod p and the rows need no second reduction.  Each entry is lifted
+to Q by rational reconstruction (|numerator|, denominator <= isqrt(p // 2)),
+and each lifted matrix is checked exactly, in integer-scaled form, against
+the constraint matrices.  A pass proves that the lifted basis is the one the
+Q path returns:
 
 * every denominator read is a unit mod p, so the rows read reduce mod p and
   rank_p <= rank_t, hence nullity_p >= nullity_t;
@@ -144,7 +151,8 @@ class LinearSpan:
         if not res:
             return False
         pivot = min(res)
-        inv = 1 / res[pivot]
+        c = res[pivot]
+        inv = Fraction(1, c) if isinstance(c, int) else 1 / c
         self._by_pivot[pivot] = {c: v * inv for c, v in res.items()}
         return True
 
@@ -187,7 +195,7 @@ class AlgebraBasis:
 def _infer_one(matrices: Iterable[OperatorMatrix]):
     for m in matrices:
         for v in m.entries.values():
-            if isinstance(v, Fraction):
+            if isinstance(v, (Fraction, int)):
                 return Fraction(1)
             return RationalFunction.one()
     return RationalFunction.one()
@@ -271,19 +279,41 @@ def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
 
 
 def _commutation_rows(constraint: OperatorMatrix, sign: int) -> Iterable[dict]:
-    """Rows of the linear system X*G - sign*G*X = 0 in the unknowns X[i,k]."""
+    """Rows of the linear system X*G - sign*G*X = 0 in the unknowns X[i,k].
+
+    Entry (i, j) of the system reads column j of G at columns i*dim + k and
+    row i of G at columns k*dim + j; the two parts meet only at i*dim + j,
+    where G[j,j] and -sign*G[i,i] add up.  So the row of (i, j) is empty
+    unless G has an entry in row i or in column j, and only those pairs are
+    visited, in (i, j) order; the empty rows are not yielded.  G stores no
+    zeros; with ints (balanced residues mod p, as `_residues` gives) every
+    entry of a row then lies in (-p, p) and is 0 exactly when it is 0 mod p.
+    """
     dim = constraint.dim
-    by_row: dict[int, list[tuple[int, object]]] = {}   # i -> (k, -sign * G[i,k])
+    by_row: dict[int, list[tuple[int, object]]] = {}   # i -> (k*dim, -sign * G[i,k])
     by_col: dict[int, list[tuple[int, object]]] = {}   # j -> (k, G[k,j])
+    diag: dict[int, tuple[object, object]] = {}        # i -> (G[i,i], -sign * G[i,i])
     for (a, b), v in constraint.entries.items():
-        by_row.setdefault(a, []).append((b, -v if sign == 1 else v))
+        w = -v if sign == 1 else v
+        by_row.setdefault(a, []).append((b * dim, w))
         by_col.setdefault(b, []).append((a, v))
+        if a == b:
+            diag[a] = (v, w)
+    cols = sorted(by_col)
     for i in range(dim):
         base = i * dim
-        left = by_row.get(i, ())
-        for j in range(dim):
-            row = _axpy({}, None, ((base + k, v) for k, v in by_col.get(j, ())))
-            _axpy(row, None, ((k * dim + j, w) for k, w in left))
+        left = by_row.get(i)
+        left_ii = diag[i][1] if i in diag else None
+        for j in (range(dim) if left else cols):
+            row = {base + k: v for k, v in by_col.get(j, ())}
+            if left:
+                row.update([(kd + j, w) for kd, w in left])
+                if left_ii is not None and j in diag:   # the one overlap
+                    s = diag[j][0] + left_ii
+                    if s:
+                        row[base + j] = s
+                    else:
+                        del row[base + j]
             if row:
                 yield row
 
@@ -313,8 +343,15 @@ _PRIME = 2**127 - 1
 
 
 def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | None:
-    """g with every entry reduced mod p; None when an entry is not in Q or its
-    denominator is divisible by p.  ``inverses`` caches denominator inverses."""
+    """g with every entry reduced mod p to its balanced residue in
+    (-p/2, p/2]; None when an entry is not in Q or its denominator is
+    divisible by p.  ``inverses`` caches denominator inverses.
+
+    Balanced, a sum of two residues lies in (-p, p), so the rows that
+    `_commutation_rows` builds from them hold no entry that is 0 mod p; from
+    [0, p), G[j,j] - sign*G[i,i] could reach p and become a pivot that has no
+    inverse."""
+    half = p // 2
     out = {}
     for key, v in g.entries.items():
         if isinstance(v, Fraction):
@@ -329,7 +366,7 @@ def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | Non
                 return None
             inv = inverses[den] = pow(den, -1, p)
         if residue := num * inv % p:
-            out[key] = residue
+            out[key] = residue - p if residue > half else residue
     return OperatorMatrix._raw(g.dim, out)
 
 
@@ -425,7 +462,7 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
             return None
         read.append(g)
         for row in _commutation_rows(residues, sign):
-            _add_mod_p(by_pivot, {col: r for col, v in row.items() if (r := v % p)}, p)
+            _add_mod_p(by_pivot, row, p)
             if len(by_pivot) == max_rank:
                 break
     # back-elimination and basis vectors as in `_echelon_nullspace`, mod p

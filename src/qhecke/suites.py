@@ -353,7 +353,6 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
 
     x_gens = [mat(g) for g in rep.x_matrices()]
     t_gens = [mat(g) for g in rep.t_matrices()]
-    tp_gens = [mat(g) for g in rep.tprime_matrices()]
     c_alg = _closure_of(x_gens, dim, one)
     report.add(prefix + "even-image-dimension", len(c_alg) == pred.dimC,
                expected=pred.dimC, actual=len(c_alg))
@@ -371,6 +370,7 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
 
     if space.m == space.n:
         sign = (-1) ** (space.r * (space.r - 1) // 2)
+        tp_gens = [mat(g) for g in rep.tprime_matrices()]
         phi = mat(phi_tensor(space))
         ident = OperatorMatrix.identity(dim, one)
         sign_one = ident.scale(one if sign == 1 else -one)

@@ -414,6 +414,7 @@ class PiRepresentation:
         self.table = symmetric_group_table(space.r)
         self._t: dict[int, OperatorMatrix] = {}
         self._tp: dict[int, OperatorMatrix] = {}
+        self._x: dict[int, OperatorMatrix] = {}
         self._word: dict[int, OperatorMatrix] = {}
 
     def t_matrix(self, i: int) -> OperatorMatrix:
@@ -438,9 +439,13 @@ class PiRepresentation:
 
     def x_matrix(self, i: int) -> OperatorMatrix:
         """Image of the even generator X_i = T'_1 T'_{i+1}."""
-        if not 1 <= i <= self.space.r - 2:
-            raise ValueError(f"X generator index {i} out of range")
-        return self.tprime_matrix(1) * self.tprime_matrix(i + 1)
+        mat = self._x.get(i)
+        if mat is None:
+            if not 1 <= i <= self.space.r - 2:
+                raise ValueError(f"X generator index {i} out of range")
+            mat = self.tprime_matrix(1) * self.tprime_matrix(i + 1)
+            self._x[i] = mat
+        return mat
 
     def x_matrices(self) -> list[OperatorMatrix]:
         return [self.x_matrix(i) for i in range(1, self.space.r - 1)]
@@ -476,14 +481,21 @@ def represent(x: HeckeElement, space: GradedSpace) -> OperatorMatrix:
 
 
 def specialize_matrix(matrix: OperatorMatrix, point) -> OperatorMatrix:
-    """Entrywise evaluation at q = t; raises PoleError naming the entry."""
+    """Entrywise evaluation at q = t; raises PoleError naming the entry.
+
+    Each distinct entry value is evaluated once (the generators repeat a few
+    values many times), so a pole names the first entry that holds it.
+    """
     t = _as_point_value(point)
     out: dict[tuple[int, int], Fraction] = {}
+    values: dict[object, Fraction] = {}
     for key, v in matrix.entries.items():
-        try:
-            val = v.specialize(t)
-        except PoleError as exc:
-            raise PoleError(f"entry {key[0]},{key[1]}: {exc}") from None
+        val = values.get(v)
+        if val is None:
+            try:
+                val = values[v] = v.specialize(t)
+            except PoleError as exc:
+                raise PoleError(f"entry {key[0]},{key[1]}: {exc}") from None
         if val:
             out[key] = val
     return OperatorMatrix._raw(matrix.dim, out)

@@ -186,6 +186,18 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, digest", [
+        (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--seed", "0"],
+         "62e171f71381737641672154236dff337ad8c471004fa51d57e67b65b8df7880"),
+        (["verify", "alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
+         "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38"),
+    ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7"])
+    def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
+        path = tmp_path / "r.json"
+        code = cli.main([*args, "--out", str(path)])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_no_timestamp_by_default(self, tmp_path):
         path = tmp_path / "r.json"
         cli.main(["dims", "--m", "1", "--n", "1", "--r", "2", "--out", str(path)])

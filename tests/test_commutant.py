@@ -380,6 +380,104 @@ class TestNullspaceAtAPoint:
             assert commutant._reconstruct(residue(x), p) is None
 
 
+def _dense_rows(g, sign):
+    """All dim^2 rows of X*G - sign*G*X = 0, built densely in (i, j) order,
+    with the empty ones dropped."""
+    dim = g.dim
+    rows = []
+    for i in range(dim):
+        for j in range(dim):
+            row = {}
+            for k in range(dim):
+                if (k, j) in g.entries:
+                    row[i * dim + k] = row.get(i * dim + k, 0) + g.entries[k, j]
+                if (i, k) in g.entries:
+                    row[k * dim + j] = row.get(k * dim + j, 0) - sign * g.entries[i, k]
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+@st.composite
+def _row_cases(draw):
+    """A small sparse matrix with Fraction, RationalFunction or balanced
+    residue entries, often diagonal ones that cancel, and a sign."""
+    dim = draw(st.integers(1, 4))
+    entry = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    g = OperatorMatrix(dim, draw(st.dictionaries(entry, _coeffs, min_size=1,
+                                                 max_size=dim * dim)))
+    if draw(st.booleans()):
+        g = g + OperatorMatrix.identity(dim, draw(_coeffs))
+    kind = draw(st.sampled_from(["fraction", "rational-function", "residue"]))
+    p = None
+    if kind == "rational-function":
+        g = OperatorMatrix(dim, {key: RationalFunction.constant(v) * RationalFunction.q(
+            draw(st.integers(-1, 1))) for key, v in g.entries.items()})
+    elif kind == "residue":
+        p = draw(st.sampled_from([5, 7, commutant._PRIME]))
+        g = commutant._residues(g, p, {})
+    return g, draw(st.sampled_from([1, -1])), p
+
+
+class TestCommutationRows:
+    @given(case=_row_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_rows(self, case):
+        g, sign, p = case
+        rows = list(commutant._commutation_rows(g, sign))
+        assert rows == _dense_rows(g, sign)
+        if p is not None:
+            assert all(-p // 2 < v <= p // 2 for v in g.entries.values())
+            assert all(-p < v < p and v % p for row in rows for v in row.values())
+
+    def test_residues_are_balanced(self):
+        g = OperatorMatrix(2, {(0, 0): Fraction(1), (0, 1): Fraction(3),
+                               (1, 0): Fraction(1, 2), (1, 1): Fraction(-1)})
+        assert commutant._residues(g, 7, {}).entries == {
+            (0, 0): 1, (0, 1): 3, (1, 0): -3, (1, 1): -1}
+
+    def test_diagonal_residues_cancel_mod_p(self):
+        # diag(1, -1) reduces to 1 and p - 1 in [0, p), whose sum p would
+        # enter the anticommutant rows as a nonzero entry that is 0 mod p
+        mats = [_diag(1, -1)]
+        expected = _q_path(mats, -1, 2)
+        vecs = commutant._nullspace_at_point(mats, -1, 2, None)
+        assert vecs is not None
+        assert [OperatorMatrix.from_flat(2, v) for v in vecs] == expected
+        assert anticommutant_basis(mats).elements == expected
+        assert len(expected) == 2
+
+
+_INT_CASES = {
+    "upper-triangular": [OperatorMatrix(2, {(0, 0): 2, (0, 1): 3, (1, 1): 5})],
+    "signed-diagonal": [OperatorMatrix(2, {(0, 0): 1, (1, 1): -1})],
+    "two-3x3": [OperatorMatrix(3, {(0, 1): 2, (1, 2): -3, (2, 0): 1}),
+                OperatorMatrix(3, {(0, 0): 4, (1, 1): 4, (2, 2): 7, (2, 1): 1})],
+}
+
+
+class TestIntEntries:
+    """Plain int entries are taken as elements of Q."""
+
+    @pytest.mark.parametrize("build", [commutant_basis, anticommutant_basis, span_closure],
+                             ids=["commutant", "anticommutant", "closure"])
+    @pytest.mark.parametrize("case", sorted(_INT_CASES))
+    def test_match_fraction_entries(self, build, case):
+        ints = _INT_CASES[case]
+        fractions = [OperatorMatrix(m.dim, {k: Fraction(v) for k, v in m.entries.items()})
+                     for m in ints]
+        got = build(ints)
+        assert got.elements == build(fractions).elements
+        assert all(type(v) in (int, Fraction) for m in got.elements for v in m.entries.values())
+
+    def test_int_pivot_is_inverted_exactly(self):
+        span = LinearSpan()
+        assert span.add({1: 2, 3: 3})
+        assert span.rows == [(1, {1: 1, 3: Fraction(3, 2)})]
+        assert type(span.rows[0][1][1]) is Fraction
+
+
 class TestAnticommutant:
     def test_square_case_dimension_matches(self):
         sp = GradedSpace(1, 1, 2)

@@ -260,6 +260,31 @@ class TestRepresent:
             represent(HeckeAlgebra(2).one(), GradedSpace(1, 1, 3))
 
 
+class TestXCache:
+    def test_repeat_calls_return_equal_matrices(self):
+        rep = PiRepresentation(GradedSpace(1, 1, 4))
+        first = rep.x_matrices()
+        assert first == [pi_Tprime(rep.space, 1) * pi_Tprime(rep.space, i + 1)
+                         for i in range(1, 3)]
+        again = rep.x_matrices()
+        assert again == first
+        assert all(a is b for a, b in zip(again, first))
+
+    def test_changing_the_returned_list_leaves_the_cache(self):
+        rep = PiRepresentation(GradedSpace(1, 1, 4))
+        xs = rep.x_matrices()
+        expected = list(xs)
+        xs[0] = OperatorMatrix.identity(rep.space.dim)
+        xs.append(xs[1])
+        assert rep.x_matrices() == expected
+
+    def test_index_out_of_range(self):
+        rep = PiRepresentation(GradedSpace(1, 1, 3))
+        for i in (0, 2):
+            with pytest.raises(ValueError, match="X generator index"):
+                rep.x_matrix(i)
+
+
 class TestSpecialize:
     def test_identity_any_point(self):
         ident = OperatorMatrix.identity(4)
@@ -280,6 +305,20 @@ class TestSpecialize:
         mat = OperatorMatrix(2, {(0, 1): bad})
         with pytest.raises(PoleError, match="entry 0,1"):
             specialize_matrix(mat, 1)
+
+    def test_repeated_pole_names_its_first_entry(self):
+        # each value is evaluated once; the error still names where it first occurs
+        bad = RationalFunction(LaurentPolynomial.one(), LaurentPolynomial({1: 1, 0: -1}))
+        mat = OperatorMatrix(2, {(1, 1): Q, (1, 0): bad, (0, 1): bad, (0, 0): bad})
+        with pytest.raises(PoleError, match="entry 1,0"):
+            specialize_matrix(mat, 1)
+
+    def test_zero_values_are_dropped(self):
+        # q - 2 vanishes at 2, once evaluated and twice reused
+        root = Q - RationalFunction.constant(2)
+        mat = OperatorMatrix(3, {(0, 0): root, (0, 1): Q, (1, 2): root, (2, 2): root})
+        spec = specialize_matrix(mat, 2)
+        assert spec.entries == {(0, 1): Fraction(2)}
 
 
 def test_dump_lines_format_and_truncation():
