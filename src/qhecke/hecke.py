@@ -19,6 +19,17 @@ second normal-form basis (products of T' factors along the same words).  The
 conversion between the two bases is triangular with respect to word length,
 which is what `to_tprime_basis` exploits.
 
+T'-columns.  Left multiplication by T'_g on T' coordinates needs the column
+T'_g * T'_w (`tp_left_col`).  The T' generators are involutions and far ones
+commute exactly, so cancelling g against the first g it commutes up to in the
+word g.w, and then commuting far letters, rewrites the product into an equal
+one.  When the rewritten word is a rearrangement of the normal-form word of
+v = s_g w by far commutations -- decided by comparing the least word of each
+commutation class -- the column is the basis word T'_v, with no arithmetic.
+Any other column goes through the T basis and back by `to_tprime`: reaching
+the word of v from it needs a braid move, and the braid relation of the T'
+generators carries a correction term.
+
 Coefficients.  One engine serves every coefficient.  A coefficient that lies
 in the localization Q[q, q^-1, (q+q^-1)^-1] -- all that these constructions
 produce -- is stored in a compact integer form (`_LC`); any other (after a
@@ -95,6 +106,35 @@ def _first_factor(word: Word) -> tuple[int, Word]:
                 rest[j - 1] = c - 1
             return j + 1, tuple(rest)
     raise ValueError("identity word has no leading factor")
+
+
+def _cancel_left(g: int, seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The word g.seq with g cancelled against the first g it commutes up to."""
+    for j, a in enumerate(seq):
+        if a == g:
+            return seq[:j] + seq[j + 1:]
+        if abs(a - g) == 1:
+            break
+    return (g,) + seq
+
+
+def _commutation_key(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The least word, lexicographically, equal to seq up to commuting far letters.
+
+    Built greedily: the next letter is the smallest one that commutes to the
+    front of what is left.
+    """
+    rest = list(seq)
+    key = []
+    while rest:
+        best = None
+        blocked: set[int] = set()      # letters an earlier letter keeps from the front
+        for j, a in enumerate(rest):
+            if a not in blocked and (best is None or a < rest[best]):
+                best = j
+            blocked.update((a - 1, a, a + 1))
+        key.append(rest.pop(best))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +323,7 @@ class SymmetricGroupTable:
         self._goldman: list[dict[int, _LC] | None] = [None] * len(self.words)
         self._tprime: list[dict[int, _LC] | None] = [None] * len(self.words)
         self._tp_left: dict[tuple[int, int], dict[int, _LC]] = {}
+        self._seq_keys: list[tuple[int, ...] | None] = [None] * len(self.words)
         self._beta: dict[int, _LC] = {}
 
     # -- generator actions on coefficient vectors
@@ -399,13 +440,23 @@ class SymmetricGroupTable:
             _axpy(out, c, self.tprime_word(wid).items())
         return out
 
+    def tp_left_is_word(self, g: int, wid: int) -> bool:
+        """Whether T'_g * T'_w is the basis word T'_v, v = s_g w, by the word rule."""
+        v = self.left_mult[g - 1][wid]
+        key = self._seq_keys[v]
+        if key is None:
+            key = self._seq_keys[v] = _commutation_key(self.seqs[v])
+        return _commutation_key(_cancel_left(g, self.seqs[wid])) == key
+
     def tp_left_col(self, g: int, wid: int) -> dict[int, _LC]:
         """T'-coordinates of T'_g * T'_w — one column of left multiplication."""
         key = (g, wid)
         cached = self._tp_left.get(key)
         if cached is None:
-            z = self.tprime_gen_apply(g, self.tprime_word(wid))
-            cached = self.to_tprime(z)
+            if self.tp_left_is_word(g, wid):
+                cached = {self.left_mult[g - 1][wid]: _LC_ONE}
+            else:
+                cached = self.to_tprime(self.tprime_gen_apply(g, self.tprime_word(wid)))
             self._tp_left[key] = cached
         return cached
 

@@ -93,8 +93,8 @@ def in_hook(partition: Partition, m: int, n: int) -> bool:
 
 
 def hook_classify(m: int, n: int, r: int) -> HookClassification:
-    if m + n < 1:
-        raise ValueError("need m + n >= 1")
+    if m < 0 or n < 0 or m + n < 1 or r < 1:
+        raise ValueError("need m, n >= 0, m + n >= 1, r >= 1")
     hooks = tuple(p for p in enumerate_partitions(r) if in_hook(p, m, n))
     hook_set = set(hooks)
     h0 = tuple(p for p in hooks if conjugate(p) in hook_set)

@@ -176,9 +176,19 @@ def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 def _idiv_qp(a: dict) -> dict | None:
-    """Exact division of a Laurent dict by q + q^-1, or None."""
+    """Exact division of a Laurent dict by q + q^-1, or None.
+
+    q + q^-1 = q^-1 (q - i)(q + i) divides a rational Laurent polynomial
+    exactly when its value at q = i, found by summing coefficients by
+    exponent mod 4, is 0; a nonzero value returns None before any division.
+    """
     if not a:
         return {}
+    at_i = [0, 0, 0, 0]
+    for e, c in a.items():
+        at_i[e & 3] += c
+    if at_i[0] != at_i[2] or at_i[1] != at_i[3]:
+        return None
     lo, hi = min(a), max(a)
     quot: dict = {}
     for e in range(hi - 1, lo, -1):

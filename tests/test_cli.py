@@ -87,6 +87,12 @@ class TestDimsCommand:
         classes = {rec["partition"]: rec["class"] for rec in doc["records"]}
         assert classes == {"3": "h1", "2,1": "h0-selfconj"}
 
+    @pytest.mark.parametrize("m, n", [("-1", "3"), ("3", "-1")])
+    def test_negative_dimension_exit_two(self, m, n, capsys):
+        code, out, err = run(["dims", "--m", m, "--n", n, "--r", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "need m, n >= 0" in err
+
 
 class TestDumpCommand:
     def test_single_generator(self, capsys):
@@ -171,6 +177,8 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("args, digest", [
         (["verify", "hecke", "--r", "5"],
          "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
+        (["verify", "hecke", "--r", "6"],
+         "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
         (["verify", "alt", "--r", "5"],
          "5ed8704803f90b9f882a3b3a4c1ea76c59bc48dda9fb8e9cda2450706f3a6d7b"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
@@ -179,7 +187,7 @@ class TestGoldenOutput:
          "2615af7a4d66713b85f8e81dcb5c65f711b82d160b76f5d9412dfbcc441e0222"),
         (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "e2"],
          "1cba02b92d719cd99215f48cefb621feffd757b1a12f77c3a4d7885efec3f7a2"),
-    ], ids=["hecke-5", "alt-5", "dump-Tp1", "dump-X1", "dump-e2"])
+    ], ids=["hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"
         code = cli.main([*args, "--seed", "0", "--out", str(path)])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhecke.hecke import (
+    _LC_ONE,
     HeckeAlgebra,
     HeckeElement,
+    SymmetricGroupTable,
     from_tprime_basis,
     generator_sequence,
     goldman,
@@ -327,3 +329,50 @@ def test_tprime_left_multiplication_columns_match_products():
         for u, c in col.items():
             rebuilt = rebuilt + H.tprime_basis_element(table.words[u]) * _lc_to_rf(c)
         assert rebuilt == direct
+
+
+# -- T'-columns read off the word tables ----------------------------------------
+
+def _round_trip_col(table, g, wid):
+    return table.to_tprime(table.tprime_gen_apply(g, table.tprime_word(wid)))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_every_tprime_column_matches_the_round_trip(rank):
+    table = SymmetricGroupTable(rank)
+    for g in range(1, rank):
+        for wid in range(len(table.words)):
+            assert table.tp_left_col(g, wid) == _round_trip_col(table, g, wid)
+
+
+def test_word_rule_columns_match_the_round_trip_at_rank_5():
+    table = SymmetricGroupTable(5)
+    covered = [(g, wid) for g in range(1, 5) for wid in range(len(table.words))
+               if table.tp_left_is_word(g, wid)]
+    assert covered
+    for g, wid in covered:
+        col = table.tp_left_col(g, wid)
+        assert col == {table.left_mult[g - 1][wid]: _LC_ONE}
+        assert col == _round_trip_col(table, g, wid)
+
+
+@pytest.mark.parametrize("rank, covered", [(3, 10), (4, 52), (5, 308), (6, 2088)])
+def test_word_rule_coverage(rank, covered):
+    table = SymmetricGroupTable(rank)
+    assert sum(table.tp_left_is_word(g, wid)
+               for g in range(1, rank) for wid in range(len(table.words))) == covered
+
+
+def test_hecke_suite_at_rank_6_needs_no_basis_change(monkeypatch, tmp_path):
+    # every T' column the suite reads is a basis word, so the triangular
+    # elimination back from the T basis never runs
+    import qhecke.cli as cli
+    import qhecke.hecke as hecke_mod
+
+    def refuse(self, vec):
+        raise AssertionError("to_tprime called")
+
+    monkeypatch.setattr(hecke_mod, "_TABLE_CACHE", {})
+    monkeypatch.setattr(SymmetricGroupTable, "to_tprime", refuse)
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "hecke", "--r", "6", "--seed", "0", "--out", str(path)]) == 0

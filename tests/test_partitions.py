@@ -119,6 +119,11 @@ class TestHooks:
         cls = hook_classify(5, 0, 4)
         assert cls.hooks == enumerate_partitions(4)
 
+    @pytest.mark.parametrize("m, n, r", [(-1, 3, 2), (3, -1, 2), (0, 0, 2), (1, 1, 0)])
+    def test_rejects_shapes_with_no_tensor_space(self, m, n, r):
+        with pytest.raises(ValueError, match="need m, n >= 0"):
+            hook_classify(m, n, r)
+
     def test_membership_rule(self):
         assert in_hook((3, 1), 1, 1)
         assert not in_hook((3, 2), 1, 1)

@@ -11,6 +11,7 @@ from qhecke.qfield import (
     Q_PLUS_QINV,
     RationalFunction,
     SpecializationPoint,
+    _idiv_qp,
     _mul_terms,
     _qp_pow,
     _strip_qp,
@@ -78,6 +79,17 @@ class TestQPlusQinvKernels:
         assert count >= k
         assert _mul_terms(quot, _qp_pow(count)) == x
         assert all(type(c) is type(next(iter(p.values()))) for c in quot.values())
+
+    @given(p=term_dict_strategy(), k=st.integers(min_value=0, max_value=1))
+    @settings(max_examples=120, deadline=None)
+    def test_division_fails_exactly_off_the_zeros_at_i(self, p, k):
+        a = _mul_terms(p, _qp_pow(k))
+        assert (_idiv_qp(a) is None) == (not _vanishes_at_i(a))
+
+    @given(p=term_dict_strategy())
+    @settings(max_examples=80, deadline=None)
+    def test_division_undoes_the_product(self, p):
+        assert _idiv_qp(_mul_terms(p, _qp_pow(1))) == p
 
     def test_strip_stops_at_the_limit(self):
         x = _mul_terms({0: 3}, _qp_pow(3))
