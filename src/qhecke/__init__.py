@@ -54,6 +54,7 @@ from .commutant import (
     ClosureError,
     RankCertificate,
     RankDisagreementError,
+    SizeBoundError,
     anticommutant_basis,
     certified_rank,
     commutant_basis,
@@ -73,7 +74,6 @@ from .partitions import (
     predicted_dimensions,
 )
 from .suites import (
-    SizeBoundError,
     suite_alt,
     suite_alt_centralizer,
     suite_hecke,

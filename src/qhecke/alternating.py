@@ -145,10 +145,15 @@ def check_even_closure(rank: int, *, sample_pairs: int | None = None,
 # the crossed-product structure of the full Hecke algebra
 # ---------------------------------------------------------------------------
 
-def _random_even_sparse(algebra: HeckeAlgebra, rng, terms: int = 2) -> HeckeElement:
+CROSSED_EXHAUSTIVE_RANK = 4   # basis pairs are exhausted up to this rank
+CROSSED_SAMPLE_SIZE = 12      # seeded even elements sampled above it
+EVEN_SAMPLE_TERMS = 2         # pair products summed in one sampled element
+
+
+def _random_even_sparse(algebra: HeckeAlgebra, rng) -> HeckeElement:
     """Seeded sparse member of the even subalgebra: a short sum of pair products."""
     out = algebra.zero()
-    for _ in range(terms):
+    for _ in range(EVEN_SAMPLE_TERMS):
         a = rng.randint(1, algebra.rank - 1)
         b = rng.randint(1, algebra.rank - 1)
         coeff = RationalFunction(LaurentPolynomial(
@@ -158,22 +163,7 @@ def _random_even_sparse(algebra: HeckeAlgebra, rng, terms: int = 2) -> HeckeElem
     return out
 
 
-@dataclass
-class CrossedSystemWitness:
-    """The data realizing the Hecke algebra as a Z2-crossed product (trivial cocycle)."""
-
-    rank: int
-    conjugator: HeckeElement        # T'_1; conjugation by it is the weak action
-
-    def apply(self, sign: int, a: HeckeElement) -> HeckeElement:
-        if sign == 1:
-            return a
-        return self.conjugator * a * self.conjugator
-
-
-def verify_crossed_product_H(rank: int, *, seed: int = 0,
-                             exhaustive_limit: int = 4,
-                             sample_size: int = 12) -> Report:
+def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
     """Check the crossed-product presentation of the Hecke algebra.
 
     Verifies: the even/odd direct-sum decomposition with both summands of
@@ -181,15 +171,15 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
     and squares to the identity; the crossed-system axioms for that action
     with trivial cocycle; and the four product-law formulas identifying the
     crossed product with the Hecke algebra.  Basis pairs are exhausted up to
-    ``exhaustive_limit``; beyond that a seeded sample of even elements is
-    used.
+    rank `CROSSED_EXHAUSTIVE_RANK`; beyond that a seeded sample of even
+    elements is used.
     """
     if rank < 2:
         raise ValueError("rank must be >= 2")
     report = Report("crossed-product-hecke", {"r": rank, "seed": seed})
     algebra = HeckeAlgebra(rank)
     table = algebra.table
-    exhaustive = rank <= exhaustive_limit
+    exhaustive = rank <= CROSSED_EXHAUSTIVE_RANK
 
     even = enumerate_even_basis(rank)
     n_even, n_odd = len(even), odd_word_count(rank)
@@ -199,7 +189,10 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
 
     tp1 = algebra.tprime(1)
     one = algebra.one()
-    witness = CrossedSystemWitness(rank, tp1)
+
+    def weak_action(sign: int, a: HeckeElement) -> HeckeElement:
+        """The Z2 action realizing the crossed product: conjugation by T'_1."""
+        return a if sign == 1 else tp1 * a * tp1
 
     if exhaustive:
         basis_elems = [algebra.tprime_basis_element(w) for w in even.words]
@@ -208,7 +201,7 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
     else:
         rng = random.Random(seed)
         samples = []
-        while len(samples) < sample_size:
+        while len(samples) < CROSSED_SAMPLE_SIZE:
             x = _random_even_sparse(algebra, rng)
             if not x.is_zero:
                 samples.append(x)
@@ -225,7 +218,7 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
     else:
         rng_w = random.Random(seed + 1)
         all_even = [table.index[w] for w in even.words]
-        even_wids = [all_even[rng_w.randrange(len(all_even))] for _ in range(sample_size)]
+        even_wids = [all_even[rng_w.randrange(len(all_even))] for _ in range(CROSSED_SAMPLE_SIZE)]
     odd_coord_vectors = []
     for wid in even_wids:
         coords = tprime_product_coords(table, wid, tp1_wid)
@@ -246,23 +239,23 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0,
                    actual=f"({n_even}, {odd_rank})")
 
     # the weak action preserves the even subalgebra and has order <= 2
-    preserves = all(is_in_alt(witness.apply(-1, a)) for a in samples)
+    preserves = all(is_in_alt(weak_action(-1, a)) for a in samples)
     report.add("weak-action-preserves-even-part", preserves)
-    involutive = all(witness.apply(-1, witness.apply(-1, a)) == a for a in samples)
+    involutive = all(weak_action(-1, weak_action(-1, a)) == a for a in samples)
     report.add("weak-action-order-two", involutive)
     multiplicative = all(
-        witness.apply(-1, a * b) == witness.apply(-1, a) * witness.apply(-1, b)
+        weak_action(-1, a * b) == weak_action(-1, a) * weak_action(-1, b)
         for a, b in pair_iter[: len(samples) * 2])
     report.add("weak-action-multiplicative", multiplicative)
 
     axiom_failures = check_crossed_axioms(
-        witness.apply, lambda s, t: one, lambda s, t: one, one, samples)
+        weak_action, lambda s, t: one, lambda s, t: one, one, samples)
     report.add("crossed-system-axioms", not axiom_failures,
                witness="; ".join(axiom_failures[:5]) if axiom_failures else None)
 
     embed = {1: one, -1: tp1}
     law_failures = check_crossed_embedding(
-        witness.apply, lambda s, t: one, embed.__getitem__, pair_iter)
+        weak_action, lambda s, t: one, embed.__getitem__, pair_iter)
     report.add("crossed-product-law", not law_failures,
                expected=f"{len(pair_iter)} pairs x 4 sign patterns",
                actual="all equal" if not law_failures else f"{len(law_failures)} failures",

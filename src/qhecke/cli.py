@@ -3,7 +3,8 @@
 Reports are emitted as a single JSON document with exact strings only (no
 floats, no timestamps unless requested), so identical configurations produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 a verification
-check failed, 2 usage errors or size-bound refusals.
+check failed, 2 usage errors, size-bound refusals or a report that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -138,16 +139,9 @@ def _generator_matrix(space: GradedSpace, label: str):
     raise ValueError(f"unknown generator label {label!r}")
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, out_path: str | None) -> None:
+def _emit(doc: dict | str, out_path: str | None) -> None:
+    """Write a report, a dict as indented JSON and a str as it is."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -204,7 +198,7 @@ def main(argv=None) -> int:
                                                seed=args.seed, bound=args.bound)
                 keys = ("m", "n", "r", "seed", "mode", "bound")
             else:
-                points = _parse_points(args.points) if args.points else None
+                points = _parse_points(args.points) if args.points is not None else None
                 report = suite_specialization(args.m, args.n, args.r,
                                               points=points, seed=args.seed,
                                               bound=args.bound)
@@ -240,9 +234,9 @@ def main(argv=None) -> int:
             space = GradedSpace(args.m, args.n, args.r)
             matrix = _generator_matrix(space, args.gen)
             lines = matrix.dump_lines(args.limit)
-            _emit_text("".join(line + "\n" for line in lines), args.out)
+            _emit("".join(line + "\n" for line in lines), args.out)
             return 0
-    except (SizeBoundError, ValueError) as exc:
+    except (SizeBoundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command dispatch")

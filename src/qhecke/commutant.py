@@ -52,10 +52,18 @@ A denominator divisible by p, an entry that does not lift or a failed check
 falls back to `_echelon_nullspace` over Q, which also remains the only engine
 over Q(q).  Either way the result, and every report built on it, is the same.
 
-Rank certification evaluates all matrices at two seeded nonzero rational
-points (avoiding 0 and +-1 and any poles) and demands agreement; the
-`LinearSpan` elimination over Q(q) arbitrates whenever the points disagree,
-and can be requested outright.
+Specialization points come from one seeded stream; `draw_points(seed)` is
+its start, and the tensor suites run at its first two points.  Rank
+certificates and `suites.suite_specialization` share one policy for explicit
+points, `specialization_points`: they must be rational, nonzero and
+distinct, and fewer than two are filled up to two from the stream, skipping
+the explicit ones.  A certificate evaluates the matrices with
+`specialize_matrix` and demands that all points agree on the rank; a drawn
+point at a pole gives way to the next point of the stream, while a pole at an
+explicit point propagates.  `certified_rank` arbitrates a disagreement with
+the `LinearSpan` elimination over Q(q), which can be requested outright, and
+refuses that rerun with `SizeBoundError` above `EXACT_DIM_BOUND`, the bound
+the suites' exact rerun obeys.
 """
 
 from __future__ import annotations
@@ -64,11 +72,18 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .qfield import PoleError, RationalFunction, _axpy
-from .tensor import OperatorMatrix
+from .tensor import OperatorMatrix, specialize_matrix
+
+EXACT_DIM_BOUND = 64
+
+
+class SizeBoundError(ValueError):
+    """The requested instance exceeds the configured tensor-space bound."""
 
 
 class ClosureError(RuntimeError):
@@ -79,7 +94,7 @@ class RankDisagreementError(RuntimeError):
     """Specialized ranks differ between points; exact mode must arbitrate."""
 
     def __init__(self, ranks, points):
-        super().__init__(f"specialized ranks disagree: {ranks} at points {points}")
+        super().__init__(f"specialized ranks {ranks} disagree at points {list(map(str, points))}")
         self.ranks = ranks
         self.points = points
 
@@ -593,15 +608,52 @@ class RankCertificate:
     exact: bool
 
 
-def draw_points(seed: int, count: int = 2, avoid: frozenset = frozenset()) -> list[Fraction]:
-    """Seeded nonzero rational points, excluding 0 and +-1 (never generic)."""
+_STREAM_SIZE = len({Fraction(a, b) for a in range(2, 20) for b in range(1, 8)}) - 1  # not 1
+
+
+def _point_stream(seed: int) -> Iterator[Fraction]:
+    """Seeded distinct points a/b, never 0 or +-1; ends after all of them."""
     rng = random.Random(seed)
-    out: list[Fraction] = []
-    while len(out) < count:
+    seen: set[Fraction] = set()
+    while len(seen) < _STREAM_SIZE:
         t = Fraction(rng.randint(2, 19), rng.randint(1, 7))
-        if t in (0, 1, -1) or t in out or t in avoid:
+        if t != 1 and t not in seen:
+            seen.add(t)
+            yield t
+
+
+def draw_points(seed: int, count: int = 2) -> list[Fraction]:
+    """The first ``count`` points of the seeded stream."""
+    return list(islice(_point_stream(seed), count))
+
+
+def specialization_points(points: Sequence | None, seed: int,
+                          evaluate: Callable[[Fraction], object] = lambda t: None
+                          ) -> list[tuple[Fraction, object]]:
+    """The specialization points and ``evaluate`` at each, as (t, value) pairs.
+
+    Explicit points must be rational, nonzero and distinct; a pole there
+    propagates.  Fewer than two are filled up to two from the seeded stream,
+    skipping the explicit points and any drawn point where ``evaluate``
+    raises `PoleError`.  ``points=[]`` is the same as None.
+    """
+    explicit = [Fraction(p) for p in points or ()]
+    if 0 in explicit:
+        raise ValueError("specialization points must be nonzero")
+    repeated = [p for i, p in enumerate(explicit) if p in explicit[:i]]
+    if repeated:
+        raise ValueError(f"specialization point {repeated[0]} is given more than once; "
+                         "rank agreement needs distinct points")
+    out = [(t, evaluate(t)) for t in explicit]
+    stream = (t for t in _point_stream(seed) if t not in explicit)
+    while len(out) < 2:
+        t = next(stream, None)
+        if t is None:
+            raise PoleError("the seeded point stream has no two pole-free points")
+        try:
+            out.append((t, evaluate(t)))
+        except PoleError:
             continue
-        out.append(t)
     return out
 
 
@@ -613,49 +665,19 @@ def _rank(vectors: Iterable[dict]) -> int:
     return span.rank
 
 
-def _specialized(vec: dict, t: Fraction) -> dict:
-    out = {}
-    for col, v in vec.items():
-        val = v.specialize(t) if isinstance(v, RationalFunction) else Fraction(v)
-        if val:
-            out[col] = val
-    return out
-
-
-def _specialized_rank(vectors: list[dict], t: Fraction) -> int:
-    return _rank(_specialized(vec, t) for vec in vectors)
-
-
 def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "specialized",
                           *, points: Sequence[Fraction] | None = None,
-                          seed: int = 0, max_retries: int = 8) -> RankCertificate:
+                          seed: int = 0) -> RankCertificate:
     """Rank of the span of the given matrices, with its certification trail."""
     if not matrices:
         raise ValueError("need a nonempty list of matrices")
-    vectors = [m.flatten() for m in matrices]
     if mode == "exact":
-        return RankCertificate(_rank(vectors), (), exact=True)
+        return RankCertificate(_rank(m.flatten() for m in matrices), (), exact=True)
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-
-    if points is not None:
-        pts = [Fraction(p) for p in points]
-        ranks = [_specialized_rank(vectors, t) for t in pts]
-    else:
-        pts = []
-        ranks = []
-        attempt = 0
-        while len(pts) < 2:
-            cand = draw_points(seed + attempt, count=1, avoid=frozenset(pts))[0]
-            attempt += 1
-            if attempt > max_retries + 2:
-                raise PoleError("could not find pole-free specialization points")
-            try:
-                r = _specialized_rank(vectors, cand)
-            except PoleError:
-                continue
-            pts.append(cand)
-            ranks.append(r)
+    pairs = specialization_points(points, seed, lambda t: _rank(
+        specialize_matrix(m, t).flatten() for m in matrices))
+    pts, ranks = map(list, zip(*pairs))
     if len(set(ranks)) != 1:
         raise RankDisagreementError(ranks, pts)
     return RankCertificate(ranks[0], tuple(pts), exact=False)
@@ -663,8 +685,13 @@ def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "speci
 
 def certified_rank(matrices: Sequence[OperatorMatrix], mode: str = "specialized",
                    **kw) -> RankCertificate:
-    """Like `rank_with_certificate` but auto-arbitrates disagreements exactly."""
+    """Like `rank_with_certificate`, but a disagreement of the points is
+    arbitrated exactly, which is refused above `EXACT_DIM_BOUND`."""
     try:
         return rank_with_certificate(matrices, mode, **kw)
-    except RankDisagreementError:
+    except RankDisagreementError as exc:
+        dim = matrices[0].dim
+        if dim > EXACT_DIM_BOUND:
+            raise SizeBoundError(f"{exc}; exact arbitration at dimension {dim} exceeds "
+                                 f"the exact-mode bound {EXACT_DIM_BOUND}") from None
         return rank_with_certificate(matrices, "exact")

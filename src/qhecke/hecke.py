@@ -534,10 +534,6 @@ class HeckeElement:
     def is_zero(self) -> bool:
         return not self._c
 
-    def support(self) -> list[Word]:
-        words = symmetric_group_table(self.rank).words
-        return [words[wid] for wid in sorted(self._c)]
-
     # -- ring operations
 
     def _check_rank(self, other: "HeckeElement") -> None:
@@ -676,6 +672,9 @@ def goldman_eigenproject(x: HeckeElement, sign: int) -> HeckeElement:
 # algebra factory
 # ---------------------------------------------------------------------------
 
+RANDOM_COEFF_BOUND = 4      # |c| <= this for the c q^k terms of `random_element`
+
+
 class HeckeAlgebra:
     """Entry point for building elements of H_{K,r}(q)."""
 
@@ -717,13 +716,11 @@ class HeckeAlgebra:
         wid = self.table.index[word]
         return HeckeElement(self.rank, _wids=self.table.tprime_word(wid))
 
-    def element(self, coeffs: Mapping[Word, object]) -> HeckeElement:
-        return HeckeElement(self.rank, coeffs)
-
-    def random_element(self, rng, terms: int = 3, coeff_bound: int = 4) -> HeckeElement:
+    def random_element(self, rng, terms: int = 3) -> HeckeElement:
         """Seeded sparse element with small integer Laurent coefficients."""
         nwords = len(self.table.words)
+        bound = RANDOM_COEFF_BOUND
         pairs = ((rng.randrange(nwords), RationalFunction(LaurentPolynomial(
-                     {rng.randint(-2, 2): Fraction(rng.randint(-coeff_bound, coeff_bound))})))
+                     {rng.randint(-2, 2): Fraction(rng.randint(-bound, bound))})))
                  for _ in range(terms))
         return HeckeElement(self.rank, _wids=_axpy({}, None, pairs))

@@ -41,12 +41,15 @@ from math import factorial
 from .alternating import check_even_closure, enumerate_even_basis, is_in_alt, \
     odd_word_count, verify_crossed_product_H, x_generator
 from .commutant import (
+    EXACT_DIM_BOUND,
     AlgebraBasis,
+    SizeBoundError,
     anticommutant_basis,
     commutant_basis,
     direct_sum_check,
     draw_points,
     span_closure,
+    specialization_points,
 )
 from .crossed import check_crossed_axioms, check_crossed_embedding
 from .hecke import HeckeAlgebra, goldman_eigenproject, to_tprime_basis
@@ -63,13 +66,8 @@ from .tensor import (
     specialize_matrix,
 )
 
-EXACT_DIM_BOUND = 64
 SPECIALIZED_DIM_BOUND = 256
 AUTO_EXACT_DIM = 8
-
-
-class SizeBoundError(ValueError):
-    """The requested instance exceeds the configured tensor-space bound."""
 
 
 def _resolve_mode(space_dim: int, mode: str | None, bound: int | None, *,
@@ -374,9 +372,10 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         phi = mat(phi_tensor(space))
         ident = OperatorMatrix.identity(dim, one)
         sign_one = ident.scale(one if sign == 1 else -one)
-        report.add(prefix + "flip-squares-to-sign", phi * phi == sign_one,
-                   expected=f"({sign})*identity", actual="equal" if phi * phi == sign_one else "differs")
-        anti = all((tp * phi) == -(phi * tp) for tp in tp_gens)
+        squares = phi * phi == sign_one
+        report.add(prefix + "flip-squares-to-sign", squares,
+                   expected=f"({sign})*identity", actual="equal" if squares else "differs")
+        anti = all(tp.anticommutes_with(phi) for tp in tp_gens)
         report.add(prefix + "flip-anticommutes-with-involutive-generators", anti)
 
         b_alg = _closure_of([mat(g) for _, g in rho_generators(space)], dim, one)
@@ -439,21 +438,9 @@ def suite_specialization(m: int, n: int, r: int, *, t=None, points=None,
     """Cross-checks at explicit rational points and at the classical point q=1."""
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
-    if points is not None:
-        points = [Fraction(p) for p in points]
-    elif t is not None:
-        points = [Fraction(t)]
-    else:
-        points = []
-    if any(p == 0 for p in points):
-        raise ValueError("specialization points must be nonzero")
-    repeated = [p for i, p in enumerate(points) if p in points[:i]]
-    if repeated:
-        raise ValueError(f"specialization point {repeated[0]} is given more than once; "
-                         "rank agreement needs distinct points")
-    if len(points) < 2:
-        points = points + [p for p in draw_points(seed) if p not in points]
-        points = points[:2]
+    if points is None and t is not None:
+        points = [t]
+    points = [p for p, _ in specialization_points(points, seed)]
     report = Report("specialization",
                     {"m": m, "n": n, "r": r, "seed": seed,
                      "points": ",".join(str(p) for p in points)})

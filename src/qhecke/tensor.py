@@ -481,7 +481,7 @@ def represent(x: HeckeElement, space: GradedSpace) -> OperatorMatrix:
 
 
 def specialize_matrix(matrix: OperatorMatrix, point) -> OperatorMatrix:
-    """Entrywise evaluation at q = t; raises PoleError naming the entry.
+    """Entrywise evaluation at q = t, entries in Q kept; raises PoleError naming the entry.
 
     Each distinct entry value is evaluated once (the generators repeat a few
     values many times), so a pole names the first entry that holds it.
@@ -493,7 +493,8 @@ def specialize_matrix(matrix: OperatorMatrix, point) -> OperatorMatrix:
         val = values.get(v)
         if val is None:
             try:
-                val = values[v] = v.specialize(t)
+                val = values[v] = (v.specialize(t) if isinstance(v, RationalFunction)
+                                   else Fraction(v))
             except PoleError as exc:
                 raise PoleError(f"entry {key[0]},{key[1]}: {exc}") from None
         if val:

@@ -55,7 +55,7 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["params"]["points"].startswith("2")
 
-    @pytest.mark.parametrize("points", ["1/0", "0", "x", ",", "2,2", "2,4/2", "3/2,5,6/4"])
+    @pytest.mark.parametrize("points", ["1/0", "0", "x", ",", "", "2,2", "2,4/2", "3/2,5,6/4"])
     def test_bad_points_exit_two(self, points, capsys):
         code, _, err = run(["verify", "specialize", "--m", "1", "--n", "1",
                             "--r", "2", "--points", points], capsys)
@@ -92,6 +92,17 @@ class TestDimsCommand:
         code, out, err = run(["dims", "--m", m, "--n", n, "--r", "2"], capsys)
         assert code == 2 and out == ""
         assert "need m, n >= 0" in err
+
+    @pytest.mark.parametrize("args", [
+        ["dims", "--m", "1", "--n", "1", "--r", "2"],
+        ["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1"],
+    ], ids=["dims", "dump"])
+    def test_unwritable_out_exit_two(self, args, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run([*args, "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not target.parent.exists()
 
 
 class TestDumpCommand:
@@ -199,7 +210,10 @@ class TestGoldenOutput:
          "62e171f71381737641672154236dff337ad8c471004fa51d57e67b65b8df7880"),
         (["verify", "alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
          "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38"),
-    ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7"])
+        # the lone point 15 is seed 0's second draw: the fill must skip it
+        (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "15"],
+         "a20e951f02f9767136a2011811bbf9e6f81988c4ab6c3c0a058b1ed012a1ca88"),
+    ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main([*args, "--out", str(path)])

@@ -10,6 +10,7 @@ from qhecke.commutant import (
     AlgebraBasis,
     LinearSpan,
     RankDisagreementError,
+    SizeBoundError,
     anticommutant_basis,
     certified_rank,
     commutant_basis,
@@ -588,6 +589,72 @@ class TestRankCertificates:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             rank_with_certificate([])
+
+
+class TestPointPolicy:
+    """Certificates take their points as the specialized suites do: explicit
+    points checked and filled up to two from the seeded `draw_points` stream."""
+
+    # generic rank 1, rank 0 at q = 2 (the first point seed 0 draws)
+    VANISHING = OperatorMatrix(
+        2, {(0, 0): RationalFunction(LaurentPolynomial({1: 1, 0: -2}))})
+
+    def test_one_explicit_point_is_filled_from_the_stream(self):
+        with pytest.raises(RankDisagreementError) as exc:
+            rank_with_certificate([self.VANISHING], points=[2])
+        assert exc.value.points == [2, 15] and exc.value.ranks == [0, 1]
+        cert = certified_rank([self.VANISHING], points=[2])
+        assert cert.rank == 1 and cert.exact
+        ident = OperatorMatrix.identity(2)
+        assert rank_with_certificate([ident], points=[15]).points == (15, 2)
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            certified_rank([self.VANISHING], points=[2, 2])
+        with pytest.raises(ValueError, match="nonzero"):
+            certified_rank([self.VANISHING], points=[0, 2])
+
+    def test_empty_points_are_drawn(self):
+        ident = OperatorMatrix.identity(2)
+        assert (rank_with_certificate([ident], points=[], seed=3)
+                == rank_with_certificate([ident], seed=3))
+        cert = certified_rank([self.VANISHING], points=[])
+        assert cert.rank == 1 and cert.exact
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drawn_points_are_draw_points(self, seed):
+        cert = rank_with_certificate([OperatorMatrix.identity(3)], seed=seed)
+        assert cert.points == tuple(draw_points(seed))
+
+    def test_pole_takes_the_next_point_of_the_stream(self):
+        withpole = OperatorMatrix(2, {
+            (0, 0): RationalFunction(LaurentPolynomial.one(),
+                                     LaurentPolynomial({1: 1, 0: -2}))})
+        assert rank_with_certificate([withpole], seed=0).points == tuple(
+            draw_points(0, count=3)[1:])
+
+    def test_a_pole_at_every_point_ends_the_stream(self):
+        from qhecke.qfield import PoleError
+        points = draw_points(0, count=200)
+        assert len(points) == len(set(points)) == 87
+        assert not {0, 1, -1} & set(points)
+        poles = {divmod(k, 10): RationalFunction(LaurentPolynomial.one(), LaurentPolynomial(
+                     {1: t.denominator, 0: -t.numerator})) for k, t in enumerate(points)}
+        with pytest.raises(PoleError, match="no two pole-free points"):
+            rank_with_certificate([OperatorMatrix(10, poles)])
+
+    def test_matrices_over_q_are_certified(self):
+        # entries in Q are their own value at every point
+        mats = [OperatorMatrix(2, {(0, 0): Fraction(3, 2), (1, 0): 4}),
+                OperatorMatrix.identity(2, Fraction(1))]
+        assert rank_with_certificate(mats).rank == 2
+
+    def test_arbitration_above_the_exact_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(commutant, "EXACT_DIM_BOUND", 1)
+        with pytest.raises(SizeBoundError, match="exact-mode bound 1"):
+            certified_rank([self.VANISHING], points=[2, 3])
+        # an agreement needs no arbitration
+        assert certified_rank([OperatorMatrix.identity(2)]).rank == 1
 
 
 class TestExactRank:
