@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from math import factorial
 
+from .commutant import _rank
 from .crossed import check_crossed_axioms, check_crossed_embedding
 from .hecke import (
     HeckeAlgebra,
@@ -230,9 +231,7 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
     report.add("odd-part-from-even-times-conjugator", odd_support_ok,
                expected="odd-parity support", actual="ok" if odd_support_ok else "mixed parity")
     if exhaustive:
-        from .commutant import LinearSpan
-        span = LinearSpan()
-        odd_rank = sum(1 for vec in odd_coord_vectors if span.add(vec))
+        odd_rank = _rank(odd_coord_vectors)
         report.add("decomposition-dims",
                    odd_rank == half and len(odd_seen) == half and n_even == half,
                    expected=f"({half}, {half})",

@@ -1,13 +1,14 @@
 """Exact linear algebra over K: spans, subalgebra closure, commutants, ranks.
 
 Vectors are sparse maps column -> coefficient; matrices enter flattened
-row-major.  `LinearSpan` and `_echelon_nullspace` are generic in the
-coefficient field: they only need ``+ - * /``, truthiness for zero tests,
-and ``1 / c`` for inverses, so they run over Q(q) (exact mode) and over Q at
-a specialization point.  Pivots are chosen at the first nonzero column in
-lexicographic position, and a vector's residual modulo a span does not depend
-on the order its rows are applied in, which makes every produced basis
-deterministic.
+row-major.  One elimination engine, `LinearSpan` and `_echelon_nullspace`,
+serves every field.  It only needs ``+ - * /``, truthiness for zero tests
+and ``1 / c`` for inverses, so it runs over Q(q) (exact mode) and over Q at a
+specialization point; given a prime modulus p it runs over F_p on plain
+ints, takes every entry it writes mod p and inverts with ``pow(c, -1, p)``.
+Pivots are chosen at the first nonzero column in lexicographic position, and
+a vector's residual modulo a span does not depend on the order its rows are
+applied in, which makes every produced basis deterministic.
 
 `LinearSpan` indexes its rows by pivot column, so reducing a vector touches
 only the rows whose pivots the vector (or its running residual) reaches, not
@@ -21,16 +22,18 @@ those where G has an entry in row i or in column j.
 
 Nullspaces at a point.  When the constraint entries of `commutant_basis` or
 `anticommutant_basis` lie in Q (their first one a `Fraction` or an `int`),
-the reduced echelon nullspace at the point t is first computed with plain
-ints modulo the prime p = 2^127 - 1: the rows of `_commutation_rows`, the
-pivot rule, the early stop and the back-elimination order are those of
-`_echelon_nullspace`.  The constraint entries enter as balanced residues in
-(-p/2, p/2], so a row entry, a sum of at most two of them, is 0 exactly when
-it is 0 mod p and the rows need no second reduction.  Each entry is lifted
-to Q by rational reconstruction (|numerator|, denominator <= isqrt(p // 2)),
-and each lifted matrix is checked exactly, in integer-scaled form, against
-the constraint matrices.  A pass proves that the lifted basis is the one the
-Q path returns:
+the reduced echelon nullspace at the point t is first computed over F_p for
+the prime p = 2^127 - 1, by the `_echelon_nullspace` that runs over Q: the
+same rows of `_commutation_rows`, pivot rule, early stop, back-elimination
+and basis builder.  A constraint matrix is reduced mod p only when its rows
+are first read, so the early stop leaves later matrices untouched.  The
+constraint entries enter as balanced residues in (-p/2, p/2], so a row
+entry, a sum of at most two of them, is 0 exactly when it is 0 mod p and the
+rows need no second reduction.  Each entry is lifted to Q by rational
+reconstruction (|numerator|, denominator <= isqrt(p // 2)), and each lifted
+matrix is checked exactly, in integer-scaled form, against the constraint
+matrices.  A pass proves that the lifted basis is the one the Q path
+returns:
 
 * every denominator read is a unit mod p, so the rows read reduce mod p and
   rank_p <= rank_t, hence nullity_p >= nullity_t;
@@ -76,7 +79,7 @@ from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .qfield import PoleError, RationalFunction, _axpy
+from .qfield import PoleError, RationalFunction
 from .tensor import OperatorMatrix, specialize_matrix
 
 EXACT_DIM_BOUND = 64
@@ -110,12 +113,17 @@ class LinearSpan:
     at the pivots of the rows stored before it.  Hence a vector's residual
     modulo the span -- the vector minus the combination of rows that clears
     every pivot column -- is unique, whatever order the rows are applied in.
+
+    With a prime ``modulus`` p the span lies over F_p: entries are ints, every
+    entry it writes is taken mod p, and pivots are inverted by ``pow(c, -1,
+    p)``.  Vectors given to it must hold no entry that is 0 mod p.
     """
 
-    __slots__ = ("_by_pivot",)
+    __slots__ = ("_by_pivot", "_modulus")
 
-    def __init__(self):
+    def __init__(self, modulus: int | None = None):
         self._by_pivot: dict[int, dict] = {}   # pivot column -> row, in insertion order
+        self._modulus = modulus
 
     @property
     def rows(self) -> list[tuple[int, dict]]:
@@ -130,12 +138,15 @@ class LinearSpan:
         """Residual of vec modulo the span (vec is not modified).
 
         The pivot columns present in the residual wait in a heap and are
-        cleared smallest first.  A row with pivot p only adds columns > p, so
+        cleared smallest first.  A row with pivot k only adds columns > k, so
         a cleared pivot never returns and rows the residual never reaches are
         not visited.
         """
-        vec = dict(vec)
-        by_pivot = self._by_pivot
+        return self._clear(dict(vec))
+
+    def _clear(self, vec: dict) -> dict:
+        """`reduce` in place: vec becomes its residual."""
+        by_pivot, p = self._by_pivot, self._modulus
         heap = [col for col in vec if col in by_pivot]
         heapq.heapify(heap)
         while heap:
@@ -143,17 +154,18 @@ class LinearSpan:
             c = vec.pop(pivot, None)     # the row's 1 there clears it
             if not c:                    # cancelled after it was queued
                 continue
+            c = -c                       # negated once per row, not per entry
             # hand-written: a new pivot key is pushed onto the heap (an _axpy form is ~2% slower)
             for col, v in by_pivot[pivot].items():
                 if col == pivot:
                     continue
                 s = vec.get(col)
                 if s is None:
-                    vec[col] = -(c * v)
+                    vec[col] = c * v if p is None else c * v % p
                     if col in by_pivot:
                         heapq.heappush(heap, col)
                 else:
-                    s = s - c * v
+                    s = s + c * v if p is None else (s + c * v) % p
                     if s:
                         vec[col] = s
                     else:
@@ -162,13 +174,20 @@ class LinearSpan:
 
     def add(self, vec: dict) -> bool:
         """Insert vec if independent; returns True when the rank grew."""
-        res = self.reduce(vec)
+        return self._insert(self._clear(dict(vec)))
+
+    def _insert(self, res: dict) -> bool:
+        """Store a residual as a new row, normalized at its pivot, if nonzero."""
         if not res:
             return False
         pivot = min(res)
-        c = res[pivot]
-        inv = Fraction(1, c) if isinstance(c, int) else 1 / c
-        self._by_pivot[pivot] = {c: v * inv for c, v in res.items()}
+        c, p = res[pivot], self._modulus
+        if p is None:
+            inv = Fraction(1, c) if isinstance(c, int) else 1 / c
+            self._by_pivot[pivot] = {col: v * inv for col, v in res.items()}
+        else:
+            inv = pow(c, -1, p)
+            self._by_pivot[pivot] = {col: v * inv % p for col, v in res.items()}
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -261,33 +280,33 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
 # ---------------------------------------------------------------------------
 
 def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
-                       max_rank: int | None = None) -> list[dict]:
-    """Basis of the solution space of the homogeneous system (sparse rows).
+                       max_rank: int | None = None,
+                       modulus: int | None = None) -> list[dict]:
+    """Basis of the solution space of the homogeneous system (sparse rows),
+    over F_p for a prime ``modulus`` p (then ``one`` is 1, and the other
+    entries are ints in (-p, 0)).  The rows are reduced in place, without a
+    copy, so callers pass rows they do not keep.
 
     With ``max_rank`` set, rows stop being read once the rank reaches it; the
     caller vouches that the full system's rank is at most ``max_rank``.
     """
-    span = LinearSpan()
+    span = LinearSpan(modulus)
+    by_pivot, clear, insert = span._by_pivot, span._clear, span._insert
     for row in rows:
-        if span.rank == max_rank:
+        if len(by_pivot) == max_rank:
             break
-        span.add(row)
+        insert(clear(row))
     # back-eliminate to reduced row echelon form, largest pivot first: a
-    # finished row is 0 at every other pivot, so clearing one pivot entry of a
-    # row leaves its other entries at pivot columns as they were
-    rows_ = span.rows
-    reduced: dict[int, dict] = {}
-    for pivot, row in sorted(rows_, reverse=True):    # pivots are distinct
-        out = dict(row)
-        for col, c in row.items():
-            if col != pivot and col in reduced:
-                _axpy(out, -c, reduced[col].items())
-        reduced[pivot] = out
+    # finished row is 0 at every other pivot, so reducing a row modulo the
+    # finished ones clears its entries at their pivots and adds no other
+    reduced = LinearSpan(modulus)
+    for pivot in sorted(by_pivot, reverse=True):
+        reduced._by_pivot[pivot] = reduced._clear(by_pivot[pivot])
     # one basis vector per free column; a reduced row has its non-pivot
     # entries in free columns only
-    basis = {free: {free: one} for free in range(ncols) if free not in reduced}
-    for pivot, _ in rows_:
-        for col, v in reduced[pivot].items():
+    basis = {free: {free: one} for free in range(ncols) if free not in by_pivot}
+    for pivot, row in by_pivot.items():
+        for col, v in row.items():
             if col != pivot:
                 basis[col][pivot] = -v
     return list(basis.values())
@@ -385,35 +404,6 @@ def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | Non
     return OperatorMatrix._raw(g.dim, out)
 
 
-def _add_mod_p(by_pivot: dict[int, dict], vec: dict, p: int) -> None:
-    """`LinearSpan.add` on rows of ints mod p: the same pivots, heap and order."""
-    heap = [col for col in vec if col in by_pivot]
-    heapq.heapify(heap)
-    while heap:
-        pivot = heapq.heappop(heap)
-        c = vec.pop(pivot, None)
-        if not c:
-            continue
-        for col, v in by_pivot[pivot].items():
-            if col == pivot:
-                continue
-            s = vec.get(col)
-            if s is None:
-                vec[col] = -c * v % p
-                if col in by_pivot:
-                    heapq.heappush(heap, col)
-            else:
-                s = (s - c * v) % p
-                if s:
-                    vec[col] = s
-                else:
-                    del vec[col]
-    if vec:
-        pivot = min(vec)
-        inv = pow(vec[pivot], -1, p)
-        by_pivot[pivot] = {col: v * inv % p for col, v in vec.items()}
-
-
 def _reconstruct(a: int, p: int) -> Fraction | None:
     """The fraction n/d with |n|, d <= isqrt(p // 2) and n = a*d mod p, if any.
 
@@ -467,46 +457,29 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
     """
     p = _PRIME
     inverses: dict[int, int] = {}
-    by_pivot: dict[int, dict] = {}
-    read: list[OperatorMatrix] = []
-    for g in mats:
-        if len(by_pivot) == max_rank:
-            break                        # the early stop of `commutant_basis`
-        residues = _residues(g, p, inverses)
-        if residues is None:
-            return None
-        read.append(g)
-        for row in _commutation_rows(residues, sign):
-            _add_mod_p(by_pivot, row, p)
-            if len(by_pivot) == max_rank:
-                break
-    # back-elimination and basis vectors as in `_echelon_nullspace`, mod p
-    reduced: dict[int, dict] = {}
-    for pivot, row in sorted(by_pivot.items(), reverse=True):
-        out = dict(row)
-        for col, c in row.items():
-            if col != pivot and col in reduced:
-                for k, v in reduced[col].items():
-                    s = (out.get(k, 0) - c * v) % p
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        reduced[pivot] = out
-    one = Fraction(1)
-    basis = {free: {free: one} for free in range(dim * dim) if free not in reduced}
+    residues: list[OperatorMatrix | None] = []   # of the matrices read, in order
+
+    def rows():
+        # lazy: the early stop leaves later matrices unread, residues and all
+        for g in mats:
+            residues.append(_residues(g, p, inverses))
+            if residues[-1] is None:
+                return
+            yield from _commutation_rows(residues[-1], sign)
+
+    vecs = _echelon_nullspace(rows(), dim * dim, 1, max_rank, p)
+    if residues and residues[-1] is None:    # a matrix read has no residues mod p
+        return None
     lifted: dict[int, Fraction | None] = {}
-    for pivot in by_pivot:
-        for col, v in reduced[pivot].items():
-            if col != pivot:
-                if v not in lifted:
-                    lifted[v] = _reconstruct(-v, p)
-                if lifted[v] is None:
-                    return None
-                basis[col][pivot] = lifted[v]
-    vecs = list(basis.values())
+    for vec in vecs:
+        for col, v in vec.items():
+            if v not in lifted:
+                lifted[v] = _reconstruct(v, p)
+            if lifted[v] is None:
+                return None
+            vec[col] = lifted[v]
     # the exact check, against the matrices whose rows were read
-    tests = [_commutator_test(g, sign) for g in read]
+    tests = [_commutator_test(g, sign) for g in mats[:len(residues)]]
     for vec in vecs:
         x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
         if not all(solves(x) for solves in tests):

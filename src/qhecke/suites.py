@@ -213,14 +213,9 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
 # tensor-space suites
 # ---------------------------------------------------------------------------
 
-def _scalars_basis(dim: int, one) -> AlgebraBasis:
-    ident = OperatorMatrix.identity(dim, one)
-    return AlgebraBasis(dim, [ident], closed=True, generators=[])
-
-
 def _closure_of(gens: list[OperatorMatrix], dim: int, one) -> AlgebraBasis:
     if not gens:
-        return _scalars_basis(dim, one)
+        return AlgebraBasis(dim, [OperatorMatrix.identity(dim, one)], closed=True)
     return span_closure(gens)
 
 
@@ -380,7 +375,7 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
 
         b_alg = _closure_of([mat(g) for _, g in rho_generators(space)], dim, one)
         report.info(prefix + "superalgebra-image-dimension", actual=len(b_alg))
-        bd = anticommutant_basis(tp_gens) if tp_gens else _scalars_basis(dim, one)
+        bd = anticommutant_basis(tp_gens)
         report.add(prefix + "anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
         flips_into = all(bd.contains(phi * bm) for bm in b_alg.elements)

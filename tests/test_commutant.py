@@ -99,6 +99,34 @@ def dense_residual(vec, rref, ncols):
     return {c: v for c, v in enumerate(res) if v}
 
 
+def dense_rref_mod(vectors, ncols, p):
+    """`dense_rref` over F_p, entries in [0, p); over Q when p is None."""
+    if p is None:
+        return dense_rref(vectors, ncols)
+    rows = [[vec.get(c, 0) % p for c in range(ncols)] for vec in vectors]
+    out = []
+    for col in range(ncols):
+        piv = next((i for i, row in enumerate(rows) if row[col]), None)
+        if piv is None:
+            continue
+        inv = pow(rows[piv][col], -1, p)
+        prow = [v * inv % p for v in rows.pop(piv)]
+        rows = [[(a - row[col] * b) % p for a, b in zip(row, prow)] for row in rows]
+        out = [(q, [(a - row[col] * b) % p for a, b in zip(row, prow)]) for q, row in out]
+        out.append((col, prow))
+    return out
+
+
+def dense_residual_mod(vec, rref, ncols, p):
+    if p is None:
+        return dense_residual(vec, rref, ncols)
+    res = [vec.get(c, 0) % p for c in range(ncols)]
+    for q, row in rref:
+        f = res[q]
+        res = [(a - f * b) % p for a, b in zip(res, row)]
+    return {c: v for c, v in enumerate(res) if v}
+
+
 NCOLS = 8
 _coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 _sparse = st.dictionaries(st.integers(0, NCOLS - 1), _coeffs, min_size=1, max_size=4)
@@ -139,6 +167,51 @@ class TestLinearSpan:
         for vec in rows + probes:
             expected = dense_residual(vec, rref, NCOLS)
             assert span.reduce(vec) == expected
+            assert span.contains(vec) == (not expected)
+
+    @pytest.mark.parametrize("modulus", [None, 7, 2**127 - 1], ids=["Q", "F_7", "F_2^127-1"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_elimination_over_each_field(self, modulus, data):
+        # the same rows over Q and, as ints with no entry 0 mod p, over F_p
+        if modulus is None:
+            coeffs = _coeffs
+        else:
+            coeffs = st.integers(1 - modulus, modulus - 1).filter(lambda v: v % modulus)
+        sparse = st.dictionaries(st.integers(0, NCOLS - 1), coeffs, min_size=1, max_size=4)
+        base = data.draw(st.lists(sparse, min_size=1, max_size=7))
+        rows = list(base)
+        for i, j, a, b in data.draw(st.lists(
+                st.tuples(st.integers(0, len(base) - 1), st.integers(0, len(base) - 1),
+                          coeffs, coeffs), max_size=4)):
+            comb = {col: a * base[i].get(col, 0) + b * base[j].get(col, 0)
+                    for col in base[i].keys() | base[j].keys()}
+            if modulus is not None:
+                comb = {col: v % modulus for col, v in comb.items()}
+            rows.append({col: v for col, v in comb.items() if v})
+        rows = data.draw(st.permutations(rows))
+        probes = data.draw(st.lists(sparse, max_size=4))
+
+        def canonical(vec):
+            return vec if modulus is None else {c: v % modulus for c, v in vec.items()}
+
+        span = LinearSpan(modulus)
+        for k, row in enumerate(rows):
+            before = span.rank
+            grew = span.add(row)
+            rref = dense_rref_mod(rows[:k + 1], NCOLS, modulus)
+            assert span.rank == len(rref) == before + grew
+        assert sorted(p for p, _ in span.rows) == [p for p, _ in rref]
+        earlier = set()
+        for pivot, row in span.rows:
+            assert min(row) == pivot and row[pivot] == 1
+            assert not earlier & row.keys()
+            earlier.add(pivot)
+            if modulus is not None:
+                assert all(type(v) is int and 0 < v < modulus for v in row.values())
+        for vec in rows + probes:
+            expected = dense_residual_mod(vec, rref, NCOLS, modulus)
+            assert canonical(span.reduce(vec)) == expected
             assert span.contains(vec) == (not expected)
 
 
@@ -363,6 +436,21 @@ class TestNullspaceAtAPoint:
     def test_denominator_divisible_by_p_is_never_inverted(self, monkeypatch):
         monkeypatch.setattr(commutant, "_PRIME", 3)
         assert commutant._nullspace_at_point([_diag(1, Fraction(1, 3))], 1, 2, None) is None
+
+    def test_early_stop_at_a_point_reads_no_further_matrix(self, monkeypatch):
+        # B = upper triangular, recorded as a commutant of the scalars, so the
+        # rank bound is 4 - 1 = 3; diag(1, 2) and E_01 reach it, and the third
+        # generator, whose denominator 7 has no inverse mod 7, is never read
+        mats = [_diag(1, 2), OperatorMatrix(2, {(0, 1): Fraction(1)}), _diag(Fraction(1, 7), 0)]
+        scalars = AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))], closed=True)
+        source = AlgebraBasis(2, list(mats), closed=True, generators=list(mats),
+                              _commutant_of=scalars)
+        monkeypatch.setattr(commutant, "_PRIME", 7)
+        answers = self._record_answers(monkeypatch)
+        result = commutant_basis(source)
+        assert len(answers) == 1 and answers[0] is not None   # F_p answered
+        assert result.elements == _q_path(mats, 1, 2)
+        assert result.elements == [OperatorMatrix.identity(2, Fraction(1))]
 
     def test_reconstruction_bound(self):
         p = commutant._PRIME
