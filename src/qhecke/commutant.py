@@ -254,15 +254,13 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
 
     span = LinearSpan()
     basis: list[OperatorMatrix] = []
-    queue: list[OperatorMatrix] = []
     for m in [OperatorMatrix.identity(dim, one), *generators]:
         if span.add(m.flatten()):
             basis.append(m)
-            queue.append(m)
     products = 0
     head = 0
-    while head < len(queue):
-        m = queue[head]
+    while head < len(basis):
+        m = basis[head]
         head += 1
         for g in generators:
             products += 1
@@ -271,7 +269,6 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
             p = m * g
             if span.add(p.flatten()):
                 basis.append(p)
-                queue.append(p)
     return AlgebraBasis(dim, basis, closed=True, generators=generators, _span=span)
 
 

@@ -320,8 +320,8 @@ class SymmetricGroupTable:
             else:
                 g, rest = _first_factor(w)
                 self.first.append((g, self.index[rest]))
-        self._goldman: list[dict[int, _LC] | None] = [None] * len(self.words)
-        self._tprime: list[dict[int, _LC] | None] = [None] * len(self.words)
+        self._goldman: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
+        self._tprime: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
         self._tp_left: dict[tuple[int, int], dict[int, _LC]] = {}
         self._seq_keys: list[tuple[int, ...] | None] = [None] * len(self.words)
         self._beta: dict[int, _LC] = {}
@@ -367,35 +367,30 @@ class SymmetricGroupTable:
         tg = self.gen_mul(self.left_mult[g - 1], vec)
         return _axpy(_axpy({}, _LC_TP_T, tg.items()), _LC_TP_1, vec.items())
 
-    # -- lazy expansions in the T basis
+    def goldman_gen_apply(self, g: int, vec: dict) -> dict:
+        """Left multiplication by the Goldman image (q - q^-1) - T_g of T_g."""
+        tg = self.gen_mul(self.left_mult[g - 1], vec)
+        return _axpy(_axpy({}, _LC_QM, vec.items()), _LC_MINUS_ONE, tg.items())
+
+    # -- images of basis words, factor by factor
+
+    def word_image(self, cache: dict, wid: int, step):
+        """Image of the word ``wid`` under a map built along its first factor:
+        T_g * rest goes to ``step(g, image of rest)``.
+
+        ``cache`` maps word indices to images and must hold the identity word's.
+        """
+        image = cache.get(wid)
+        if image is None:
+            g, rest = self.first[wid]
+            image = cache[wid] = step(g, self.word_image(cache, rest, step))
+        return image
 
     def goldman_word(self, wid: int) -> dict[int, _LC]:
-        cached = self._goldman[wid]
-        if cached is not None:
-            return cached
-        ff = self.first[wid]
-        if ff is None:
-            result = {wid: _LC_ONE}
-        else:
-            g, rest = ff
-            prev = self.goldman_word(rest)
-            tg = self.gen_mul(self.left_mult[g - 1], prev)
-            result = _axpy(_axpy({}, _LC_QM, prev.items()), _LC_MINUS_ONE, tg.items())
-        self._goldman[wid] = result
-        return result
+        return self.word_image(self._goldman, wid, self.goldman_gen_apply)
 
     def tprime_word(self, wid: int) -> dict[int, _LC]:
-        cached = self._tprime[wid]
-        if cached is not None:
-            return cached
-        ff = self.first[wid]
-        if ff is None:
-            result = {wid: _LC_ONE}
-        else:
-            g, rest = ff
-            result = self.tprime_gen_apply(g, self.tprime_word(rest))
-        self._tprime[wid] = result
-        return result
+        return self.word_image(self._tprime, wid, self.tprime_gen_apply)
 
     # -- T'-basis coordinates
 
@@ -509,14 +504,16 @@ def _word_vec(rank: int, coeffs: Mapping[Word, object] | None) -> dict:
     return _axpy({}, None, pairs)
 
 
-class HeckeElement:
-    """Sparse linear combination of normal-form basis words, coefficients in K.
+class _WordVector:
+    """Sparse coefficients on normal-form basis words, keyed by word index.
 
     ``_c`` maps word indices to nonzero coefficients in `_stored` form, which
-    the constructor enforces, so ``==`` and ``hash`` compare it directly.
+    the constructor enforces, so ``==`` compares it directly.
     """
 
     __slots__ = ("rank", "_c")
+    _letter = "T"                       # basis letter in the repr
+    _zero = "0"                         # repr of the zero vector, formatted with rank
 
     def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _wids=None):
         self.rank = rank
@@ -529,6 +526,25 @@ class HeckeElement:
         """Word-keyed view of the coefficients (a fresh dict)."""
         words = symmetric_group_table(self.rank).words
         return {words[wid]: _field_value(v) for wid, v in sorted(self._c.items())}
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.rank == other.rank and self._c == other._c
+
+    def __repr__(self):
+        if not self._c:
+            return self._zero.format(rank=self.rank)
+        words = symmetric_group_table(self.rank).words
+        return " + ".join(f"({_field_value(v)})*{self._letter}{words[k]}"
+                          for k, v in sorted(self._c.items()))
+
+
+class HeckeElement(_WordVector):
+    """Sparse linear combination of normal-form basis words, coefficients in K."""
+
+    __slots__ = ()
+    _zero = "HeckeElement(rank={rank}, 0)"
 
     @property
     def is_zero(self) -> bool:
@@ -575,21 +591,12 @@ class HeckeElement:
         return self * v.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, HeckeElement):
-            return self.rank == other.rank and self._c == other._c
         if isinstance(other, (int, Fraction, RationalFunction, LaurentPolynomial)):
             return self == _scalar_elem(self.rank, other)
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash((self.rank, tuple(sorted(self._c.items()))))
-
-    def __repr__(self):
-        if not self._c:
-            return f"HeckeElement(rank={self.rank}, 0)"
-        words = symmetric_group_table(self.rank).words
-        parts = [f"({_field_value(v)})*T{words[k]}" for k, v in sorted(self._c.items())]
-        return " + ".join(parts)
 
     # -- structure maps
 
@@ -608,21 +615,11 @@ def _scalar_elem(rank: int, value) -> HeckeElement:
     return HeckeElement(rank, _wids=({table.identity: v} if v else {}))
 
 
-class TPrimeExpansion:
+class TPrimeExpansion(_WordVector):
     """Coordinates of an element in the T'-normal-form basis (stored as in HeckeElement)."""
 
-    __slots__ = ("rank", "_c")
-
-    def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _wids=None):
-        self.rank = rank
-        if _wids is None:
-            _wids = _word_vec(rank, coeffs)
-        self._c = {k: _stored(v) for k, v in _wids.items()}
-
-    @property
-    def coeffs(self) -> dict[Word, RationalFunction]:
-        words = symmetric_group_table(self.rank).words
-        return {words[wid]: _field_value(v) for wid, v in sorted(self._c.items())}
+    __slots__ = ()
+    _letter = "T'"
 
     def parities(self) -> set[int]:
         length = symmetric_group_table(self.rank).length
@@ -631,16 +628,6 @@ class TPrimeExpansion:
     @property
     def even_supported(self) -> bool:
         return self.parities() <= {0}
-
-    def __eq__(self, other):
-        if not isinstance(other, TPrimeExpansion):
-            return NotImplemented
-        return self.rank == other.rank and self._c == other._c
-
-    def __repr__(self):
-        words = symmetric_group_table(self.rank).words
-        parts = [f"({_field_value(v)})*T'{words[k]}" for k, v in sorted(self._c.items())] or ["0"]
-        return " + ".join(parts)
 
 
 def to_tprime_basis(x: HeckeElement) -> TPrimeExpansion:

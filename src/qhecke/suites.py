@@ -378,9 +378,9 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         bd = anticommutant_basis(tp_gens)
         report.add(prefix + "anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
-        flips_into = all(bd.contains(phi * bm) for bm in b_alg.elements)
-        report.add(prefix + "flip-maps-commutant-onto-anticommutant", flips_into)
         phi_b = AlgebraBasis(dim, [phi * bm for bm in b_alg.elements])
+        flips_into = all(bd.contains(f) for f in phi_b.elements)
+        report.add(prefix + "flip-maps-commutant-onto-anticommutant", flips_into)
         report.add(prefix + "centralizer-splits-as-direct-sum",
                    direct_sum_check(d_alg, b_alg, phi_b),
                    expected=f"{len(d_alg)} = {len(b_alg)} + {len(phi_b)}",
@@ -397,13 +397,11 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         report.add(prefix + "conjugation-preserves-commutant", omega_closes)
         report.add(prefix + "conjugation-has-order-two", omega_invol)
 
-        alpha_mat = ident if sign == 1 else sign_one
-
         def apply_fn(s, a):
             return a if s == 1 else omega(a)
 
         def alpha(s, t):
-            return ident if (s == 1 or t == 1) else alpha_mat
+            return ident if (s == 1 or t == 1) else sign_one
 
         axiom_failures = check_crossed_axioms(apply_fn, alpha, alpha, ident, basis_sample)
         report.add(prefix + "crossed-system-axioms", not axiom_failures,
@@ -428,13 +426,11 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
                    actual=f"dims {len(a_alg)} vs {len(c_alg)}" + ("" if collapse else " (differ)"))
 
 
-def suite_specialization(m: int, n: int, r: int, *, t=None, points=None,
+def suite_specialization(m: int, n: int, r: int, *, points=None,
                          seed: int = 0, bound: int | None = None) -> Report:
     """Cross-checks at explicit rational points and at the classical point q=1."""
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
-    if points is None and t is not None:
-        points = [t]
     points = [p for p, _ in specialization_points(points, seed)]
     report = Report("specialization",
                     {"m": m, "n": n, "r": r, "seed": seed,

@@ -173,6 +173,16 @@ class OperatorMatrix:
         return lines
 
 
+def _operator(space: GradedSpace,
+              images: Callable[[tuple[int, ...]], Iterable[tuple]]) -> OperatorMatrix:
+    """The linear map sending each basis tensor to the sum of the (tensor,
+    coefficient) pairs that ``images`` gives for it; columns in rank order."""
+    rank_of = space.rank_of
+    pairs = [((rank_of(t), col), c)
+             for col, idx in enumerate(space.indices()) for t, c in images(idx)]
+    return OperatorMatrix._raw(space.dim, _axpy({}, None, pairs))
+
+
 # ---------------------------------------------------------------------------
 # the Hecke action
 # ---------------------------------------------------------------------------
@@ -182,19 +192,10 @@ def _two_site_operator(space: GradedSpace, i: int,
     """Embed a two-letter rule at tensor slots (i, i+1), identity elsewhere."""
     if not 1 <= i <= space.r - 1:
         raise ValueError(f"site index {i} out of range for r={space.r}")
-    letters = space.letters
-    local: dict[tuple[int, int], list] = {}
-    for k in range(1, letters + 1):
-        for l in range(1, letters + 1):
-            local[(k, l)] = rule(k, l)
-    pairs = []
-    lo = letters ** (space.r - i - 1)   # weight of the slot i+1 position
-    for col, idx in enumerate(space.indices()):
-        k, l = idx[i - 1], idx[i]
-        base = col - ((k - 1) * letters + (l - 1)) * lo
-        for (k2, l2), coeff in local[(k, l)]:
-            pairs.append(((base + ((k2 - 1) * letters + (l2 - 1)) * lo, col), coeff))
-    return OperatorMatrix._raw(space.dim, _axpy({}, None, pairs))
+    letters = range(1, space.letters + 1)
+    local = {(k, l): rule(k, l) for k in letters for l in letters}
+    return _operator(space, lambda idx: [(idx[:i - 1] + pair + idx[i + 1:], c)
+                                         for pair, c in local[idx[i - 1:i + 1]]])
 
 
 def pi_T(space: GradedSpace, i: int) -> OperatorMatrix:
@@ -283,22 +284,15 @@ class RootDatum:
 def rho_sigma(space: GradedSpace) -> OperatorMatrix:
     """Diagonal grading involution: sign (-1)^(total degree)."""
     one = RationalFunction.one()
-    entries = {}
-    for col, idx in enumerate(space.indices()):
-        total = sum(space.degree(k) for k in idx)
-        entries[(col, col)] = one if total % 2 == 0 else -one
-    return OperatorMatrix._raw(space.dim, entries)
+    return _operator(space, lambda idx: [
+        (idx, -one if sum(space.degree(k) for k in idx) % 2 else one)])
 
 
 def rho_weight(space: GradedSpace, b: int) -> OperatorMatrix:
     """Diagonal q-weight operator counting occurrences of the letter b."""
     if not 1 <= b <= space.letters:
         raise ValueError(f"weight index {b} out of range")
-    entries = {}
-    for col, idx in enumerate(space.indices()):
-        count = sum(1 for k in idx if k == b)
-        entries[(col, col)] = RationalFunction.q(count)
-    return OperatorMatrix._raw(space.dim, entries)
+    return rho_weight_vector(space, tuple(int(k == b) for k in range(1, space.letters + 1)))
 
 
 def rho_weight_vector(space: GradedSpace, weights: tuple[int, ...]) -> OperatorMatrix:
@@ -309,11 +303,8 @@ def rho_weight_vector(space: GradedSpace, weights: tuple[int, ...]) -> OperatorM
     """
     if len(weights) != space.letters:
         raise ValueError(f"need {space.letters} weight entries")
-    entries = {}
-    for col, idx in enumerate(space.indices()):
-        expo = sum(weights[k - 1] for k in idx)
-        entries[(col, col)] = RationalFunction.q(expo)
-    return OperatorMatrix._raw(space.dim, entries)
+    return _operator(space, lambda idx: [
+        (idx, RationalFunction.q(sum(weights[k - 1] for k in idx)))])
 
 
 def _rho_root(space: GradedSpace, datum: RootDatum, i: int, raising: bool) -> OperatorMatrix:
@@ -327,22 +318,21 @@ def _rho_root(space: GradedSpace, datum: RootDatum, i: int, raising: bool) -> Op
         raise ValueError(f"root index {i} out of range")
     p = datum.parity(i)
     src, dst = (i + 1, i) if raising else (i, i + 1)
-    pairs = []
-    for col, idx in enumerate(space.indices()):
+
+    def images(idx):
         for t in range(space.r):
             if idx[t] != src:
                 continue
-            sign = 1
-            if p:
-                sign = (-1) ** sum(space.degree(idx[s]) for s in range(t))
             if raising:
                 expo = -sum(datum.alpha_pairing(i, idx[s]) for s in range(t + 1, space.r))
             else:
                 expo = sum(datum.alpha_pairing(i, idx[s]) for s in range(t))
-            moved = idx[:t] + (dst,) + idx[t + 1:]
-            coeff = RationalFunction.q(expo) if sign == 1 else -RationalFunction.q(expo)
-            pairs.append(((space.rank_of(moved), col), coeff))
-    return OperatorMatrix._raw(space.dim, _axpy({}, None, pairs))
+            coeff = RationalFunction.q(expo)
+            if p and sum(space.degree(idx[s]) for s in range(t)) % 2:
+                coeff = -coeff
+            yield idx[:t] + (dst,) + idx[t + 1:], coeff
+
+    return _operator(space, images)
 
 
 def rho_e(space: GradedSpace, datum: RootDatum, i: int) -> OperatorMatrix:
@@ -392,14 +382,13 @@ def phi_tensor(space: GradedSpace) -> OperatorMatrix:
         raise ValueError("the graded flip needs dim V_0 == dim V_1")
     two_m = 2 * space.m
     one = RationalFunction.one()
-    entries = {}
-    for col, idx in enumerate(space.indices()):
-        degs = [space.degree(k) for k in idx]
+
+    def images(idx):
         # sign exponent: sum over slots i >= 2 of the degrees before slot i
-        expo = sum(d * (space.r - j - 1) for j, d in enumerate(degs))
-        row = space.rank_of(tuple(two_m - k + 1 for k in idx))
-        entries[(row, col)] = one if expo % 2 == 0 else -one
-    return OperatorMatrix._raw(space.dim, entries)
+        expo = sum(space.degree(k) * (space.r - j - 1) for j, k in enumerate(idx))
+        return [(tuple(two_m - k + 1 for k in idx), -one if expo % 2 else one)]
+
+    return _operator(space, images)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +401,20 @@ class PiRepresentation:
     def __init__(self, space: GradedSpace):
         self.space = space
         self.table = symmetric_group_table(space.r)
-        self._t: dict[int, OperatorMatrix] = {}
-        self._tp: dict[int, OperatorMatrix] = {}
-        self._x: dict[int, OperatorMatrix] = {}
-        self._word: dict[int, OperatorMatrix] = {}
+        self._gens: dict[tuple[str, int], OperatorMatrix] = {}
+        self._words = {self.table.identity: OperatorMatrix.identity(space.dim)}
+
+    def _generator(self, key: tuple[str, int], build) -> OperatorMatrix:
+        mat = self._gens.get(key)
+        if mat is None:
+            mat = self._gens[key] = build()
+        return mat
 
     def t_matrix(self, i: int) -> OperatorMatrix:
-        mat = self._t.get(i)
-        if mat is None:
-            mat = pi_T(self.space, i)
-            self._t[i] = mat
-        return mat
+        return self._generator(("T", i), lambda: pi_T(self.space, i))
 
     def tprime_matrix(self, i: int) -> OperatorMatrix:
-        mat = self._tp.get(i)
-        if mat is None:
-            mat = pi_Tprime(self.space, i)
-            self._tp[i] = mat
-        return mat
+        return self._generator(("T'", i), lambda: pi_Tprime(self.space, i))
 
     def t_matrices(self) -> list[OperatorMatrix]:
         return [self.t_matrix(i) for i in range(1, self.space.r)]
@@ -439,32 +424,16 @@ class PiRepresentation:
 
     def x_matrix(self, i: int) -> OperatorMatrix:
         """Image of the even generator X_i = T'_1 T'_{i+1}."""
-        mat = self._x.get(i)
-        if mat is None:
-            if not 1 <= i <= self.space.r - 2:
-                raise ValueError(f"X generator index {i} out of range")
-            mat = self.tprime_matrix(1) * self.tprime_matrix(i + 1)
-            self._x[i] = mat
-        return mat
+        if not 1 <= i <= self.space.r - 2:
+            raise ValueError(f"X generator index {i} out of range")
+        return self._generator(("X", i), lambda: self.tprime_matrix(1) * self.tprime_matrix(i + 1))
 
     def x_matrices(self) -> list[OperatorMatrix]:
         return [self.x_matrix(i) for i in range(1, self.space.r - 1)]
 
     def word_matrix(self, word) -> OperatorMatrix:
-        wid = self.table.index[tuple(word)]
-        return self._word_matrix(wid)
-
-    def _word_matrix(self, wid: int) -> OperatorMatrix:
-        mat = self._word.get(wid)
-        if mat is None:
-            ff = self.table.first[wid]
-            if ff is None:
-                mat = OperatorMatrix.identity(self.space.dim)
-            else:
-                g, rest = ff
-                mat = self.t_matrix(g) * self._word_matrix(rest)
-            self._word[wid] = mat
-        return mat
+        return self.table.word_image(self._words, self.table.index[tuple(word)],
+                                     lambda g, rest: self.t_matrix(g) * rest)
 
     def represent(self, x: HeckeElement) -> OperatorMatrix:
         """Linear extension of the action over the normal-form basis."""

@@ -198,7 +198,18 @@ class TestGoldenOutput:
          "2615af7a4d66713b85f8e81dcb5c65f711b82d160b76f5d9412dfbcc441e0222"),
         (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "e2"],
          "1cba02b92d719cd99215f48cefb621feffd757b1a12f77c3a4d7885efec3f7a2"),
-    ], ids=["hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2"])
+        (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "sigma"],
+         "b3d9b9bce721214661f1d7d2e8dc40bd953426ef7777f8558b51833a42cc66f7"),
+        (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "qh3"],
+         "656333e8daf2195d52a23589633d5046eb5ca61586040e8dde5b3584868dcc94"),
+        (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "f2"],
+         "2d2c2a7c804e694962d28e459123cf7592c4dc7fb3d9bcd51116c2bcb3409aa7"),
+        (["dump", "--m", "2", "--n", "2", "--r", "2", "--gen", "phi"],
+         "6669728a513c441c4b5319c60b8ff4b8ea9fbfd231b0f76e8474197862dfcfd1"),
+        (["dump", "--m", "2", "--n", "1", "--r", "3", "--gen", "T2"],
+         "c67f458a559f5a9d54d95c180ade8e28f6a8ca4423c15bb8236d406706060a11"),
+    ], ids=["hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2", "dump-sigma",
+            "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"
         code = cli.main([*args, "--seed", "0", "--out", str(path)])

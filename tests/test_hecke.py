@@ -264,6 +264,17 @@ class TestBasisConversion:
             assert H.tprime_basis_element(w) == expected
 
 
+def test_zero_reprs():
+    assert repr(HeckeAlgebra(3).zero()) == "HeckeElement(rank=3, 0)"
+    assert repr(to_tprime_basis(HeckeAlgebra(3).zero())) == "0"
+
+
+def test_an_element_never_equals_its_tprime_coordinates():
+    one = HeckeAlgebra(3).one()
+    assert (one == to_tprime_basis(one)) is False
+    assert (to_tprime_basis(one) == one) is False
+
+
 class TestAlgebraLaws:
     @given(x=hecke_element_strategy(), y=hecke_element_strategy(),
            z=hecke_element_strategy())

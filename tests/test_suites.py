@@ -226,7 +226,7 @@ class TestSpecializationSuite:
         assert checks["hecke-image-rank-at-classical-point"].status == "info"
 
     def test_explicit_point(self):
-        report = suite_specialization(1, 1, 2, t=2)
+        report = suite_specialization(1, 1, 2, points=[2])
         assert report.passed
         assert report.params["points"].startswith("2,")
 
@@ -240,7 +240,7 @@ class TestSpecializationSuite:
 
     def test_rejects_zero_point(self):
         with pytest.raises(ValueError):
-            suite_specialization(1, 1, 2, t=0)
+            suite_specialization(1, 1, 2, points=[0])
         with pytest.raises(ValueError):
             suite_specialization(1, 1, 2, points=[2, 0])
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhecke.hecke import HeckeAlgebra, goldman_eigenproject
+from qhecke.hecke import HeckeAlgebra, generator_sequence, goldman_eigenproject
 from qhecke.qfield import (
     LaurentPolynomial,
     PoleError,
@@ -258,6 +258,15 @@ class TestRepresent:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             represent(HeckeAlgebra(2).one(), GradedSpace(1, 1, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 3)])
+    def test_word_matrix_is_the_product_along_the_generator_sequence(self, shape):
+        rep = PiRepresentation(GradedSpace(*shape))
+        for word in rep.table.words:
+            expected = OperatorMatrix.identity(rep.space.dim)
+            for g in generator_sequence(word):
+                expected = expected * rep.t_matrix(g)
+            assert rep.word_matrix(word) == expected
 
 
 class TestXCache:
