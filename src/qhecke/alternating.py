@@ -84,17 +84,8 @@ class ClosureCheck:
 
 def tprime_product_coords(table: SymmetricGroupTable, left_wid: int, right_wid: int) -> dict:
     """T'-coordinates of T'_{w1} * T'_{w2}, via cascaded generator actions."""
-    vec = {right_wid: _LC_ONE}
-    for g in reversed(table.seqs[left_wid]):
-        vec = table.tp_left_apply(g, vec)
-    return vec
-
-
-def _record_parity_violations(table, w1_wid, w2_wid, vec, out) -> None:
-    words, length = table.words, table.length
-    for wid, c in vec.items():
-        if length[wid] & 1:
-            out.append((words[w1_wid], words[w2_wid], words[wid], str(_lc_to_rf(c))))
+    return table.word_image({table.identity: {right_wid: _LC_ONE}}, left_wid,
+                            table.tp_left_apply)
 
 
 def check_even_closure(rank: int, *, sample_pairs: int | None = None,
@@ -102,43 +93,28 @@ def check_even_closure(rank: int, *, sample_pairs: int | None = None,
     """Re-expand products of even basis words and confirm even-only support.
 
     With ``sample_pairs=None`` every ordered pair is checked (exact, intended
-    for rank <= 5); otherwise a seeded sample of pairs is used.
+    for rank <= 5); otherwise a seeded sample of pairs is used.  Each product
+    T'_{w1} * T'_{w2} is the cascade of `tprime_product_coords`; consecutive
+    pairs with the same right factor share one cache of left-suffix images.
+    Violations are listed in pair order.
     """
     table = symmetric_group_table(rank)
-    evens = [wid for wid in range(len(table.words)) if table.length[wid] % 2 == 0]
-    result = ClosureCheck(rank, 0)
-
-    if sample_pairs is not None:
+    words, length = table.words, table.length
+    evens = [wid for wid in range(len(words)) if length[wid] % 2 == 0]
+    if sample_pairs is None:
+        pairs = [(w1, w2) for w2 in evens for w1 in evens]
+    else:
         rng = random.Random(seed)
-        for _ in range(sample_pairs):
-            w1 = evens[rng.randrange(len(evens))]
-            w2 = evens[rng.randrange(len(evens))]
-            vec = tprime_product_coords(table, w1, w2)
-            _record_parity_violations(table, w1, w2, vec, result.violations)
-            result.pairs_checked += 1
-        return result
-
-    # trie over reversed generator sequences of the left factor, so cascades
-    # with a common tail are evaluated once per right factor
-    root: dict = {}
-    for wid in evens:
-        node = root
-        for g in reversed(table.seqs[wid]):
-            node = node.setdefault(g, {})
-        node["#"] = wid
-
-    def dfs(node, vec, w2):
-        wid = node.get("#")
-        if wid is not None:
-            _record_parity_violations(table, wid, w2, vec, result.violations)
-            result.pairs_checked += 1
-        for g, child in node.items():
-            if g == "#":
-                continue
-            dfs(child, table.tp_left_apply(g, vec), w2)
-
-    for w2 in evens:
-        dfs(root, {w2: _LC_ONE}, w2)
+        pairs = [(evens[rng.randrange(len(evens))], evens[rng.randrange(len(evens))])
+                 for _ in range(sample_pairs)]
+    result = ClosureCheck(rank, len(pairs))
+    right = cache = None
+    for w1, w2 in pairs:
+        if w2 != right:
+            right, cache = w2, {table.identity: {w2: _LC_ONE}}
+        for wid, c in table.word_image(cache, w1, table.tp_left_apply).items():
+            if length[wid] & 1:
+                result.violations.append((words[w1], words[w2], words[wid], str(_lc_to_rf(c))))
     return result
 
 

@@ -131,7 +131,7 @@ def _generator_matrix(space: GradedSpace, label: str):
             return rep.tprime_matrix(idx)
         if kind == "X":
             return rep.x_matrix(idx)
-        return rho_generator(space, {"qh": "qh", "e": "e", "f": "f"}[kind], idx)
+        return rho_generator(space, kind, idx)
     if label == "sigma":
         return rho_generator(space, "sigma")
     if label == "phi":
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
                 report = suite_specialization(args.m, args.n, args.r,
                                               points=points, seed=args.seed,
                                               bound=args.bound)
-                keys = ("m", "n", "r", "seed", "points")
+                keys = ("m", "n", "r", "seed", "points", "bound")
             dumps = _suite_dumps(args) if getattr(args, "dump", False) else None
             doc = _report_doc(f"verify {args.suite}", args, keys, report, dumps)
             _emit(doc, args.out)

@@ -17,7 +17,8 @@ consequences and are exercised by the test suite rather than assumed.
 The involutive generators ``T'_i = (2 T_i - (q - q^-1)) / (q + q^-1)`` give a
 second normal-form basis (products of T' factors along the same words).  The
 conversion between the two bases is triangular with respect to word length,
-which is what `to_tprime_basis` exploits.
+which is what `to_tprime_basis` exploits.  Maps given on basis words (the T'
+words, the Goldman images, the T'-columns) extend linearly by `_linear`.
 
 T'-columns.  Left multiplication by T'_g on T' coordinates needs the column
 T'_g * T'_w (`tp_left_col`).  The T' generators are involutions and far ones
@@ -28,7 +29,8 @@ v = s_g w by far commutations -- decided by comparing the least word of each
 commutation class -- the column is the basis word T'_v, with no arithmetic.
 Any other column goes through the T basis and back by `to_tprime`: reaching
 the word of v from it needs a braid move, and the braid relation of the T'
-generators carries a correction term.
+generators carries a correction term.  Products of T' words are cascades of
+these columns along the left word (`word_image` with `tp_left_apply`).
 
 Coefficients.  One engine serves every coefficient.  A coefficient that lies
 in the localization Q[q, q^-1, (q+q^-1)^-1] -- all that these constructions
@@ -42,14 +44,14 @@ at the API boundary (`coeffs`, `repr`).  All values are immutable once built.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _int_gcd
 from typing import Mapping
 
-from .qfield import (LaurentPolynomial, RationalFunction, _axpy, _mul_terms, _qp_pow,
-                     _qsq_den, _strip_qp)
+from .qfield import (HALF, LaurentPolynomial, RationalFunction, _axpy, _linear, _mul_terms,
+                     _qp_pow, _qsq_den, _strip_qp)
 
 Word = tuple[int, ...]
 
@@ -402,38 +404,31 @@ class SymmetricGroupTable:
             self._beta[L] = cached
         return cached
 
+    @cached_property
+    def by_length(self) -> list[int]:
+        """Word indices, longest first and ascending among equal lengths."""
+        return sorted(range(len(self.words)), key=lambda wid: -self.length[wid])
+
     def to_tprime(self, vec: dict) -> dict:
-        """Coordinates in the T'-normal-form basis (triangular elimination)."""
+        """Coordinates in the T'-normal-form basis (triangular elimination).
+
+        T'_w is a multiple of T_w plus shorter words, so the words are
+        eliminated in `by_length` order, and ``out`` keeps that order.
+        """
         out: dict = {}
         work = dict(vec)
-        heap: list[tuple[int, int]] = [(-self.length[w], w) for w in work]
-        heapq.heapify(heap)
-        while heap:
-            _, wid = heapq.heappop(heap)
+        for wid in self.by_length:
+            if not work:
+                break
             a = work.pop(wid, None)
-            if a is None or not a:
+            if not a:
                 continue
-            L = self.length[wid]
-            beta = a * self._beta_factor(L)
-            out[wid] = beta
-            if L:
-                # hand-written: a newly created key is pushed onto the heap
-                for u, cu in self.tprime_word(wid).items():
-                    if u == wid:
-                        continue
-                    old = work.get(u)
-                    if old is None:
-                        work[u] = -(beta * cu)
-                        heapq.heappush(heap, (-self.length[u], u))
-                    else:
-                        work[u] = old - beta * cu
+            beta = out[wid] = a * self._beta_factor(self.length[wid])
+            _axpy(work, -beta, ((u, cu) for u, cu in self.tprime_word(wid).items() if u != wid))
         return out
 
     def from_tprime(self, vec: dict) -> dict:
-        out: dict = {}
-        for wid, c in vec.items():
-            _axpy(out, c, self.tprime_word(wid).items())
-        return out
+        return _linear(vec, self.tprime_word)
 
     def tp_left_is_word(self, g: int, wid: int) -> bool:
         """Whether T'_g * T'_w is the basis word T'_v, v = s_g w, by the word rule."""
@@ -457,10 +452,7 @@ class SymmetricGroupTable:
 
     def tp_left_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by T'_g on T'-coordinate vectors."""
-        out: dict = {}
-        for wid, c in vec.items():
-            _axpy(out, c, self.tp_left_col(g, wid).items())
-        return out
+        return _linear(vec, lambda wid: self.tp_left_col(g, wid))
 
 
 _TABLE_CACHE: dict[int, SymmetricGroupTable] = {}
@@ -603,10 +595,7 @@ class HeckeElement(_WordVector):
     def goldman(self) -> "HeckeElement":
         """Image under the algebra involution determined by T_i -> (q-q^-1) - T_i."""
         table = symmetric_group_table(self.rank)
-        out: dict = {}
-        for wid, c in self._c.items():
-            _axpy(out, c, table.goldman_word(wid).items())
-        return HeckeElement(self.rank, _wids=out)
+        return HeckeElement(self.rank, _wids=_linear(self._c, table.goldman_word))
 
 
 def _scalar_elem(rank: int, value) -> HeckeElement:
@@ -651,8 +640,7 @@ def goldman_eigenproject(x: HeckeElement, sign: int) -> HeckeElement:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g = x.goldman()
-    half = RationalFunction.constant(Fraction(1, 2))
-    return (x + g if sign == 1 else x - g) * half
+    return (x + g if sign == 1 else x - g) * HALF
 
 
 # ---------------------------------------------------------------------------

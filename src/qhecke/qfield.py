@@ -14,7 +14,8 @@ Every value is immutable; all operations return new objects.  No floating
 point is used anywhere.
 
 This module also owns the sparse kernels the other layers call: `_axpy`
-(accumulate and drop zeros), `_mul_terms` (the Laurent product), and the
+(accumulate and drop zeros), `_linear` (the linear extension of a map on
+keys, built on `_axpy`), `_mul_terms` (the Laurent product), and the
 q + q^-1 kernels `_idiv_qp`, `_strip_qp` and `_qp_pow`, which act on term
 dicts with `int` or `Fraction` coefficients and serve both the Hecke layer's
 localized coefficients and the (q^2 + 1)^k fast path of `_reduce`.
@@ -56,6 +57,14 @@ def _axpy(out: dict, a, pairs) -> dict:
             out[k] = v
         elif s is not None:
             del out[k]
+    return out
+
+
+def _linear(vec: dict, image) -> dict:
+    """The sum of ``c * image(k)`` over the pairs (k, c) of vec, each image a sparse dict."""
+    out: dict = {}
+    for k, c in vec.items():
+        _axpy(out, c, image(k).items())
     return out
 
 
@@ -647,9 +656,7 @@ def specialize(f: RationalFunction, point) -> Fraction:
 
 # frequently used elements
 Q = RationalFunction.q()
-QINV = RationalFunction.q(-1)
 Q_MINUS_QINV = RationalFunction(LaurentPolynomial({1: 1, -1: -1}))
 Q_PLUS_QINV = RationalFunction(LaurentPolynomial({1: 1, -1: 1}))
 ONE = RationalFunction.one()
-ZERO = RationalFunction.zero()
 HALF = RationalFunction.constant(Fraction(1, 2))

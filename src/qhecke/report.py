@@ -36,7 +36,7 @@ class Report:
 
     def add(self, name: str, ok: bool, expected="", actual="", witness=None) -> CheckRecord:
         rec = CheckRecord(name, PASS if ok else FAIL, str(expected), str(actual),
-                          witness if (witness is None or ok is False) else None)
+                          None if ok else witness)
         self.checks.append(rec)
         return rec
 

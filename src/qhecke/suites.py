@@ -431,21 +431,21 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
     """Cross-checks at explicit rational points and at the classical point q=1."""
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
-    points = [p for p, _ in specialization_points(points, seed)]
+    rep = PiRepresentation(space)
+
+    def image_ranks(t):
+        """Ranks of the T- and X-generated images at q = t."""
+        return tuple(len(_closure_of([specialize_matrix(g, t) for g in gens],
+                                     space.dim, Fraction(1)))
+                     for gens in (rep.t_matrices(), rep.x_matrices()))
+
+    points, ranks = zip(*specialization_points(points, seed, image_ranks))
+    dims_a, dims_c = (list(d) for d in zip(*ranks))
     report = Report("specialization",
                     {"m": m, "n": n, "r": r, "seed": seed,
                      "points": ",".join(str(p) for p in points)})
-    rep = PiRepresentation(space)
     pred = predicted_dimensions(m, n, r)
 
-    dims_a = []
-    dims_c = []
-    for p in points:
-        st = [specialize_matrix(g, p) for g in rep.t_matrices()]
-        sx = [specialize_matrix(g, p) for g in rep.x_matrices()]
-        one = Fraction(1)
-        dims_a.append(len(_closure_of(st, space.dim, one)))
-        dims_c.append(len(_closure_of(sx, space.dim, one)))
     report.add("hecke-image-rank-agreement", len(set(dims_a)) == 1 and dims_a[0] == pred.dimA,
                expected=f"rank {pred.dimA} at all points",
                actual=f"ranks {dims_a} at points {[str(p) for p in points]}")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
-from .qfield import PoleError, RationalFunction, _as_point_value, _axpy
+from .qfield import PoleError, RationalFunction, _as_point_value, _axpy, _linear
 
 
 @dataclass(frozen=True)
@@ -439,10 +439,8 @@ class PiRepresentation:
         """Linear extension of the action over the normal-form basis."""
         if x.rank != self.space.r:
             raise ValueError(f"element rank {x.rank} != tensor power {self.space.r}")
-        out = OperatorMatrix(self.space.dim)
-        for word, c in x.coeffs.items():
-            out = out + self.word_matrix(word).scale(c)
-        return out
+        return OperatorMatrix._raw(self.space.dim, _linear(
+            x.coeffs, lambda word: self.word_matrix(word).entries))
 
 
 def represent(x: HeckeElement, space: GradedSpace) -> OperatorMatrix:

@@ -13,12 +13,15 @@ from qhecke.alternating import (
     x_generator,
 )
 from qhecke.hecke import (
+    _LC_ONE,
     HeckeAlgebra,
+    _lc_to_rf,
     goldman_eigenproject,
     symmetric_group_table,
     to_tprime_basis,
 )
 from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV
+from qhecke.suites import suite_alt
 
 
 class TestEvenBasis:
@@ -114,6 +117,52 @@ class TestClosure:
         even = next(w for w in range(len(table.words)) if table.length[w] % 2 == 0)
         coords = tprime_product_coords(table, odd, even)
         assert {table.length[w] & 1 for w in coords} == {1}
+
+    @pytest.fixture
+    def broken_table(self, monkeypatch):
+        """The rank-3 table with an odd term injected into one T'-column."""
+        table = symmetric_group_table(3)
+        odd = next(w for w in range(len(table.words)) if table.length[w] == 1)
+        w1 = next(w for w in range(len(table.words)) if table.length[w] == 2)
+        target = table.first[w1]          # the last step of every cascade for T'_{w1}
+        column = table.tp_left_col
+
+        def tp_left_col(g, wid):
+            col = column(g, wid)
+            return {**col, odd: _LC_ONE} if (g, wid) == target else col
+
+        monkeypatch.setitem(vars(table), "tp_left_col", tp_left_col)
+        return table
+
+    @staticmethod
+    def _violations(table, pairs):
+        words, length = table.words, table.length
+        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c)))
+                for w1, w2 in pairs
+                for u, c in tprime_product_coords(table, w1, w2).items() if length[u] & 1]
+
+    def test_exhaustive_mode_reports_the_violating_pairs(self, broken_table):
+        evens = [w for w in range(6) if broken_table.length[w] % 2 == 0]
+        expected = self._violations(broken_table, [(w1, w2) for w2 in evens for w1 in evens])
+        result = check_even_closure(3)
+        assert expected and not result.passed
+        assert result.violations == expected
+        assert result.pairs_checked == 9
+
+    def test_sampled_mode_reports_the_violating_pairs(self, broken_table):
+        evens = [w for w in range(6) if broken_table.length[w] % 2 == 0]
+        rng = random.Random(5)
+        pairs = [(evens[rng.randrange(3)], evens[rng.randrange(3)]) for _ in range(30)]
+        expected = self._violations(broken_table, pairs)
+        result = check_even_closure(3, sample_pairs=30, seed=5)
+        assert expected and not result.passed
+        assert result.violations == expected
+        assert result.pairs_checked == 30
+
+    def test_suite_fails_closure_with_a_witness(self, broken_table):
+        check = next(c for c in suite_alt(3).checks if c.name == "even-basis-closure")
+        assert check.status == "fail"
+        assert check.witness.startswith("T'")
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_cascade_matches_direct_products(self, rank):

@@ -55,6 +55,12 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["params"]["points"].startswith("2")
 
+    def test_specialize_config_keeps_bound(self, capsys):
+        code, out, _ = run(["verify", "specialize", "--m", "1", "--n", "1",
+                            "--r", "2", "--bound", "100"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["bound"] == "100"
+
     @pytest.mark.parametrize("points", ["1/0", "0", "x", ",", "", "2,2", "2,4/2", "3/2,5,6/4"])
     def test_bad_points_exit_two(self, points, capsys):
         code, _, err = run(["verify", "specialize", "--m", "1", "--n", "1",
@@ -186,6 +192,8 @@ class TestGoldenOutput:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("args, digest", [
+        (["verify", "hecke", "--r", "4"],
+         "75441cbedfd8346c0052fe737b5c8415d4830eab887b1bfa21cd1029d8ffbae9"),
         (["verify", "hecke", "--r", "5"],
          "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
         (["verify", "hecke", "--r", "6"],
@@ -208,7 +216,7 @@ class TestGoldenOutput:
          "6669728a513c441c4b5319c60b8ff4b8ea9fbfd231b0f76e8474197862dfcfd1"),
         (["dump", "--m", "2", "--n", "1", "--r", "3", "--gen", "T2"],
          "c67f458a559f5a9d54d95c180ade8e28f6a8ca4423c15bb8236d406706060a11"),
-    ], ids=["hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2", "dump-sigma",
+    ], ids=["hecke-4", "hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2", "dump-sigma",
             "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"

@@ -255,6 +255,13 @@ class TestBasisConversion:
             x = H.basis_element(w)
             assert from_tprime_basis(to_tprime_basis(x)) == x
 
+    def test_coordinates_come_longest_first(self):
+        # ties in length come in ascending word index
+        table = symmetric_group_table(4)
+        coords = table.to_tprime({wid: _LC_ONE for wid in range(len(table.words))})
+        assert len(coords) == len(table.words)
+        assert list(coords) == sorted(coords, key=lambda w: (-table.length[w], w))
+
     def test_tprime_word_is_product_of_generators(self):
         H = HeckeAlgebra(4)
         for w in normal_form_words(4):

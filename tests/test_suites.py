@@ -314,6 +314,12 @@ class TestReport:
         assert not report.passed
         assert [c.name for c in report.failures()] == ["bad"]
 
+    @pytest.mark.parametrize("ok, status, witness", [
+        (0, "fail", "w"), (False, "fail", "w"), (1, "pass", None)])
+    def test_witness_kept_exactly_on_failure(self, ok, status, witness):
+        rec = Report("d").add("bad", ok, witness="w")
+        assert (rec.status, rec.witness) == (status, witness)
+
     def test_info_does_not_fail(self):
         report = Report("demo", {})
         report.info("note", actual="42")
