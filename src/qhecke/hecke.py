@@ -12,7 +12,10 @@ Multiplication.  Left multiplication by a generator T_g follows the length
 rule on permutations: ``T_g * T_w = T_{gw}`` when the length goes up, and
 ``(q - q^-1) T_w + T_{gw}`` otherwise.  Products of general elements are
 reduced generator by generator; the quadratic and braid relations are
-consequences and are exercised by the test suite rather than assumed.
+consequences and are exercised by the test suite rather than assumed.  The
+steps run fraction-free: each factor is brought to one shared denominator
+(`_common`), `gen_mul` adds and shifts the integer Laurent numerators, and
+each output coefficient is normalized once (`_from_common`).
 
 The involutive generators ``T'_i = (2 T_i - (q - q^-1)) / (q + q^-1)`` give a
 second normal-form basis (products of T' factors along the same words).  The
@@ -35,19 +38,21 @@ these columns along the left word (`word_image` with `tp_left_apply`).
 Coefficients.  One engine serves every coefficient.  A coefficient that lies
 in the localization Q[q, q^-1, (q+q^-1)^-1] -- all that these constructions
 produce -- is stored in a compact integer form (`_LC`); any other (after a
-division by q - 1, say) is stored as a `RationalFunction`.  An `_LC` combined
-with a `RationalFunction` converts itself and yields one, so the same table
-routines run on both, and the element constructors restore the `_LC` form
-wherever the value allows.  `RationalFunction` values are produced again only
-at the API boundary (`coeffs`, `repr`).  All values are immutable once built.
+division by q - 1, say) is stored as a `RationalFunction`.  The table routines
+take both: a vector holding a `RationalFunction` shares a polynomial
+denominator, carries `Fraction` numerators through the same steps and yields
+`RationalFunction` values, and an `_LC` combined with a `RationalFunction`
+converts itself.  The element constructors restore the `_LC` form wherever
+the value allows.  `RationalFunction` values are produced again only at the
+API boundary (`coeffs`, `repr`).  All values are immutable once built.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
-from math import gcd as _int_gcd
+from functools import cached_property, reduce
+from math import gcd as _int_gcd, lcm
 from typing import Mapping
 
 from .qfield import (HALF, LaurentPolynomial, RationalFunction, _axpy, _linear, _mul_terms,
@@ -173,22 +178,10 @@ class _LC:
     def __add__(self, other):
         if type(other) is not _LC:
             return _lc_to_rf(self) + other
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        ek = max(self.ek, other.ek)
-        d = self.d * other.d // _int_gcd(self.d, other.d)
-        a = self.num
-        fa = d // self.d
-        if ek > self.ek:
-            a = _mul_terms(a, _qp_pow(ek - self.ek))
-        b = other.num
-        fb = d // other.d
-        if ek > other.ek:
-            b = _mul_terms(b, _qp_pow(ek - other.ek))
-        out = {e: c * fa for e, c in a.items()} if fa != 1 else dict(a)
-        return _lc_norm(_axpy(out, fb if fb != 1 else None, b.items()), d, ek)
+        if not (self.num and other.num):
+            return self if not other.num else other
+        nums, (d, ek, _) = _common({0: self, 1: other})
+        return _lc_norm(_axpy(dict(nums[0]), None, nums[1].items()), d, ek)
 
     def __radd__(self, other):
         return other + _lc_to_rf(self)
@@ -200,11 +193,17 @@ class _LC:
         return other - _lc_to_rf(self)
 
     def __mul__(self, other):
+        """A canonical numerator with ek > 0 is prime to q^2 + 1, which is
+        irreducible over Q; by Gauss's lemma so is a product of two, so only a
+        factor with ek == 0 can bring a q + q^-1 to strip.  A content gcd is
+        needed only when d1 * d2 > 1."""
         if type(other) is not _LC:
             return _lc_to_rf(self) * other
         if not self.num or not other.num:
             return _LC_ZERO
-        return _lc_norm(_mul_terms(self.num, other.num), self.d * other.d, self.ek + other.ek)
+        ek = self.ek + other.ek
+        return _lc_norm(_mul_terms(self.num, other.num), self.d * other.d, ek,
+                        0 if self.ek and other.ek else ek)
 
     def __rmul__(self, other):
         return other * _lc_to_rf(self)
@@ -216,17 +215,14 @@ class _LC:
 _LC_ZERO = _LC({}, 1, 0)
 
 
-def _lc_norm(num: dict[int, int], d: int, ek: int) -> _LC:
+def _lc_norm(num: dict[int, int], d: int, ek: int, strip: int | None = None) -> _LC:
+    """The canonical `_LC` of num / (d (q+q^-1)^ek), trying to divide out at
+    most ``strip`` (default ek) factors of q + q^-1."""
     if not num:
         return _LC_ZERO
-    num, stripped = _strip_qp(num, ek)
+    num, stripped = _strip_qp(num, ek if strip is None else strip)
     ek -= stripped
-    g = 0
-    for c in num.values():
-        g = _int_gcd(g, c)
-        if g == 1:
-            break
-    g = _int_gcd(g, d)
+    g = _int_gcd(d, *num.values()) if d > 1 else 1
     if g > 1:
         num = {e: c // g for e, c in num.items()}
         d //= g
@@ -234,11 +230,6 @@ def _lc_norm(num: dict[int, int], d: int, ek: int) -> _LC:
 
 
 _LC_ONE = _LC({0: 1}, 1, 0)
-_LC_MINUS_ONE = _LC({0: -1}, 1, 0)
-_LC_QM = _LC({1: 1, -1: -1}, 1, 0)     # q - q^-1
-# T'_g = _LC_TP_T * T_g + _LC_TP_1
-_LC_TP_T = _LC({0: 2}, 1, 1)           # 2 / (q + q^-1)
-_LC_TP_1 = _LC({1: -1, -1: 1}, 1, 1)   # -(q - q^-1) / (q + q^-1)
 
 
 def _lc_to_rf(x: _LC) -> RationalFunction:
@@ -254,11 +245,41 @@ def _rf_to_lc(f: RationalFunction) -> _LC | None:
     rest, k = _strip_qp(f.den.terms, max(f.den.terms))
     if len(rest) != 1:
         return None
-    lcm = 1
-    for c in f.num.terms.values():
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    num = {e - k: int(c * lcm) for e, c in f.num.terms.items()}
-    return _lc_norm(num, lcm, k)
+    d = lcm(*(c.denominator for c in f.num.terms.values()))
+    return _lc_norm({e - k: int(c * d) for e, c in f.num.terms.items()}, d, k)
+
+
+def _common(vec: dict) -> tuple[dict, tuple]:
+    """vec's numerators over one denominator d (q+q^-1)^ek p: d and ek the lcm and max over
+    its `_LC` values, p the product of its distinct RF denominators (None if it has none)."""
+    d, ek, dens = 1, 0, []
+    for c in vec.values():
+        if type(c) is _LC:
+            d, ek = lcm(d, c.d), max(ek, c.ek)
+        elif c.den.terms not in dens:
+            dens.append(c.den.terms)
+    cofactors = [reduce(_mul_terms, dens[:i] + dens[i + 1:], {0: 1}) for i in range(len(dens))]
+    p = _mul_terms(cofactors[0], dens[0]) if dens else None
+    nums = {}
+    for wid, c in vec.items():
+        if type(c) is _LC:
+            num, f, k = c.num if p is None else _mul_terms(c.num, p), d // c.d, ek - c.ek
+        else:
+            num, f, k = _mul_terms(c.num.terms, cofactors[dens.index(c.den.terms)]), d, ek
+        if k:
+            num = _mul_terms(num, _qp_pow(k))
+        nums[wid] = {e: f * t for e, t in num.items()} if f != 1 else num
+    return nums, (d, ek, p)
+
+
+def _from_common(nums: dict, den: tuple) -> dict:
+    """The nonzero coefficients num / den over a `_common` denominator (d, ek, p)."""
+    d, ek, p = den
+    if p is None:
+        return {wid: _lc_norm(num, d, ek) for wid, num in nums.items() if num}
+    den = LaurentPolynomial(_mul_terms(p, {e: d * c for e, c in _qp_pow(ek).items()}))
+    return {wid: RationalFunction(LaurentPolynomial(num), den)
+            for wid, num in nums.items() if num}
 
 
 def _stored(c):
@@ -293,14 +314,23 @@ class SymmetricGroupTable:
         self.rank = rank
         self.words = normal_form_words(rank)
         self.index: dict[Word, int] = {w: i for i, w in enumerate(self.words)}
-        perms = [word_to_permutation(w) for w in self.words]
-        self.perms = perms
+        self.length = [sum(w) for w in self.words]
+        self.identity = self.index[tuple([0] * (rank - 1))]
+        self.first: list[tuple[int, int] | None] = [None] * len(self.words)
+        for wid, w in enumerate(self.words):
+            if wid != self.identity:
+                g, rest = _first_factor(w)
+                self.first[wid] = (g, self.index[rest])
+        # shortest first; T_w = T_g T_rest swaps the values g, g+1 of rest's permutation
+        self.perms = perms = [tuple(range(1, rank + 1))] * len(self.words)
+        self.seqs: list[tuple[int, ...]] = [()] * len(self.words)
+        for wid in sorted(range(len(self.words)), key=self.length.__getitem__)[1:]:
+            g, rest = self.first[wid]
+            perms[wid] = tuple(g + 1 if v == g else g if v == g + 1 else v for v in perms[rest])
+            self.seqs[wid] = (g,) + self.seqs[rest]
         self.perm_index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(perms)}
         if len(self.perm_index) != len(self.words):
             raise AssertionError("normal-form words do not biject onto permutations")
-        self.length = [sum(w) for w in self.words]
-        self.identity = self.index[tuple([0] * (rank - 1))]
-        self.seqs = [generator_sequence(w) for w in self.words]
         # left_mult[g-1][wid] = word index of s_g . w;
         # right_mult[g-1][wid] = word index of w . s_g
         self.left_mult: list[list[int]] = []
@@ -315,13 +345,6 @@ class SymmetricGroupTable:
                 rrow.append(self.perm_index[swapped])
             self.left_mult.append(lrow)
             self.right_mult.append(rrow)
-        self.first: list[tuple[int, int] | None] = []
-        for w in self.words:
-            if sum(w) == 0:
-                self.first.append(None)
-            else:
-                g, rest = _first_factor(w)
-                self.first.append((g, self.index[rest]))
         self._goldman: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
         self._tprime: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
         self._tp_left: dict[tuple[int, int], dict[int, _LC]] = {}
@@ -330,49 +353,62 @@ class SymmetricGroupTable:
 
     # -- generator actions on coefficient vectors
 
-    def gen_mul(self, row: list[int], vec: dict) -> dict:
-        """Multiplication by one generator T_g under the length rule.
-
-        ``row`` is ``left_mult[g-1]`` for T_g * vec and ``right_mult[g-1]``
-        for vec * T_g.
-        """
+    def gen_mul(self, row: list[int], nums: dict, m: int = 1, s: int = 0) -> dict:
+        """(m T_g + s (q - q^-1)) on Laurent numerators over a shared denominator;
+        ``row`` is ``left_mult[g-1]`` (left) or ``right_mult[g-1]`` (right).  Input dicts
+        are shared into the output, never mutated."""
         length = self.length
         out: dict = {}
-        # hand-written: two targets per entry in the hot product; zeros dropped once below
-        for wid, c in vec.items():
-            w2 = row[wid]
-            s = out.get(w2)
-            out[w2] = c if s is None else s + c
-            if length[w2] < length[wid]:
-                extra = c * _LC_QM
-                s = out.get(wid)
-                out[wid] = extra if s is None else s + extra
-        return {k: v for k, v in out.items() if v}
+        for w, a in nums.items():
+            v = row[w]
+            if length[v] > length[w]:
+                if v in nums:
+                    continue                    # the pair is done at v
+                u, au, av = w, a, {}
+            else:
+                u, v, au, av = v, w, nums.get(v, {}), a
+            # T_g T_u = T_v and T_g T_v = T_u + (q - q^-1) T_v
+            for x, b, c, k in ((u, av, au, s), (v, au, av, m + s)):
+                y = b if m == 1 else {e: m * t for e, t in b.items()}
+                if k and c:
+                    if y is b:
+                        y = dict(b)
+                    for e, t in c.items():
+                        y[e + 1] = y.get(e + 1, 0) + k * t
+                        y[e - 1] = y.get(e - 1, 0) - k * t
+                    y = {e: t for e, t in y.items() if t}
+                if y:
+                    out[x] = y
+        return out
 
     def elem_mul(self, x: dict, y: dict) -> dict:
         # decompose the factor with the smaller support into generator cascades
-        out: dict = {}
         if len(x) <= len(y):
             decompose, anchor, rows, reverse = x, y, self.left_mult, True
         else:
             decompose, anchor, rows, reverse = y, x, self.right_mult, False
-        for wid, c in decompose.items():
-            tmp = anchor
+        cnums, (cd, cek, cp) = _common(decompose)
+        anums, (ad, aek, ap) = _common(anchor)
+        sums: dict = {}
+        for wid, cn in cnums.items():
+            tmp = anums
             seq = self.seqs[wid]
             for g in (reversed(seq) if reverse else seq):
                 tmp = self.gen_mul(rows[g - 1], tmp)
-            _axpy(out, c, tmp.items())
-        return out
+            for k, t in tmp.items():
+                sums[k] = _mul_terms(cn, t, sums.get(k))
+        p = ap if cp is None else cp if ap is None else _mul_terms(cp, ap)
+        return _from_common(sums, (cd * ad, cek + aek, p))
 
     def tprime_gen_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by T'_g = (2 T_g - (q - q^-1)) / (q + q^-1)."""
-        tg = self.gen_mul(self.left_mult[g - 1], vec)
-        return _axpy(_axpy({}, _LC_TP_T, tg.items()), _LC_TP_1, vec.items())
+        nums, (d, ek, p) = _common(vec)
+        return _from_common(self.gen_mul(self.left_mult[g - 1], nums, 2, -1), (d, ek + 1, p))
 
     def goldman_gen_apply(self, g: int, vec: dict) -> dict:
         """Left multiplication by the Goldman image (q - q^-1) - T_g of T_g."""
-        tg = self.gen_mul(self.left_mult[g - 1], vec)
-        return _axpy(_axpy({}, _LC_QM, vec.items()), _LC_MINUS_ONE, tg.items())
+        nums, den = _common(vec)
+        return _from_common(self.gen_mul(self.left_mult[g - 1], nums, -1, 1), den)
 
     # -- images of basis words, factor by factor
 

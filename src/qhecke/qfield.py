@@ -76,11 +76,11 @@ def _neg_terms(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Laurent product; the coefficients may be `int` or `Fraction`."""
-    if not a or not b:
-        return {}
-    out: dict = {}
+def _mul_terms(a: dict, b: dict, out: dict | None = None) -> dict:
+    """Laurent product, added into ``out`` when given; the coefficients may be
+    `int` or `Fraction`."""
+    if out is None:
+        out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2

@@ -232,7 +232,16 @@ class TestGoldenOutput:
         # the lone point 15 is seed 0's second draw: the fill must skip it
         (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "15"],
          "a20e951f02f9767136a2011811bbf9e6f81988c4ab6c3c0a058b1ed012a1ca88"),
-    ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15"])
+        # at these seeds a Hecke product left with q^2 + 1 in its numerator
+        # would change the report
+        (["verify", "hecke", "--r", "6", "--seed", "820626892"],
+         "667dc8180f0c39d4668dfb9b07546050093736a594af1afb576e89bb275661e6"),
+        (["verify", "hecke", "--r", "6", "--seed", "1924014660"],
+         "9c0cd8507fe15b2b614ea9f8eeafec90c7419637b01e42f6a661bff5da8ed5cb"),
+        (["verify", "hecke", "--r", "7", "--bound", "7", "--seed", "0"],
+         "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
+    ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
+            "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main([*args, "--out", str(path)])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhecke.hecke import (
+    _LC,
     _LC_ONE,
+    _LC_ZERO,
+    _field_value,
+    _lc_norm,
+    _lc_to_rf,
     HeckeAlgebra,
     HeckeElement,
     SymmetricGroupTable,
@@ -24,6 +29,8 @@ from qhecke.qfield import (
     Q_MINUS_QINV,
     Q_PLUS_QINV,
     RationalFunction,
+    _mul_terms,
+    _qp_pow,
 )
 
 HALF = RationalFunction.constant(Fraction(1, 2))
@@ -316,6 +323,64 @@ def test_fast_and_fallback_engines_agree():
         assert fast == slow
 
 
+_LC_TP_T = _LC({0: 2}, 1, 1)           # 2 / (q + q^-1), the T_g coefficient of T'_g
+
+
+def _random_lc(rng):
+    # a random canonical coefficient; the factor (q + q^-1)^j leaves q^2 + 1 in
+    # the numerator exactly when the denominator has no q + q^-1 to cancel it
+    num = {e: c for e in range(-2, 3) if (c := rng.randint(-3, 3))} or {0: 1}
+    return _lc_norm(_mul_terms(num, _qp_pow(rng.randint(0, 2))),
+                    rng.choice([1, 2, 3, 4, 6]), rng.randint(0, 3))
+
+
+def test_localized_products_and_sums_are_canonical():
+    # a product skips the strip when both factors carry q + q^-1; one that
+    # keeps a non-canonical numerator would break `==` and `hash`
+    assert _lc_norm({1: 1, -1: 1}, 1, 0) * _LC_TP_T == _LC({0: 2}, 1, 0)
+    assert _LC_ONE + _LC_ZERO == _LC_ZERO + _LC_ONE == _LC_ONE - _LC_ZERO == _LC_ONE
+    rng = random.Random(3)
+    ek_zero = 0
+    for _ in range(300):
+        a, b = _random_lc(rng), _random_lc(rng)
+        ek_zero += not a.ek
+        for value, field in ((a * b, _lc_to_rf(a) * _lc_to_rf(b)),
+                             (a + b, _lc_to_rf(a) + _lc_to_rf(b))):
+            assert _lc_norm(dict(value.num), value.d, value.ek) == value
+            assert _lc_to_rf(value) == field
+    assert 0 < ek_zero < 300
+
+
+def test_mixed_coefficient_vectors_take_the_same_step():
+    # vectors holding both _LC and RationalFunction coefficients go through the
+    # numerator step with one polynomial denominator and come back as
+    # RationalFunction; the all-RF computation gives the same values
+    H = HeckeAlgebra(4)
+    table = H.table
+    rng = random.Random(41)
+    q_minus_one = RationalFunction(LaurentPolynomial({1: 1, 0: -1}))
+
+    def as_rf(vec):
+        return {k: _field_value(v) for k, v in vec.items()}
+
+    for _ in range(6):
+        x, y, z = (H.random_element(rng, 3) for _ in range(3))
+        mixed = (x / q_minus_one + y)._c
+        assert {type(v) for v in mixed.values()} == {_LC, RationalFunction}
+        rf = as_rf(mixed)
+        results = [(table.elem_mul(mixed, z._c), table.elem_mul(rf, as_rf(z._c))),
+                   (table.elem_mul(z._c, mixed), table.elem_mul(as_rf(z._c), rf))]
+        for g in range(1, 4):
+            results.append((table.tprime_gen_apply(g, mixed), table.tprime_gen_apply(g, rf)))
+            results.append((table.goldman_gen_apply(g, mixed), table.goldman_gen_apply(g, rf)))
+        for got, want in results:
+            assert all(isinstance(v, RationalFunction) for v in want.values())
+            assert as_rf(got) == want
+        assert HeckeElement(4, _wids=results[0][0]) == x * z / q_minus_one + y * z
+        g = rng.randint(1, 3)
+        assert HeckeElement(4, _wids=results[2 * g][0]) == H.tprime(g) * (x / q_minus_one + y)
+
+
 def test_coefficients_outside_the_localization():
     H = HeckeAlgebra(4)
     rng = random.Random(23)
@@ -347,6 +412,24 @@ def test_tprime_left_multiplication_columns_match_products():
         for u, c in col.items():
             rebuilt = rebuilt + H.tprime_basis_element(table.words[u]) * _lc_to_rf(c)
         assert rebuilt == direct
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_table_build_matches_the_word_functions(rank):
+    table = SymmetricGroupTable(rank)
+    perms = [word_to_permutation(w) for w in table.words]
+    seqs = [generator_sequence(w) for w in table.words]
+    by_perm = {p: i for i, p in enumerate(perms)}
+    by_seq = {seq: i for i, seq in enumerate(seqs)}
+    assert table.perms == perms
+    assert table.seqs == seqs
+    assert table.first == [(seq[0], by_seq[seq[1:]]) if seq else None for seq in seqs]
+    for g in range(1, rank):
+        assert table.left_mult[g - 1] == [
+            by_perm[tuple(g + 1 if v == g else g if v == g + 1 else v for v in p)]
+            for p in perms]
+        assert table.right_mult[g - 1] == [
+            by_perm[p[:g - 1] + (p[g], p[g - 1]) + p[g + 1:]] for p in perms]
 
 
 # -- T'-columns read off the word tables ----------------------------------------
