@@ -53,13 +53,11 @@ from .commutant import (
     AlgebraBasis,
     ClosureError,
     RankCertificate,
-    RankDisagreementError,
     SizeBoundError,
     anticommutant_basis,
     certified_rank,
     commutant_basis,
     direct_sum_check,
-    rank_with_certificate,
     span_closure,
     span_equal,
 )

@@ -223,8 +223,7 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
         for a, b in pair_iter[: len(samples) * 2])
     report.add("weak-action-multiplicative", multiplicative)
 
-    axiom_failures = check_crossed_axioms(
-        weak_action, lambda s, t: one, lambda s, t: one, one, samples)
+    axiom_failures = check_crossed_axioms(weak_action, lambda s, t: one, one, samples)
     report.add("crossed-system-axioms", not axiom_failures,
                witness="; ".join(axiom_failures[:5]) if axiom_failures else None)
 

@@ -56,17 +56,17 @@ falls back to `_echelon_nullspace` over Q, which also remains the only engine
 over Q(q).  Either way the result, and every report built on it, is the same.
 
 Specialization points come from one seeded stream; `draw_points(seed)` is
-its start, and the tensor suites run at its first two points.  Rank
-certificates and `suites.suite_specialization` share one policy for explicit
-points, `specialization_points`: they must be rational, nonzero and
-distinct, and fewer than two are filled up to two from the stream, skipping
-the explicit ones.  A certificate evaluates the matrices with
-`specialize_matrix` and demands that all points agree on the rank; a drawn
-point at a pole gives way to the next point of the stream, while a pole at an
-explicit point propagates.  `certified_rank` arbitrates a disagreement with
-the `LinearSpan` elimination over Q(q), which can be requested outright, and
-refuses that rerun with `SizeBoundError` above `EXACT_DIM_BOUND`, the bound
-the suites' exact rerun obeys.
+its start.  One policy, `specialization_points`, takes the points: explicit
+ones must be rational, nonzero and distinct, and fewer than two are filled
+up to two from the stream, skipping the explicit ones; a drawn point at a
+pole gives way to the next point of the stream, while a pole at an explicit
+point propagates.  One certification path, `certify`, serves the tensor
+suites (`suites._certify`) and the rank certificate `certified_rank`: it
+evaluates at those points and demands that all values agree.  On a
+disagreement the exact computation over Q(q) decides, and is refused with
+`SizeBoundError` above `EXACT_DIM_BOUND`.  `certified_rank` evaluates the
+rank of the specialized matrices (`specialize_matrix`); its exact rank, the
+`LinearSpan` elimination over Q(q), can also be requested outright.
 """
 
 from __future__ import annotations
@@ -91,15 +91,6 @@ class SizeBoundError(ValueError):
 
 class ClosureError(RuntimeError):
     """Product closure failed to stabilize within the round bound."""
-
-
-class RankDisagreementError(RuntimeError):
-    """Specialized ranks differ between points; exact mode must arbitrate."""
-
-    def __init__(self, ranks, points):
-        super().__init__(f"specialized ranks {ranks} disagree at points {list(map(str, points))}")
-        self.ranks = ranks
-        self.points = points
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +217,14 @@ class AlgebraBasis:
         return self.span().contains(matrix.flatten())
 
 
+def _common_dim(matrices: Iterable[OperatorMatrix]) -> int:
+    """The one dimension of the given matrices (ValueError if none or several)."""
+    dims = {m.dim for m in matrices}
+    if len(dims) != 1:
+        raise ValueError(f"need generators of one dimension, got {sorted(dims)}")
+    return dims.pop()
+
+
 def _infer_one(matrices: Iterable[OperatorMatrix]):
     for m in matrices:
         for v in m.entries.values():
@@ -245,10 +244,7 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
     for a genuine subalgebra but guards the loop.
     """
     generators = list(generators)
-    dims = {g.dim for g in generators}
-    if len(dims) != 1:
-        raise ValueError(f"need generators of one dimension, got {sorted(dims)}")
-    dim = dims.pop()
+    dim = _common_dim(generators)
     one = _infer_one(generators)
     bound = dim * dim * max(dim * dim, len(generators))
 
@@ -627,6 +623,24 @@ def specialization_points(points: Sequence | None, seed: int,
     return out
 
 
+def certify(evaluate: Callable[[Fraction], object], exact: Callable[[], object],
+            dim: int, *, points: Sequence | None = None, seed: int = 0
+            ) -> tuple[list[tuple[Fraction, object]], object]:
+    """Compare ``evaluate`` at the `specialization_points`: the (t, value)
+    pairs and None when all values agree, else the pairs and ``exact()``
+    (never None); above `EXACT_DIM_BOUND` that rerun is refused instead."""
+    pairs = specialization_points(points, seed, evaluate)
+    if all(value == pairs[0][1] for _, value in pairs):
+        return pairs, None
+    if dim > EXACT_DIM_BOUND:
+        *rest, last = (str(t) for t, _ in pairs)
+        raise SizeBoundError(
+            f"specialized points {', '.join(rest)} and {last} disagreed, and exact "
+            f"arbitration at tensor space dimension {dim} exceeds the exact-mode "
+            f"bound {EXACT_DIM_BOUND}")
+    return pairs, exact()
+
+
 def _rank(vectors: Iterable[dict]) -> int:
     """Rank over the entries' field: Q(q) for exact vectors, Q at a point."""
     span = LinearSpan()
@@ -635,33 +649,16 @@ def _rank(vectors: Iterable[dict]) -> int:
     return span.rank
 
 
-def rank_with_certificate(matrices: Sequence[OperatorMatrix], mode: str = "specialized",
-                          *, points: Sequence[Fraction] | None = None,
-                          seed: int = 0) -> RankCertificate:
-    """Rank of the span of the given matrices, with its certification trail."""
-    if not matrices:
-        raise ValueError("need a nonempty list of matrices")
+def certified_rank(matrices: Sequence[OperatorMatrix], mode: str = "specialized", *,
+                   points: Sequence | None = None, seed: int = 0) -> RankCertificate:
+    """Rank of the span of the given matrices, with its certification trail:
+    by `certify` at the points, or over Q(q) in exact mode and on arbitration."""
+    dim = _common_dim(matrices)
     if mode == "exact":
         return RankCertificate(_rank(m.flatten() for m in matrices), (), exact=True)
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = specialization_points(points, seed, lambda t: _rank(
-        specialize_matrix(m, t).flatten() for m in matrices))
-    pts, ranks = map(list, zip(*pairs))
-    if len(set(ranks)) != 1:
-        raise RankDisagreementError(ranks, pts)
-    return RankCertificate(ranks[0], tuple(pts), exact=False)
-
-
-def certified_rank(matrices: Sequence[OperatorMatrix], mode: str = "specialized",
-                   **kw) -> RankCertificate:
-    """Like `rank_with_certificate`, but a disagreement of the points is
-    arbitrated exactly, which is refused above `EXACT_DIM_BOUND`."""
-    try:
-        return rank_with_certificate(matrices, mode, **kw)
-    except RankDisagreementError as exc:
-        dim = matrices[0].dim
-        if dim > EXACT_DIM_BOUND:
-            raise SizeBoundError(f"{exc}; exact arbitration at dimension {dim} exceeds "
-                                 f"the exact-mode bound {EXACT_DIM_BOUND}") from None
-        return rank_with_certificate(matrices, "exact")
+    pairs, arbitrated = certify(
+        lambda t: _rank(specialize_matrix(m, t).flatten() for m in matrices),
+        lambda: certified_rank(matrices, "exact"), dim, points=points, seed=seed)
+    return arbitrated or RankCertificate(pairs[0][1], tuple(t for t, _ in pairs), exact=False)

@@ -8,6 +8,9 @@ units of the base algebra, subject to
   (cs2)  psi_{s1}(alpha(s2,s3)) * alpha(s1, s2*s3) == alpha(s1,s2) * alpha(s1*s2, s3)
   (cs3)  alpha(s,1) == alpha(1,s) == 1
 
+The cocycle values must square to one (trivially on the Hecke side, sign *
+identity on tensor space), so alpha(s,t) is its own inverse in (cs1).
+
 The induced crossed-product multiplication on pairs (a, u_s) is
 
   (a1 u_s)(a2 u_t) = a1 * psi_s(a2) * alpha(s,t) u_{st}.
@@ -25,8 +28,8 @@ from typing import Callable, Iterable
 GROUP = (1, -1)
 
 
-def check_crossed_axioms(apply_fn: Callable, alpha: Callable, alpha_inv: Callable,
-                         one, samples: Iterable) -> list[str]:
+def check_crossed_axioms(apply_fn: Callable, alpha: Callable, one,
+                         samples: Iterable) -> list[str]:
     """Return descriptions of axiom violations (empty list when all hold)."""
     bad: list[str] = []
     samples = list(samples)
@@ -34,7 +37,7 @@ def check_crossed_axioms(apply_fn: Callable, alpha: Callable, alpha_inv: Callabl
         for t in GROUP:
             for idx, a in enumerate(samples):
                 lhs = apply_fn(s, apply_fn(t, a))
-                rhs = alpha(s, t) * apply_fn(s * t, a) * alpha_inv(s, t)
+                rhs = alpha(s, t) * apply_fn(s * t, a) * alpha(s, t)
                 if not lhs == rhs:
                     bad.append(f"weak-action axiom fails at (s,t)=({s},{t}), sample {idx}")
     for s1 in GROUP:

@@ -16,7 +16,8 @@ class CheckRecord:
     status: str
     expected: str = ""
     actual: str = ""
-    witness: str | None = None
+    # illustrates a failure; records compare by name, status, expected, actual
+    witness: str | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": self.status,

@@ -10,7 +10,8 @@ linear-algebra-heavy suites:
   points (never 0 or +-1) with all checks repeated per point and required to
   agree in value; on any disagreement the exact rerun decides the verdict,
   and is refused (`SizeBoundError`) above `EXACT_DIM_BOUND`.  `_certify`
-  holds this policy for both tensor suites.
+  applies this policy, `commutant.certify` (which `certified_rank` shares),
+  to both tensor suites.
 
 At a point, a dimension can move away from its generic value in one
 direction only, and which one depends on the kind of check:
@@ -35,6 +36,7 @@ direction only, and which one depends on the kind of check:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -45,9 +47,9 @@ from .commutant import (
     AlgebraBasis,
     SizeBoundError,
     anticommutant_basis,
+    certify,
     commutant_basis,
     direct_sum_check,
-    draw_points,
     span_closure,
     specialization_points,
 )
@@ -220,47 +222,41 @@ def _closure_of(gens: list[OperatorMatrix], dim: int, one) -> AlgebraBasis:
 
 
 def _certify(report: Report, mode: str, seed: int, dim: int, core) -> None:
-    """Run ``core(report, prefix, point)`` under the mode's certification policy.
+    """Run ``core(report, point)`` under the mode's certification policy.
 
     ``point=None`` asks the core for its checks over Q(q).  Exact mode runs
-    that once, unprefixed.  Specialized mode runs the core at the two
-    `draw_points(seed)` and compares every check's value -- its name without
-    the ``q=t: `` prefix, status, expected and actual.  When they agree, both
-    points' records stand, followed by ``point-agreement``.  When they differ,
-    the point records are dropped: a ``point-disagreement`` record names the
-    disputed checks and the core's exact rerun, prefixed
-    ``exact-arbitration: ``, decides the verdict.  That rerun is refused with
-    `SizeBoundError` above `EXACT_DIM_BOUND`.
+    that once.  Specialized mode `certify`s the core's records at the two
+    points, each run into a sub-report: records compare by name, status,
+    expected and actual.  When they agree, both points' records stand,
+    renamed ``q=t: ``, followed by ``point-agreement``.  When they differ,
+    a ``point-disagreement`` record names the disputed checks and the exact
+    rerun's records, renamed ``exact-arbitration: ``, decide the verdict.
+    Every generator denominator is a power of q times a power of q^2 + 1, so
+    no nonzero rational is a pole and the points are `draw_points(seed)`.
     """
     if mode == "exact":
-        core(report, "", None)
+        core(report, None)
         return
-    points = draw_points(seed)
-    runs = []
-    for t in points:
+
+    def run(point):
         sub = Report("point", {})
-        prefix = f"q={t}: "
-        core(sub, prefix, t)
-        runs.append((sub.checks, {c.name[len(prefix):]: (c.status, c.expected, c.actual)
-                                  for c in sub.checks}))
-    (first, values1), (second, values2) = runs
-    disputed = [name for name in dict.fromkeys([*values1, *values2])
-                if values1.get(name) != values2.get(name)]
-    if not disputed:
-        report.checks.extend(first + second)
+        core(sub, point)
+        return sub.checks
+
+    pairs, arbitrated = certify(run, lambda: run(None), dim, seed=seed)
+    (t1, first), (t2, second) = pairs
+    if arbitrated is None:
+        report.checks.extend(replace(c, name=f"q={t}: {c.name}")
+                             for t, checks in pairs for c in checks)
         report.add("point-agreement", True,
                    expected="identical outcomes at both points",
-                   actual=f"points {points[0]}, {points[1]} agree")
+                   actual=f"points {t1}, {t2} agree")
         return
-    if dim > EXACT_DIM_BOUND:
-        raise SizeBoundError(
-            f"specialized points {points[0]} and {points[1]} disagreed, and exact "
-            f"arbitration at tensor space dimension {dim} exceeds the exact-mode "
-            f"bound {EXACT_DIM_BOUND}")
+    first, second = {c.name: c for c in first}, {c.name: c for c in second}
+    disputed = [name for name in {**first, **second} if first.get(name) != second.get(name)]
     report.info("point-disagreement", expected="identical outcomes at both points",
-                actual=f"points {points[0]}, {points[1]} disagree on: "
-                       + ", ".join(disputed))
-    core(report, "exact-arbitration: ", None)
+                actual=f"points {t1}, {t2} disagree on: " + ", ".join(disputed))
+    report.checks.extend(replace(c, name="exact-arbitration: " + c.name) for c in arbitrated)
 
 
 def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
@@ -281,12 +277,11 @@ def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
 
     pred = predicted_dimensions(m, n, r)
     _certify(report, mode, seed, space.dim,
-             lambda sub, prefix, point: _schur_weyl_core(sub, prefix, point, space,
-                                                         t_gens, rho_gens, pred))
+             lambda sub, point: _schur_weyl_core(sub, point, space, t_gens, rho_gens, pred))
     return report
 
 
-def _schur_weyl_core(report: Report, prefix: str, point, space: GradedSpace,
+def _schur_weyl_core(report: Report, point, space: GradedSpace,
                      t_gens, rho_gens, pred) -> None:
     if point is None:
         one = RationalFunction.one()
@@ -296,18 +291,18 @@ def _schur_weyl_core(report: Report, prefix: str, point, space: GradedSpace,
         rho_gens = [specialize_matrix(g, point) for g in rho_gens]
     a_alg = _closure_of(t_gens, space.dim, one)
     b_alg = _closure_of(rho_gens, space.dim, one)
-    report.add(prefix + "hecke-image-dimension", len(a_alg) == pred.dimA,
+    report.add("hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
-    report.info(prefix + "superalgebra-image-dimension", actual=len(b_alg))
+    report.info("superalgebra-image-dimension", actual=len(b_alg))
     # B in A' and A in B' hold iff the generators commute
     commute = all(t.commutes_with(g) for t in t_gens for g in rho_gens)
     ca = commutant_basis(a_alg)
-    report.add(prefix + "commutant-of-hecke-image-is-superalgebra-image",
+    report.add("commutant-of-hecke-image-is-superalgebra-image",
                commute and len(ca) == len(b_alg),
                expected=f"span equality at dim {len(b_alg)}",
                actual=f"dims {len(ca)} vs {len(b_alg)}")
     cb = commutant_basis(b_alg)
-    report.add(prefix + "commutant-of-superalgebra-image-is-hecke-image",
+    report.add("commutant-of-superalgebra-image-is-hecke-image",
                commute and len(cb) == len(a_alg),
                expected=f"span equality at dim {len(a_alg)}",
                actual=f"dims {len(cb)} vs {len(a_alg)}")
@@ -331,12 +326,11 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
         report.add(name, ok, expected=exp, actual=act)
 
     _certify(report, mode, seed, space.dim,
-             lambda sub, prefix, point: _alt_centralizer_core(sub, prefix, point, space,
-                                                              rep, pred, seed))
+             lambda sub, point: _alt_centralizer_core(sub, point, space, rep, pred, seed))
     return report
 
 
-def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace,
+def _alt_centralizer_core(report: Report, point, space: GradedSpace,
                           rep: PiRepresentation, pred, seed: int) -> None:
     one = RationalFunction.one() if point is None else Fraction(1)
     dim = space.dim
@@ -347,17 +341,17 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
     x_gens = [mat(g) for g in rep.x_matrices()]
     t_gens = [mat(g) for g in rep.t_matrices()]
     c_alg = _closure_of(x_gens, dim, one)
-    report.add(prefix + "even-image-dimension", len(c_alg) == pred.dimC,
+    report.add("even-image-dimension", len(c_alg) == pred.dimC,
                expected=pred.dimC, actual=len(c_alg))
     a_alg = _closure_of(t_gens, dim, one)
-    report.add(prefix + "hecke-image-dimension", len(a_alg) == pred.dimA,
+    report.add("hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
 
     d_alg = commutant_basis(c_alg)
-    report.info(prefix + "even-centralizer-dimension", actual=len(d_alg))
+    report.info("even-centralizer-dimension", actual=len(d_alg))
     cd = commutant_basis(d_alg)
     # C lies in its double commutant in any field
-    report.add(prefix + "double-commutant-returns-even-image", len(cd) == len(c_alg),
+    report.add("double-commutant-returns-even-image", len(cd) == len(c_alg),
                expected=f"span equality at dim {len(c_alg)}",
                actual=f"dims {len(cd)} vs {len(c_alg)}")
 
@@ -368,24 +362,24 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         ident = OperatorMatrix.identity(dim, one)
         sign_one = ident.scale(one if sign == 1 else -one)
         squares = phi * phi == sign_one
-        report.add(prefix + "flip-squares-to-sign", squares,
+        report.add("flip-squares-to-sign", squares,
                    expected=f"({sign})*identity", actual="equal" if squares else "differs")
         anti = all(tp.anticommutes_with(phi) for tp in tp_gens)
-        report.add(prefix + "flip-anticommutes-with-involutive-generators", anti)
+        report.add("flip-anticommutes-with-involutive-generators", anti)
 
         b_alg = _closure_of([mat(g) for _, g in rho_generators(space)], dim, one)
-        report.info(prefix + "superalgebra-image-dimension", actual=len(b_alg))
+        report.info("superalgebra-image-dimension", actual=len(b_alg))
         bd = anticommutant_basis(tp_gens)
-        report.add(prefix + "anticommutant-dimension-matches", len(bd) == len(b_alg),
+        report.add("anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
         phi_b = AlgebraBasis(dim, [phi * bm for bm in b_alg.elements])
         flips_into = all(bd.contains(f) for f in phi_b.elements)
-        report.add(prefix + "flip-maps-commutant-onto-anticommutant", flips_into)
-        report.add(prefix + "centralizer-splits-as-direct-sum",
+        report.add("flip-maps-commutant-onto-anticommutant", flips_into)
+        report.add("centralizer-splits-as-direct-sum",
                    direct_sum_check(d_alg, b_alg, phi_b),
                    expected=f"{len(d_alg)} = {len(b_alg)} + {len(phi_b)}",
                    actual=f"dims ({len(d_alg)}; {len(b_alg)}, {len(phi_b)})")
-        report.add(prefix + "centralizer-dimension-doubles", len(d_alg) == 2 * len(b_alg),
+        report.add("centralizer-dimension-doubles", len(d_alg) == 2 * len(b_alg),
                    expected=2 * len(b_alg), actual=len(d_alg))
 
         def omega(f):
@@ -394,8 +388,8 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         basis_sample = b_alg.elements[:12]
         omega_closes = all(b_alg.contains(omega(f)) for f in basis_sample)
         omega_invol = all(omega(omega(f)) == f for f in basis_sample)
-        report.add(prefix + "conjugation-preserves-commutant", omega_closes)
-        report.add(prefix + "conjugation-has-order-two", omega_invol)
+        report.add("conjugation-preserves-commutant", omega_closes)
+        report.add("conjugation-has-order-two", omega_invol)
 
         def apply_fn(s, a):
             return a if s == 1 else omega(a)
@@ -403,8 +397,8 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
         def alpha(s, t):
             return ident if (s == 1 or t == 1) else sign_one
 
-        axiom_failures = check_crossed_axioms(apply_fn, alpha, alpha, ident, basis_sample)
-        report.add(prefix + "crossed-system-axioms", not axiom_failures,
+        axiom_failures = check_crossed_axioms(apply_fn, alpha, ident, basis_sample)
+        report.add("crossed-system-axioms", not axiom_failures,
                    witness="; ".join(axiom_failures[:5]) if axiom_failures else None)
 
         rng = random.Random(seed)
@@ -413,7 +407,7 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
                  for _ in range(min(8, len(pool) * len(pool)))]
         embed = {1: ident, -1: phi}
         law_failures = check_crossed_embedding(apply_fn, alpha, embed.__getitem__, pairs)
-        report.add(prefix + "crossed-product-law", not law_failures,
+        report.add("crossed-product-law", not law_failures,
                    expected=f"{len(pairs)} pairs x 4 sign patterns",
                    actual="all equal" if not law_failures else f"{len(law_failures)} failures",
                    witness="; ".join(law_failures[:5]) if law_failures else None)
@@ -421,7 +415,7 @@ def _alt_centralizer_core(report: Report, prefix: str, point, space: GradedSpace
     if space.n == 0 and space.m * space.m < space.r:
         # A is closed and unital, so C lies in A once the X generators do
         collapse = all(a_alg.contains(x) for x in x_gens) and len(a_alg) == len(c_alg)
-        report.add(prefix + "small-row-collapse", collapse,
+        report.add("small-row-collapse", collapse,
                    expected=f"images coincide at dim {pred.dimA}",
                    actual=f"dims {len(a_alg)} vs {len(c_alg)}" + ("" if collapse else " (differ)"))
 

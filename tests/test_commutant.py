@@ -9,14 +9,13 @@ import qhecke.commutant as commutant
 from qhecke.commutant import (
     AlgebraBasis,
     LinearSpan,
-    RankDisagreementError,
     SizeBoundError,
     anticommutant_basis,
     certified_rank,
+    certify,
     commutant_basis,
     direct_sum_check,
     draw_points,
-    rank_with_certificate,
     span_closure,
     span_equal,
 )
@@ -619,7 +618,7 @@ class TestDirectSum:
 class TestRankCertificates:
     def test_scalar_multiples(self):
         ident = OperatorMatrix.identity(2)
-        cert = rank_with_certificate([ident, ident.scale(RationalFunction.constant(2))])
+        cert = certified_rank([ident, ident.scale(RationalFunction.constant(2))])
         assert cert.rank == 1 and not cert.exact
         assert len(cert.points) == 2
 
@@ -627,8 +626,8 @@ class TestRankCertificates:
         sp = GradedSpace(1, 1, 3)
         rep = PiRepresentation(sp)
         words = [rep.word_matrix(w) for w in normal_form_words(3)]
-        spec = rank_with_certificate(words, seed=4)
-        exact = rank_with_certificate(words, "exact")
+        spec = certified_rank(words, seed=4)
+        exact = certified_rank(words, "exact")
         assert spec.rank == exact.rank == 6
         assert exact.exact
 
@@ -637,17 +636,22 @@ class TestRankCertificates:
         sp = GradedSpace(1, 0, 3)
         rep = PiRepresentation(sp)
         words = [rep.word_matrix(w) for w in normal_form_words(3)]
-        spec = rank_with_certificate(words)
-        exact = rank_with_certificate(words, "exact")
+        spec = certified_rank(words)
+        exact = certified_rank(words, "exact")
         assert spec.rank == exact.rank == 1
 
     def test_disagreement_raises_and_arbitrates(self):
         vanishing = OperatorMatrix(
             2, {(0, 0): RationalFunction(LaurentPolynomial({1: 1, 0: -2}))})
-        with pytest.raises(RankDisagreementError):
-            rank_with_certificate([vanishing], points=[Fraction(2), Fraction(3)])
         cert = certified_rank([vanishing], points=[Fraction(2), Fraction(3)])
-        assert cert.rank == 1 and cert.exact
+        assert cert.rank == 1 and cert.exact and cert.points == ()
+
+    def test_matrices_of_different_dimensions_rejected(self):
+        mats = [OperatorMatrix.identity(2), OperatorMatrix.identity(3)]
+        with pytest.raises(ValueError, match="one dimension"):
+            certified_rank(mats)
+        with pytest.raises(ValueError, match="one dimension"):
+            certified_rank(mats, "exact")
 
     def test_points_avoid_degenerate_values(self):
         for seed in range(5):
@@ -662,7 +666,7 @@ class TestRankCertificates:
         withpole = OperatorMatrix(2, {
             (0, 0): RationalFunction(LaurentPolynomial.one(),
                                      LaurentPolynomial({1: 1, 0: -2}))})
-        cert = rank_with_certificate([withpole], seed=0)
+        cert = certified_rank([withpole], seed=0)
         assert cert.rank == 1
         assert Fraction(2) not in cert.points
 
@@ -672,29 +676,30 @@ class TestRankCertificates:
             (0, 0): RationalFunction(LaurentPolynomial.one(),
                                      LaurentPolynomial({1: 1, 0: -2}))})
         with pytest.raises(PoleError):
-            rank_with_certificate([withpole], points=[Fraction(2), Fraction(3)])
+            certified_rank([withpole], points=[Fraction(2), Fraction(3)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            rank_with_certificate([])
+            certified_rank([])
 
 
 class TestPointPolicy:
     """Certificates take their points as the specialized suites do: explicit
-    points checked and filled up to two from the seeded `draw_points` stream."""
+    points checked and filled up to two from the seeded `draw_points` stream,
+    and one `certify` compares the values there and arbitrates."""
 
     # generic rank 1, rank 0 at q = 2 (the first point seed 0 draws)
     VANISHING = OperatorMatrix(
         2, {(0, 0): RationalFunction(LaurentPolynomial({1: 1, 0: -2}))})
 
     def test_one_explicit_point_is_filled_from_the_stream(self):
-        with pytest.raises(RankDisagreementError) as exc:
-            rank_with_certificate([self.VANISHING], points=[2])
-        assert exc.value.points == [2, 15] and exc.value.ranks == [0, 1]
+        pairs, _ = certify(lambda t: len(specialize_matrix(self.VANISHING, t).entries),
+                           lambda: 1, 2, points=[2])
+        assert [t for t, _ in pairs] == [2, 15] and [v for _, v in pairs] == [0, 1]
         cert = certified_rank([self.VANISHING], points=[2])
         assert cert.rank == 1 and cert.exact
         ident = OperatorMatrix.identity(2)
-        assert rank_with_certificate([ident], points=[15]).points == (15, 2)
+        assert certified_rank([ident], points=[15]).points == (15, 2)
 
     def test_repeated_point_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
@@ -704,21 +709,21 @@ class TestPointPolicy:
 
     def test_empty_points_are_drawn(self):
         ident = OperatorMatrix.identity(2)
-        assert (rank_with_certificate([ident], points=[], seed=3)
-                == rank_with_certificate([ident], seed=3))
+        assert (certified_rank([ident], points=[], seed=3)
+                == certified_rank([ident], seed=3))
         cert = certified_rank([self.VANISHING], points=[])
         assert cert.rank == 1 and cert.exact
 
     @pytest.mark.parametrize("seed", range(4))
     def test_drawn_points_are_draw_points(self, seed):
-        cert = rank_with_certificate([OperatorMatrix.identity(3)], seed=seed)
+        cert = certified_rank([OperatorMatrix.identity(3)], seed=seed)
         assert cert.points == tuple(draw_points(seed))
 
     def test_pole_takes_the_next_point_of_the_stream(self):
         withpole = OperatorMatrix(2, {
             (0, 0): RationalFunction(LaurentPolynomial.one(),
                                      LaurentPolynomial({1: 1, 0: -2}))})
-        assert rank_with_certificate([withpole], seed=0).points == tuple(
+        assert certified_rank([withpole], seed=0).points == tuple(
             draw_points(0, count=3)[1:])
 
     def test_a_pole_at_every_point_ends_the_stream(self):
@@ -729,13 +734,13 @@ class TestPointPolicy:
         poles = {divmod(k, 10): RationalFunction(LaurentPolynomial.one(), LaurentPolynomial(
                      {1: t.denominator, 0: -t.numerator})) for k, t in enumerate(points)}
         with pytest.raises(PoleError, match="no two pole-free points"):
-            rank_with_certificate([OperatorMatrix(10, poles)])
+            certified_rank([OperatorMatrix(10, poles)])
 
     def test_matrices_over_q_are_certified(self):
         # entries in Q are their own value at every point
         mats = [OperatorMatrix(2, {(0, 0): Fraction(3, 2), (1, 0): 4}),
                 OperatorMatrix.identity(2, Fraction(1))]
-        assert rank_with_certificate(mats).rank == 2
+        assert certified_rank(mats).rank == 2
 
     def test_arbitration_above_the_exact_bound_is_refused(self, monkeypatch):
         monkeypatch.setattr(commutant, "EXACT_DIM_BOUND", 1)
@@ -745,11 +750,43 @@ class TestPointPolicy:
         assert certified_rank([OperatorMatrix.identity(2)]).rank == 1
 
 
+class TestCertify:
+    """`certify` compares the values at the points and arbitrates exactly
+    only when they differ, within `EXACT_DIM_BOUND`."""
+
+    @staticmethod
+    def never():
+        raise AssertionError("exact arbitration must not run")
+
+    def test_agreement_returns_the_pairs_without_arbitration(self):
+        pairs, arbitrated = certify(lambda t: 7, self.never, 1000, points=[2, 3])
+        assert pairs == [(2, 7), (3, 7)] and arbitrated is None
+
+    def test_disagreement_runs_the_exact_rerun_once(self):
+        calls = []
+
+        def exact():
+            calls.append(None)
+            return "exact"
+
+        pairs, arbitrated = certify(lambda t: t, exact, commutant.EXACT_DIM_BOUND,
+                                    points=[2, 3])
+        assert pairs == [(2, 2), (3, 3)]
+        assert arbitrated == "exact" and len(calls) == 1
+
+    def test_disagreement_above_the_bound_is_refused(self):
+        dim = commutant.EXACT_DIM_BOUND + 1
+        with pytest.raises(SizeBoundError, match="disagreed") as exc:
+            certify(lambda t: t, self.never, dim, points=[2, 3])
+        assert f"exact-mode bound {commutant.EXACT_DIM_BOUND}" in str(exc.value)
+        assert "points 2 and 3 disagreed" in str(exc.value)
+
+
 class TestExactRank:
     # exact ranks run the same `LinearSpan` elimination, over Q(q)
     @staticmethod
     def exact(matrices):
-        return rank_with_certificate(matrices, "exact").rank
+        return certified_rank(matrices, "exact").rank
 
     def test_rational_function_rows(self):
         qp = RationalFunction(LaurentPolynomial({1: 1, -1: 1}))

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 import qhecke.cli as cli
+import qhecke.commutant as commutant
 import qhecke.suites as suites
 from qhecke.commutant import commutant_basis, span_closure, span_equal
 from qhecke.partitions import predicted_dimensions
@@ -136,7 +138,7 @@ class TestSchurWeylCommutantChecks:
         t_gens = PiRepresentation(space).t_matrices()
         rho_gens = [g for _, g in rho_generators(space)]
         report = Report("core", {})
-        suites._schur_weyl_core(report, "", point, space, t_gens, rho_gens,
+        suites._schur_weyl_core(report, point, space, t_gens, rho_gens,
                                 predicted_dimensions(1, 1, 3))
         if point is not None:
             t_gens = [specialize_matrix(g, point) for g in t_gens]
@@ -190,7 +192,7 @@ class TestAltCentralizerSuite:
         x_gens = [_swapped(g) for g in rep.x_matrices()]
         rep.x_matrices = lambda: x_gens
         report = Report("core", {})
-        suites._alt_centralizer_core(report, "", Fraction(2), space, rep,
+        suites._alt_centralizer_core(report, Fraction(2), space, rep,
                                      predicted_dimensions(2, 0, 5), 0)
         checks = check_map(report)
         assert checks["even-image-dimension"].actual == "42"
@@ -251,7 +253,8 @@ class TestPointDisagreement:
 
     @pytest.fixture(autouse=True)
     def disagreeing_points(self, monkeypatch):
-        monkeypatch.setattr(suites, "draw_points", lambda seed: [Fraction(1), Fraction(2)])
+        monkeypatch.setattr(commutant, "_point_stream",
+                            lambda seed: iter([Fraction(1), Fraction(2)]))
 
     @pytest.mark.parametrize("suite", [suite_schur_weyl, suite_alt_centralizer],
                              ids=["schur-weyl", "alt-centralizer"])
@@ -271,8 +274,8 @@ class TestPointDisagreement:
 
     def test_a_differing_value_alone_is_arbitrated(self):
         # equal statuses, different info values: still a disagreement
-        def core(report, prefix, point):
-            report.info(prefix + "dimension", actual=point)
+        def core(report, point):
+            report.info("dimension", actual=point)
 
         report = Report("demo", {})
         suites._certify(report, "specialized", 0, 8, core)
@@ -281,9 +284,33 @@ class TestPointDisagreement:
             ("exact-arbitration: dimension", "None"),
         ]
 
+    def test_a_differing_witness_alone_is_not_arbitrated(self):
+        # a witness illustrates a failure; the value is status, expected, actual
+        def core(report, point):
+            report.add("dimension", False, actual="0", witness=f"at {point}")
+
+        report = Report("demo", {})
+        suites._certify(report, "specialized", 0, 8, core)
+        assert [(c.name, c.witness) for c in report.checks] == [
+            ("q=1: dimension", "at 1"), ("q=2: dimension", "at 2"),
+            ("point-agreement", None)]
+
+    @pytest.mark.parametrize("suite, digest, arbitrated", [
+        (suite_schur_weyl,
+         "ecdeb7dc5821c98779519e9e9f1454c12c139e1a989dc76f00093db17badf44b", 4),
+        (suite_alt_centralizer,
+         "3af6965694b32b6de6afa571e8514442bdfd04a4ea11d6f84a97eb99cb14295a", 15),
+    ], ids=["schur-weyl", "alt-centralizer"])
+    def test_arbitrated_report_bytes_are_pinned(self, suite, digest, arbitrated):
+        report = suite(1, 1, 3, mode="specialized")
+        text = json.dumps(report.as_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert sum(c.name.startswith("exact-arbitration: ")
+                   for c in report.checks) == arbitrated
+
     def test_arbitration_above_the_exact_bound_is_refused(self, monkeypatch, capsys):
-        monkeypatch.setattr(suites, "EXACT_DIM_BOUND", 4)
-        with pytest.raises(SizeBoundError, match="disagreed"):
+        monkeypatch.setattr(commutant, "EXACT_DIM_BOUND", 4)
+        with pytest.raises(SizeBoundError, match="disagreed.*exact-mode bound 4"):
             suite_schur_weyl(1, 1, 3, mode="specialized")
         code = cli.main(["verify", "schur-weyl", "--m", "1", "--n", "1", "--r", "3",
                          "--mode", "specialized"])
