@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .commutant import _rank
-from .crossed import check_crossed_axioms, check_crossed_embedding
+from .crossed import check_crossed_axioms, check_crossed_embedding, memoized_action
 from .hecke import (
     HeckeAlgebra,
     HeckeElement,
@@ -150,6 +150,10 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
     crossed product with the Hecke algebra.  Basis pairs are exhausted up to
     rank `CROSSED_EXHAUSTIVE_RANK`; beyond that a seeded sample of even
     elements is used.
+
+    The action is built once through `crossed.memoized_action`, so every
+    check here and in the crossed-system checkers shares one conjugate per
+    distinct element, computed once per call.
     """
     if rank < 2:
         raise ValueError("rank must be >= 2")
@@ -167,9 +171,8 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
     tp1 = algebra.tprime(1)
     one = algebra.one()
 
-    def weak_action(sign: int, a: HeckeElement) -> HeckeElement:
-        """The Z2 action realizing the crossed product: conjugation by T'_1."""
-        return a if sign == 1 else tp1 * a * tp1
+    # the Z2 action realizing the crossed product: conjugation by T'_1
+    weak_action = memoized_action(lambda a: tp1 * a * tp1)
 
     if exhaustive:
         basis_elems = [algebra.tprime_basis_element(w) for w in even.words]

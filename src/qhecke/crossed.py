@@ -19,6 +19,13 @@ The checkers below are agnostic to the algebra: they only use ``*``, ``==``
 and the supplied callables, so the same code validates the Hecke-side system
 (elements of the q-alternating subalgebra) and the matrix-side system
 (centralizer algebras on tensor space).
+
+Each factor is computed once: the axioms apply psi_t once per (t, sample),
+and the product law multiplies ``a2 * embed(t)`` once per t and
+``a1 * embed(s)``, ``a1 * psi_s(a2)`` once per s for each sample pair.
+Callers pass the action through `memoized_action`, so the suite's own checks
+and both checkers share every conjugate, each computed once per distinct
+argument.  The memo belongs to one suite call and dies with it.
 """
 
 from __future__ import annotations
@@ -28,16 +35,36 @@ from typing import Callable, Iterable
 GROUP = (1, -1)
 
 
+def memoized_action(conjugate: Callable) -> Callable:
+    """The weak action with psi_1 the identity and psi_{-1} = ``conjugate``.
+
+    ``conjugate`` runs once per distinct (hashable) argument value; the memo
+    lives as long as the returned function.
+    """
+    memo: dict = {}
+
+    def apply_fn(s, a):
+        if s == 1:
+            return a
+        out = memo.get(a)
+        if out is None:
+            out = memo[a] = conjugate(a)
+        return out
+
+    return apply_fn
+
+
 def check_crossed_axioms(apply_fn: Callable, alpha: Callable, one,
                          samples: Iterable) -> list[str]:
     """Return descriptions of axiom violations (empty list when all hold)."""
     bad: list[str] = []
     samples = list(samples)
+    moved = {t: [apply_fn(t, a) for a in samples] for t in GROUP}
     for s in GROUP:
         for t in GROUP:
-            for idx, a in enumerate(samples):
-                lhs = apply_fn(s, apply_fn(t, a))
-                rhs = alpha(s, t) * apply_fn(s * t, a) * alpha(s, t)
+            for idx, a_t in enumerate(moved[t]):
+                lhs = apply_fn(s, a_t)
+                rhs = alpha(s, t) * moved[s * t][idx] * alpha(s, t)
                 if not lhs == rhs:
                     bad.append(f"weak-action axiom fails at (s,t)=({s},{t}), sample {idx}")
     for s1 in GROUP:
@@ -67,10 +94,12 @@ def check_crossed_embedding(apply_fn: Callable, alpha: Callable, embed: Callable
     """
     bad: list[str] = []
     for idx, (a1, a2) in enumerate(pairs):
+        right = {t: a2 * embed(t) for t in GROUP}
         for s in GROUP:
+            left, twisted = a1 * embed(s), a1 * apply_fn(s, a2)
             for t in GROUP:
-                lhs = (a1 * embed(s)) * (a2 * embed(t))
-                rhs = a1 * apply_fn(s, a2) * alpha(s, t) * embed(s * t)
+                lhs = left * right[t]
+                rhs = twisted * alpha(s, t) * embed(s * t)
                 if not lhs == rhs:
                     bad.append(f"product law fails at (s,t)=({s},{t}), pair {idx}")
     return bad

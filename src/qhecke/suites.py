@@ -53,7 +53,7 @@ from .commutant import (
     span_closure,
     specialization_points,
 )
-from .crossed import check_crossed_axioms, check_crossed_embedding
+from .crossed import check_crossed_axioms, check_crossed_embedding, memoized_action
 from .hecke import HeckeAlgebra, goldman_eigenproject, to_tprime_basis
 from .partitions import predicted_dimensions
 from .qfield import Q_MINUS_QINV, Q_PLUS_QINV, RationalFunction
@@ -360,7 +360,8 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
         tp_gens = [mat(g) for g in rep.tprime_matrices()]
         phi = mat(phi_tensor(space))
         ident = OperatorMatrix.identity(dim, one)
-        sign_one = ident.scale(one if sign == 1 else -one)
+        signed = one if sign == 1 else -one
+        sign_one = ident.scale(signed)
         squares = phi * phi == sign_one
         report.add("flip-squares-to-sign", squares,
                    expected=f"({sign})*identity", actual="equal" if squares else "differs")
@@ -382,22 +383,18 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
         report.add("centralizer-dimension-doubles", len(d_alg) == 2 * len(b_alg),
                    expected=2 * len(b_alg), actual=len(d_alg))
 
-        def omega(f):
-            return (phi * f * phi).scale(one if sign == 1 else -one)
-
+        # the weak action omega: conjugation by the flip, times the sign
+        omega = memoized_action(lambda f: (phi * f * phi).scale(signed))
         basis_sample = b_alg.elements[:12]
-        omega_closes = all(b_alg.contains(omega(f)) for f in basis_sample)
-        omega_invol = all(omega(omega(f)) == f for f in basis_sample)
+        omega_closes = all(b_alg.contains(omega(-1, f)) for f in basis_sample)
+        omega_invol = all(omega(-1, omega(-1, f)) == f for f in basis_sample)
         report.add("conjugation-preserves-commutant", omega_closes)
         report.add("conjugation-has-order-two", omega_invol)
-
-        def apply_fn(s, a):
-            return a if s == 1 else omega(a)
 
         def alpha(s, t):
             return ident if (s == 1 or t == 1) else sign_one
 
-        axiom_failures = check_crossed_axioms(apply_fn, alpha, ident, basis_sample)
+        axiom_failures = check_crossed_axioms(omega, alpha, ident, basis_sample)
         report.add("crossed-system-axioms", not axiom_failures,
                    witness="; ".join(axiom_failures[:5]) if axiom_failures else None)
 
@@ -406,7 +403,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
         pairs = [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))])
                  for _ in range(min(8, len(pool) * len(pool)))]
         embed = {1: ident, -1: phi}
-        law_failures = check_crossed_embedding(apply_fn, alpha, embed.__getitem__, pairs)
+        law_failures = check_crossed_embedding(omega, alpha, embed.__getitem__, pairs)
         report.add("crossed-product-law", not law_failures,
                    expected=f"{len(pairs)} pairs x 4 sign patterns",
                    actual="all equal" if not law_failures else f"{len(law_failures)} failures",

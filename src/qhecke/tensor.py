@@ -138,6 +138,10 @@ class OperatorMatrix:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
+    def __hash__(self):
+        # entries are never mutated after construction
+        return hash((self.dim, frozenset(self.entries.items())))
+
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim}, nnz={self.nnz})"
 

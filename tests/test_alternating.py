@@ -197,3 +197,24 @@ class TestCrossedProduct:
     def test_rank_bound(self):
         with pytest.raises(ValueError):
             verify_crossed_product_H(1)
+
+    @pytest.mark.parametrize("rank,pairs", [(4, 144), (5, 12)])
+    def test_non_involutive_conjugator_fails(self, monkeypatch, rank, pairs):
+        # T'_1 replaced by the plain generator T_1, which does not square to one:
+        # the memoized action must not hide it
+        tprime = HeckeAlgebra.tprime
+        monkeypatch.setattr(HeckeAlgebra, "tprime", lambda self, i:
+                            self.generator(1) if i == 1 else tprime(self, i))
+        failed = {c.name: c for c in verify_crossed_product_H(rank).checks
+                  if c.status != "pass"}
+        assert list(failed) == ["weak-action-preserves-even-part", "weak-action-order-two",
+                                "weak-action-multiplicative", "crossed-system-axioms",
+                                "crossed-product-law"]
+        assert all(c.status == "fail" for c in failed.values())
+        assert failed["crossed-system-axioms"].witness == "; ".join(
+            f"weak-action axiom fails at (s,t)=(-1,-1), sample {i}" for i in range(5))
+        law = failed["crossed-product-law"]
+        assert (law.expected, law.actual) == (f"{pairs} pairs x 4 sign patterns",
+                                              f"{pairs} failures")
+        assert law.witness == "; ".join(
+            f"product law fails at (s,t)=(-1,1), pair {i}" for i in range(5))

@@ -8,6 +8,7 @@ import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
 from qhecke.commutant import commutant_basis, span_closure, span_equal
+from qhecke.hecke import SymmetricGroupTable
 from qhecke.partitions import predicted_dimensions
 from qhecke.qfield import RationalFunction
 from qhecke.report import Report
@@ -48,6 +49,16 @@ class TestHeckeSuite:
         report = suite_hecke(2)
         assert report.passed
         assert check_map(report)["decomposition-dims"].actual == "(1, 1)"
+
+    def test_rank6_product_count_is_bounded(self, monkeypatch):
+        # every crossed-product value is computed once per suite call, so a
+        # recomputation that creeps back shows here without timing
+        calls = []
+        elem_mul = SymmetricGroupTable.elem_mul
+        monkeypatch.setattr(SymmetricGroupTable, "elem_mul",
+                            lambda self, x, y: calls.append(1) or elem_mul(self, x, y))
+        assert suite_hecke(6, seed=0).passed
+        assert len(calls) <= 535
 
     def test_out_of_range(self):
         with pytest.raises(SizeBoundError):

@@ -345,3 +345,13 @@ def test_dump_lines_rejects_a_negative_limit():
     mat = pi_T(GradedSpace(1, 1, 2), 1)
     with pytest.raises(ValueError, match="limit"):
         mat.dump_lines(-1)
+
+
+def test_equal_matrices_hash_alike():
+    # the crossed-product checks key their memo by matrix value
+    sp = GradedSpace(1, 1, 2)
+    g = pi_T(sp, 1)
+    built = OperatorMatrix(sp.dim, dict(reversed(list(g.entries.items()))))
+    assert built == g and hash(built) == hash(g)
+    assert {g: 1}[built] == 1
+    assert g * g not in {g: 1}
