@@ -21,8 +21,8 @@ from .hecke import (
     HeckeElement,
     SymmetricGroupTable,
     Word,
-    _LC_ONE,
     _lc_to_rf,
+    _unit_vec,
     normal_form_words,
     symmetric_group_table,
     word_parity,
@@ -82,9 +82,9 @@ class ClosureCheck:
         return not self.violations
 
 
-def tprime_product_coords(table: SymmetricGroupTable, left_wid: int, right_wid: int) -> dict:
-    """T'-coordinates of T'_{w1} * T'_{w2}, via cascaded generator actions."""
-    return table.word_image({table.identity: {right_wid: _LC_ONE}}, left_wid,
+def tprime_product_coords(table: SymmetricGroupTable, left_wid: int, right_wid: int) -> tuple:
+    """T'-coordinates of T'_{w1} * T'_{w2} as a stored pair, via cascaded generator actions."""
+    return table.word_image({table.identity: _unit_vec(right_wid)}, left_wid,
                             table.tp_left_apply)
 
 
@@ -111,10 +111,12 @@ def check_even_closure(rank: int, *, sample_pairs: int | None = None,
     right = cache = None
     for w1, w2 in pairs:
         if w2 != right:
-            right, cache = w2, {table.identity: {w2: _LC_ONE}}
-        for wid, c in table.word_image(cache, w1, table.tp_left_apply).items():
+            right, cache = w2, {table.identity: _unit_vec(w2)}
+        nums, den = table.word_image(cache, w1, table.tp_left_apply)
+        for wid, c in nums.items():
             if length[wid] & 1:
-                result.violations.append((words[w1], words[w2], words[wid], str(_lc_to_rf(c))))
+                result.violations.append((words[w1], words[w2], words[wid],
+                                          str(_lc_to_rf(c, den))))
     return result
 
 
@@ -201,12 +203,12 @@ def verify_crossed_product_H(rank: int, *, seed: int = 0) -> Report:
         even_wids = [all_even[rng_w.randrange(len(all_even))] for _ in range(CROSSED_SAMPLE_SIZE)]
     odd_coord_vectors = []
     for wid in even_wids:
-        coords = tprime_product_coords(table, wid, tp1_wid)
+        coords, den = tprime_product_coords(table, wid, tp1_wid)
         if {table.length[u] & 1 for u in coords} != {1}:
             odd_support_ok = False
             break
         odd_seen.update(coords)
-        odd_coord_vectors.append({u: _lc_to_rf(c) for u, c in coords.items()})
+        odd_coord_vectors.append({u: _lc_to_rf(c, den) for u, c in coords.items()})
     report.add("odd-part-from-even-times-conjugator", odd_support_ok,
                expected="odd-parity support", actual="ok" if odd_support_ok else "mixed parity")
     if exhaustive:

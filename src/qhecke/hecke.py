@@ -13,15 +13,15 @@ rule on permutations: ``T_g * T_w = T_{gw}`` when the length goes up, and
 ``(q - q^-1) T_w + T_{gw}`` otherwise.  Products of general elements are
 reduced generator by generator; the quadratic and braid relations are
 consequences and are exercised by the test suite rather than assumed.  The
-steps run fraction-free: each factor is brought to one shared denominator
-(`_common`), `gen_mul` adds and shifts the integer Laurent numerators, and
-each output coefficient is normalized once (`_from_common`).
+steps run fraction-free: `gen_mul` adds and shifts the integer Laurent
+numerators of the stored form, and the result is normalized once.
 
 The involutive generators ``T'_i = (2 T_i - (q - q^-1)) / (q + q^-1)`` give a
 second normal-form basis (products of T' factors along the same words).  The
 conversion between the two bases is triangular with respect to word length,
 which is what `to_tprime_basis` exploits.  Maps given on basis words (the T'
-words, the Goldman images, the T'-columns) extend linearly by `_linear`.
+words, the Goldman images, the T'-columns) extend linearly by `_linear`,
+which also serves sums and scalar multiples.
 
 T'-columns.  Left multiplication by T'_g on T' coordinates needs the column
 T'_g * T'_w (`tp_left_col`).  The T' generators are involutions and far ones
@@ -35,16 +35,16 @@ the word of v from it needs a braid move, and the braid relation of the T'
 generators carries a correction term.  Products of T' words are cascades of
 these columns along the left word (`word_image` with `tp_left_apply`).
 
-Coefficients.  One engine serves every coefficient.  A coefficient that lies
-in the localization Q[q, q^-1, (q+q^-1)^-1] -- all that these constructions
-produce -- is stored in a compact integer form (`_LC`); any other (after a
-division by q - 1, say) is stored as a `RationalFunction`.  The table routines
-take both: a vector holding a `RationalFunction` shares a polynomial
-denominator, carries `Fraction` numerators through the same steps and yields
-`RationalFunction` values, and an `_LC` combined with a `RationalFunction`
-converts itself.  The element constructors restore the `_LC` form wherever
-the value allows.  `RationalFunction` values are produced again only at the
-API boundary (`coeffs`, `repr`).  All values are immutable once built.
+Coefficients.  A vector is stored in one form, the pair (nums, (d, ek, p)):
+integer Laurent numerators keyed by word index over the one denominator
+d (q+q^-1)^ek p.  p is None for the vectors these constructions produce, whose
+values lie in the localization Q[q, q^-1, (q+q^-1)^-1]; after a division by
+q - 1, say, it is a primitive integer polynomial.  `_canonical` makes the pair
+unique for the value -- d prime to the numerators' content, ek minimal, p
+prime to q^2 + 1 and to the numerators' gcd -- so ``==`` and ``hash`` are
+structural.  `RationalFunction` values appear only at the boundary (`coeffs`,
+`repr`, report witnesses), through `_lc_to_rf`.  All values are immutable
+once built.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm
 from typing import Mapping
 
-from .qfield import (HALF, LaurentPolynomial, RationalFunction, _axpy, _linear, _mul_terms,
-                     _qp_pow, _qsq_den, _strip_qp)
+from .qfield import (HALF, LaurentPolynomial, RationalFunction, _axpy, _dense, _dense_exact_div,
+                     _dense_gcd, _from_dense, _idiv_qp, _mul_terms, _qp_divides, _qp_pow,
+                     _strip_qp)
 
 Word = tuple[int, ...]
 
@@ -145,154 +146,132 @@ def _commutation_key(seq: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# localized coefficients: num / (d * (q + q^-1)^ek) with integer num
+# stored vectors: integer Laurent numerators over one denominator d (q+q^-1)^ek p
 # ---------------------------------------------------------------------------
 
-class _LC:
-    """num / (d * (q+q^-1)^ek), canonical: gcd(content, d) = 1, q^2+1 ∤ num.
+_UNIT = (1, 0, None)                    # the denominator 1
 
-    Combined with a `RationalFunction` (either side of ``+``, ``-``, ``*``),
-    an `_LC` converts itself and the result is a `RationalFunction`.
+
+def _unit_vec(wid: int) -> tuple:
+    """The stored pair of the basis word ``wid``."""
+    return {wid: {0: 1}}, _UNIT
+
+
+def _pmul(a: dict | None, b: dict | None) -> dict | None:
+    return b if a is None else a if b is None else _mul_terms(a, b)
+
+
+def _canonical(nums: dict, den: tuple) -> tuple:
+    """The canonical stored pair of the vector nums / (d (q+q^-1)^ek p).
+
+    ``nums`` holds nonzero integer Laurent numerators and is not mutated; p is
+    None or a primitive integer polynomial of valuation 0, positive leading
+    coefficient and prime to q^2 + 1.  Unique for the value: p is made prime to
+    the numerators' gcd, ek minimal and d prime to their content.
     """
-
-    __slots__ = ("num", "d", "ek")
-
-    def __init__(self, num: dict[int, int], d: int, ek: int):
-        self.num = num
-        self.d = d
-        self.ek = ek
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, _LC) and self.num == other.num
-                and self.d == other.d and self.ek == other.ek)
-
-    def __hash__(self):
-        return hash((frozenset(self.num.items()), self.d, self.ek))
-
-    def __neg__(self) -> "_LC":
-        return _LC({e: -c for e, c in self.num.items()}, self.d, self.ek)
-
-    def __add__(self, other):
-        if type(other) is not _LC:
-            return _lc_to_rf(self) + other
-        if not (self.num and other.num):
-            return self if not other.num else other
-        nums, (d, ek, _) = _common({0: self, 1: other})
-        return _lc_norm(_axpy(dict(nums[0]), None, nums[1].items()), d, ek)
-
-    def __radd__(self, other):
-        return other + _lc_to_rf(self)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return other - _lc_to_rf(self)
-
-    def __mul__(self, other):
-        """A canonical numerator with ek > 0 is prime to q^2 + 1, which is
-        irreducible over Q; by Gauss's lemma so is a product of two, so only a
-        factor with ek == 0 can bring a q + q^-1 to strip.  A content gcd is
-        needed only when d1 * d2 > 1."""
-        if type(other) is not _LC:
-            return _lc_to_rf(self) * other
-        if not self.num or not other.num:
-            return _LC_ZERO
-        ek = self.ek + other.ek
-        return _lc_norm(_mul_terms(self.num, other.num), self.d * other.d, ek,
-                        0 if self.ek and other.ek else ek)
-
-    def __rmul__(self, other):
-        return other * _lc_to_rf(self)
-
-    def __repr__(self):
-        return f"_LC({self.num!r}, {self.d}, {self.ek})"
-
-
-_LC_ZERO = _LC({}, 1, 0)
-
-
-def _lc_norm(num: dict[int, int], d: int, ek: int, strip: int | None = None) -> _LC:
-    """The canonical `_LC` of num / (d (q+q^-1)^ek), trying to divide out at
-    most ``strip`` (default ek) factors of q + q^-1."""
-    if not num:
-        return _LC_ZERO
-    num, stripped = _strip_qp(num, ek if strip is None else strip)
-    ek -= stripped
-    g = _int_gcd(d, *num.values()) if d > 1 else 1
-    if g > 1:
-        num = {e: c // g for e, c in num.items()}
-        d //= g
-    return _LC(num, d, ek)
-
-
-_LC_ONE = _LC({0: 1}, 1, 0)
-
-
-def _lc_to_rf(x: _LC) -> RationalFunction:
-    if not x.num:
-        return RationalFunction.zero()
-    num = LaurentPolynomial._raw({e + x.ek: Fraction(c, x.d) for e, c in x.num.items()})
-    return RationalFunction._make(num, LaurentPolynomial._raw(_qsq_den(x.ek)))
-
-
-def _rf_to_lc(f: RationalFunction) -> _LC | None:
-    """Convert when the denominator is a power of q^2+1 (else None)."""
-    # a canonical denominator (q^2+1)^k leaves the monomial q^k
-    rest, k = _strip_qp(f.den.terms, max(f.den.terms))
-    if len(rest) != 1:
-        return None
-    d = lcm(*(c.denominator for c in f.num.terms.values()))
-    return _lc_norm({e - k: int(c * d) for e, c in f.num.terms.items()}, d, k)
-
-
-def _common(vec: dict) -> tuple[dict, tuple]:
-    """vec's numerators over one denominator d (q+q^-1)^ek p: d and ek the lcm and max over
-    its `_LC` values, p the product of its distinct RF denominators (None if it has none)."""
-    d, ek, dens = 1, 0, []
-    for c in vec.values():
-        if type(c) is _LC:
-            d, ek = lcm(d, c.d), max(ek, c.ek)
-        elif c.den.terms not in dens:
-            dens.append(c.den.terms)
-    cofactors = [reduce(_mul_terms, dens[:i] + dens[i + 1:], {0: 1}) for i in range(len(dens))]
-    p = _mul_terms(cofactors[0], dens[0]) if dens else None
-    nums = {}
-    for wid, c in vec.items():
-        if type(c) is _LC:
-            num, f, k = c.num if p is None else _mul_terms(c.num, p), d // c.d, ek - c.ek
-        else:
-            num, f, k = _mul_terms(c.num.terms, cofactors[dens.index(c.den.terms)]), d, ek
-        if k:
-            num = _mul_terms(num, _qp_pow(k))
-        nums[wid] = {e: f * t for e, t in num.items()} if f != 1 else num
-    return nums, (d, ek, p)
-
-
-def _from_common(nums: dict, den: tuple) -> dict:
-    """The nonzero coefficients num / den over a `_common` denominator (d, ek, p)."""
+    if not nums:
+        return {}, _UNIT
     d, ek, p = den
-    if p is None:
-        return {wid: _lc_norm(num, d, ek) for wid, num in nums.items() if num}
-    den = LaurentPolynomial(_mul_terms(p, {e: d * c for e, c in _qp_pow(ek).items()}))
-    return {wid: RationalFunction(LaurentPolynomial(num), den)
-            for wid, num in nums.items() if num}
+    if p is not None:
+        nums, p = _cancel_poly(nums, p)
+    while ek and all(map(_qp_divides, nums.values())):
+        nums, ek = {k: _idiv_qp(num) for k, num in nums.items()}, ek - 1
+    g = _int_gcd(d, *(c for num in nums.values() for c in num.values())) if d > 1 else 1
+    if g > 1:
+        nums = {k: {e: c // g for e, c in num.items()} for k, num in nums.items()}
+    return nums, (d // g, ek, p)
 
 
-def _stored(c):
-    """The stored form of a coefficient: `_LC` when it lies in the localization."""
-    if type(c) is _LC:
-        return c
-    lc = _rf_to_lc(c)
-    return c if lc is None else lc
+def _cancel_poly(nums: dict, p: dict) -> tuple[dict, dict | None]:
+    """Divide p and every numerator by their gcd over Q (None for p once it is 1).
+
+    The gcd is primitive, so by Gauss's lemma the quotients keep integer
+    coefficients and p stays primitive with positive leading coefficient.
+    """
+    def dense(num):
+        return _dense({e: Fraction(c) for e, c in num.items()})
+
+    g = reduce(_dense_gcd, (dense(num)[0] for num in nums.values()), dense(p)[0])
+    if len(g) == 1:
+        return nums, p
+
+    def divide(num):
+        coeffs, lo = dense(num)
+        return {e: int(c) for e, c in _from_dense(_dense_exact_div(coeffs, g), lo).items()}
+
+    p = divide(p)
+    return {k: divide(num) for k, num in nums.items()}, (None if len(p) == 1 else p)
 
 
-def _field_value(c) -> RationalFunction:
-    """A stored coefficient as an element of K, for the API boundary."""
-    return _lc_to_rf(c) if type(c) is _LC else c
+def _common(dens: list) -> tuple[tuple, list]:
+    """One denominator for all of ``dens`` -- d the lcm, ek the max, p the
+    product of the distinct p -- and for each den the Laurent factor that
+    brings a numerator over it."""
+    d = lcm(*(den[0] for den in dens))
+    ek = max((den[1] for den in dens), default=0)
+    ps = []
+    for _, _, p in dens:
+        if p is not None and p not in ps:
+            ps.append(p)
+    factors = []
+    for di, ki, pi in dens:
+        f = reduce(_mul_terms, (q for q in ps if q != pi), _qp_pow(ek - ki))
+        factors.append(f if d == di else {e: d // di * c for e, c in f.items()})
+    return (d, ek, reduce(_pmul, ps, None)), factors
+
+
+def _accumulate(terms) -> dict:
+    """The sum of c * image over the (c, image) terms, on Laurent numerators:
+    ``image`` maps keys to numerators, and a key whose sum cancels is dropped."""
+    out: dict = {}
+    for c, image in terms:
+        for u, t in image.items():
+            s = _mul_terms(c, t, out.get(u))
+            if s:
+                out[u] = s
+            else:
+                del out[u]
+    return out
+
+
+def _linear(vec: tuple, image) -> tuple:
+    """The stored pair of the sum of c * image(k) over the coefficients c of
+    vec, each image a stored pair; the images go over one common denominator."""
+    nums, (d, ek, p) = vec
+    images = [image(k) for k in nums]
+    # images that are distinct basis words only move vec's canonical numerators
+    words = {u for inums, iden in images if iden == _UNIT and len(inums) == 1
+             for u, t in inums.items() if t == {0: 1}}
+    if len(words) == len(images):
+        return dict(zip((next(iter(inums)) for inums, _ in images), nums.values())), vec[1]
+    (cd, cek, cp), factors = _common([den for _, den in images])
+    terms = ((c if f == {0: 1} else _mul_terms(c, f), inums)
+             for c, f, (inums, _) in zip(nums.values(), factors, images))
+    return _canonical(_accumulate(terms), (d * cd, ek + cek, _pmul(p, cp)))
+
+
+def _from_field(pairs) -> tuple:
+    """The stored pair of the sum of (key, `RationalFunction`) pairs, each
+    coefficient brought in as a one-key pair."""
+    vec = _axpy({}, None, pairs)
+
+    def entry(k):
+        num, den = vec[k].num.terms, vec[k].den.terms
+        # a canonical denominator (q^2+1)^j r leaves q^j r after j divisions by q + q^-1
+        rest, j = _strip_qp(den, max(den))
+        r = {e - j: int(c) for e, c in rest.items()}
+        d = lcm(*(c.denominator for c in num.values()))
+        return {k: {e - j: int(c * d) for e, c in num.items()}}, (d, j, None if r == {0: 1} else r)
+
+    return _linear(({k: {0: 1} for k in vec}, _UNIT), entry)
+
+
+def _lc_to_rf(num: dict, den: tuple) -> RationalFunction:
+    """One stored coefficient num / (d (q+q^-1)^ek p) as an element of K."""
+    d, ek, p = den
+    qsq = {e + ek: d * c for e, c in _qp_pow(ek).items()}        # d (q^2+1)^ek
+    return RationalFunction(LaurentPolynomial({e + ek: c for e, c in num.items()}),
+                            LaurentPolynomial(qsq if p is None else _mul_terms(p, qsq)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +285,8 @@ class SymmetricGroupTable:
     below are built eagerly; the Goldman and T'-expansion caches are filled
     lazily because they are only needed by a subset of operations.
 
-    The methods act on coefficient vectors (wid -> coefficient) whose values
-    are `_LC` or `RationalFunction`; the cached expansions are all `_LC`.
+    The methods act on canonical stored pairs (see `_canonical`); ``gen_mul``
+    alone acts on bare numerators.
     """
 
     def __init__(self, rank: int):
@@ -345,11 +324,11 @@ class SymmetricGroupTable:
                 rrow.append(self.perm_index[swapped])
             self.left_mult.append(lrow)
             self.right_mult.append(rrow)
-        self._goldman: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
-        self._tprime: dict[int, dict[int, _LC]] = {self.identity: {self.identity: _LC_ONE}}
-        self._tp_left: dict[tuple[int, int], dict[int, _LC]] = {}
+        self.one = _unit_vec(self.identity)
+        self._goldman: dict[int, tuple] = {self.identity: self.one}
+        self._tprime: dict[int, tuple] = {self.identity: self.one}
+        self._tp_left: dict[tuple[int, int], tuple] = {}
         self._seq_keys: list[tuple[int, ...] | None] = [None] * len(self.words)
-        self._beta: dict[int, _LC] = {}
 
     # -- generator actions on coefficient vectors
 
@@ -381,34 +360,36 @@ class SymmetricGroupTable:
                     out[x] = y
         return out
 
-    def elem_mul(self, x: dict, y: dict) -> dict:
+    def elem_mul(self, x: tuple, y: tuple) -> tuple:
+        if x == self.one:
+            return y
+        if y == self.one:
+            return x
         # decompose the factor with the smaller support into generator cascades
-        if len(x) <= len(y):
-            decompose, anchor, rows, reverse = x, y, self.left_mult, True
-        else:
-            decompose, anchor, rows, reverse = y, x, self.right_mult, False
-        cnums, (cd, cek, cp) = _common(decompose)
-        anums, (ad, aek, ap) = _common(anchor)
-        sums: dict = {}
-        for wid, cn in cnums.items():
+        reverse = len(x[0]) <= len(y[0])
+        (cnums, (cd, cek, cp)), (anums, (ad, aek, ap)) = (x, y) if reverse else (y, x)
+        rows = self.left_mult if reverse else self.right_mult
+
+        def cascade(wid):
             tmp = anums
             seq = self.seqs[wid]
             for g in (reversed(seq) if reverse else seq):
                 tmp = self.gen_mul(rows[g - 1], tmp)
-            for k, t in tmp.items():
-                sums[k] = _mul_terms(cn, t, sums.get(k))
-        p = ap if cp is None else cp if ap is None else _mul_terms(cp, ap)
-        return _from_common(sums, (cd * ad, cek + aek, p))
+            return tmp
 
-    def tprime_gen_apply(self, g: int, vec: dict) -> dict:
+        sums = _accumulate((cn, cascade(wid)) for wid, cn in cnums.items())
+        return _canonical(sums, (cd * ad, cek + aek, _pmul(cp, ap)))
+
+    def tprime_gen_apply(self, g: int, vec: tuple) -> tuple:
         """Left multiplication by T'_g = (2 T_g - (q - q^-1)) / (q + q^-1)."""
-        nums, (d, ek, p) = _common(vec)
-        return _from_common(self.gen_mul(self.left_mult[g - 1], nums, 2, -1), (d, ek + 1, p))
+        nums, (d, ek, p) = vec
+        return _canonical(self.gen_mul(self.left_mult[g - 1], nums, 2, -1), (d, ek + 1, p))
 
-    def goldman_gen_apply(self, g: int, vec: dict) -> dict:
-        """Left multiplication by the Goldman image (q - q^-1) - T_g of T_g."""
-        nums, den = _common(vec)
-        return _from_common(self.gen_mul(self.left_mult[g - 1], nums, -1, 1), den)
+    def goldman_gen_apply(self, g: int, vec: tuple) -> tuple:
+        """Left multiplication by the Goldman image (q - q^-1) - T_g of T_g; it is
+        -T_g^-1, a unit over Z[q, q^-1], so the pair stays canonical."""
+        nums, den = vec
+        return self.gen_mul(self.left_mult[g - 1], nums, -1, 1), den
 
     # -- images of basis words, factor by factor
 
@@ -424,46 +405,62 @@ class SymmetricGroupTable:
             image = cache[wid] = step(g, self.word_image(cache, rest, step))
         return image
 
-    def goldman_word(self, wid: int) -> dict[int, _LC]:
+    def goldman_word(self, wid: int) -> tuple:
         return self.word_image(self._goldman, wid, self.goldman_gen_apply)
 
-    def tprime_word(self, wid: int) -> dict[int, _LC]:
-        return self.word_image(self._tprime, wid, self.tprime_gen_apply)
+    def tprime_word(self, wid: int) -> tuple:
+        """T'_w = N_w / (q + q^-1)^l(w), N_w the generator steps along the word;
+        N_w has 2^l(w) at T_w, so the pair is canonical as it stands."""
+        return self.word_image(self._tprime, wid, lambda g, rest: (
+            self.gen_mul(self.left_mult[g - 1], rest[0], 2, -1), (1, rest[1][1] + 1, None)))
 
     # -- T'-basis coordinates
-
-    def _beta_factor(self, L: int) -> _LC:
-        """(q+q^-1)^L / 2^L, the inverse leading coefficient at length L."""
-        cached = self._beta.get(L)
-        if cached is None:
-            cached = _lc_norm(dict(_qp_pow(L)), 2 ** L, 0)
-            self._beta[L] = cached
-        return cached
 
     @cached_property
     def by_length(self) -> list[int]:
         """Word indices, longest first and ascending among equal lengths."""
         return sorted(range(len(self.words)), key=lambda wid: -self.length[wid])
 
-    def to_tprime(self, vec: dict) -> dict:
+    def to_tprime(self, vec: tuple) -> tuple:
         """Coordinates in the T'-normal-form basis (triangular elimination).
 
-        T'_w is a multiple of T_w plus shorter words, so the words are
-        eliminated in `by_length` order, and ``out`` keeps that order.
+        N_w is 2^l(w) T_w plus shorter words, so the words are eliminated in
+        `by_length` order, which ``out`` keeps, by ``work -= work[w] N_w / 2^l(w)``
+        on integer numerators over vec's denominator, each over its own power of
+        two.  The coordinate of T'_w is what was left at T_w times
+        (q+q^-1)^l(w) / 2^l(w); all are normalized once, at the end.
         """
+        nums, (d, ek, p) = vec
+        length = self.length
+        work = {k: (num, 0) for k, num in nums.items()}    # numerator / 2^s
         out: dict = {}
-        work = dict(vec)
         for wid in self.by_length:
             if not work:
                 break
-            a = work.pop(wid, None)
-            if not a:
+            if wid not in work:
                 continue
-            beta = out[wid] = a * self._beta_factor(self.length[wid])
-            _axpy(work, -beta, ((u, cu) for u, cu in self.tprime_word(wid).items() if u != wid))
-        return out
+            a, s = work.pop(wid)
+            s += length[wid]
+            out[wid] = a, s
+            for u, t in self.tprime_word(wid)[0].items():
+                if u == wid:
+                    continue
+                b, sb = work.pop(u, ({}, s))
+                top = max(s, sb)
+                new = _mul_terms({e: -c << top - s for e, c in a.items()}, t,
+                                 {e: c << top - sb for e, c in b.items()})
+                if new:
+                    work[u] = new, top
+        # coordinate w is a (q+q^-1)^(l(w) - ek) / (2^s d p); put all over 2^top d (q+q^-1)^k p
+        top = max((s for _, s in out.values()), default=0)
+        k = max(0, ek - min((length[wid] for wid in out), default=ek))
+        coords = {}
+        for wid, (a, s) in out.items():
+            a = _mul_terms(a, _qp_pow(length[wid] - ek + k))
+            coords[wid] = {e: c << top - s for e, c in a.items()}
+        return _canonical(coords, (d << top, k, p))
 
-    def from_tprime(self, vec: dict) -> dict:
+    def from_tprime(self, vec: tuple) -> tuple:
         return _linear(vec, self.tprime_word)
 
     def tp_left_is_word(self, g: int, wid: int) -> bool:
@@ -474,19 +471,19 @@ class SymmetricGroupTable:
             key = self._seq_keys[v] = _commutation_key(self.seqs[v])
         return _commutation_key(_cancel_left(g, self.seqs[wid])) == key
 
-    def tp_left_col(self, g: int, wid: int) -> dict[int, _LC]:
+    def tp_left_col(self, g: int, wid: int) -> tuple:
         """T'-coordinates of T'_g * T'_w — one column of left multiplication."""
         key = (g, wid)
         cached = self._tp_left.get(key)
         if cached is None:
             if self.tp_left_is_word(g, wid):
-                cached = {self.left_mult[g - 1][wid]: _LC_ONE}
+                cached = _unit_vec(self.left_mult[g - 1][wid])
             else:
                 cached = self.to_tprime(self.tprime_gen_apply(g, self.tprime_word(wid)))
             self._tp_left[key] = cached
         return cached
 
-    def tp_left_apply(self, g: int, vec: dict) -> dict:
+    def tp_left_apply(self, g: int, vec: tuple) -> tuple:
         """Left multiplication by T'_g on T'-coordinate vectors."""
         return _linear(vec, lambda wid: self.tp_left_col(g, wid))
 
@@ -516,44 +513,38 @@ def _as_field(c) -> RationalFunction:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-def _scalar(value):
-    """A public scalar in stored form."""
-    return _stored(_as_field(value))
-
-
-def _word_vec(rank: int, coeffs: Mapping[Word, object] | None) -> dict:
-    """Word-keyed public coefficients as a zero-free wid-keyed vector."""
+def _word_vec(rank: int, coeffs: Mapping[Word, object] | None) -> tuple:
+    """Word-keyed public coefficients as a stored pair."""
     table = symmetric_group_table(rank)
     pairs = []
     for word, value in (coeffs or {}).items():
         word = tuple(word)
         check_word(word, rank)
         pairs.append((table.index[word], _as_field(value)))
-    return _axpy({}, None, pairs)
+    return _from_field(pairs)
 
 
 class _WordVector:
     """Sparse coefficients on normal-form basis words, keyed by word index.
 
-    ``_c`` maps word indices to nonzero coefficients in `_stored` form, which
-    the constructor enforces, so ``==`` compares it directly.
+    ``_c`` is the canonical stored pair (numerators, denominator), so ``==``
+    compares it directly.
     """
 
     __slots__ = ("rank", "_c")
     _letter = "T"                       # basis letter in the repr
     _zero = "0"                         # repr of the zero vector, formatted with rank
 
-    def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _wids=None):
+    def __init__(self, rank: int, coeffs: Mapping[Word, object] | None = None, *, _c=None):
         self.rank = rank
-        if _wids is None:
-            _wids = _word_vec(rank, coeffs)
-        self._c = {k: _stored(v) for k, v in _wids.items()}
+        self._c = _word_vec(rank, coeffs) if _c is None else _c
 
     @property
     def coeffs(self) -> dict[Word, RationalFunction]:
         """Word-keyed view of the coefficients (a fresh dict)."""
         words = symmetric_group_table(self.rank).words
-        return {words[wid]: _field_value(v) for wid, v in sorted(self._c.items())}
+        nums, den = self._c
+        return {words[wid]: _lc_to_rf(num, den) for wid, num in sorted(nums.items())}
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -561,11 +552,9 @@ class _WordVector:
         return self.rank == other.rank and self._c == other._c
 
     def __repr__(self):
-        if not self._c:
+        if not self._c[0]:
             return self._zero.format(rank=self.rank)
-        words = symmetric_group_table(self.rank).words
-        return " + ".join(f"({_field_value(v)})*{self._letter}{words[k]}"
-                          for k, v in sorted(self._c.items()))
+        return " + ".join(f"({v})*{self._letter}{w}" for w, v in self.coeffs.items())
 
 
 class HeckeElement(_WordVector):
@@ -576,7 +565,7 @@ class HeckeElement(_WordVector):
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._c[0]
 
     # -- ring operations
 
@@ -587,7 +576,9 @@ class HeckeElement(_WordVector):
     def __add__(self, other):
         if isinstance(other, HeckeElement):
             self._check_rank(other)
-            return HeckeElement(self.rank, _wids=_axpy(dict(self._c), None, other._c.items()))
+            # the linear extension of 0 -> self, 1 -> other
+            return HeckeElement(self.rank, _c=_linear(({0: {0: 1}, 1: {0: 1}}, _UNIT),
+                                                      (self._c, other._c).__getitem__))
         return self + _scalar_elem(self.rank, other)
 
     __radd__ = __add__
@@ -599,14 +590,18 @@ class HeckeElement(_WordVector):
         return (-self) + other
 
     def __neg__(self):
-        return HeckeElement(self.rank, _wids={k: -v for k, v in self._c.items()})
+        nums, den = self._c
+        return HeckeElement(self.rank, _c=(
+            {k: {e: -c for e, c in num.items()} for k, num in nums.items()}, den))
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             self._check_rank(other)
             table = symmetric_group_table(self.rank)
-            return HeckeElement(self.rank, _wids=table.elem_mul(self._c, other._c))
-        return HeckeElement(self.rank, _wids=_axpy({}, _scalar(other), self._c.items()))
+            return HeckeElement(self.rank, _c=table.elem_mul(self._c, other._c))
+        # the scalar is one coefficient, at the identity word: extend it to self
+        return HeckeElement(self.rank, _c=_linear(_scalar_elem(self.rank, other)._c,
+                                                  lambda _: self._c))
 
     def __rmul__(self, other):
         # scalars commute with everything; elements use __mul__
@@ -615,8 +610,7 @@ class HeckeElement(_WordVector):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        v = _as_field(other)
-        return self * v.inverse()
+        return self * _as_field(other).inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction, LaurentPolynomial)):
@@ -624,20 +618,21 @@ class HeckeElement(_WordVector):
         return super().__eq__(other)
 
     def __hash__(self):
-        return hash((self.rank, tuple(sorted(self._c.items()))))
+        nums, (d, ek, p) = self._c
+        return hash((self.rank, frozenset((k, frozenset(num.items())) for k, num in nums.items()),
+                     d, ek, p and frozenset(p.items())))
 
     # -- structure maps
 
     def goldman(self) -> "HeckeElement":
         """Image under the algebra involution determined by T_i -> (q-q^-1) - T_i."""
         table = symmetric_group_table(self.rank)
-        return HeckeElement(self.rank, _wids=_linear(self._c, table.goldman_word))
+        return HeckeElement(self.rank, _c=_linear(self._c, table.goldman_word))
 
 
 def _scalar_elem(rank: int, value) -> HeckeElement:
-    v = _scalar(value)
-    table = symmetric_group_table(rank)
-    return HeckeElement(rank, _wids=({table.identity: v} if v else {}))
+    return HeckeElement(rank, _c=_from_field([(symmetric_group_table(rank).identity,
+                                               _as_field(value))]))
 
 
 class TPrimeExpansion(_WordVector):
@@ -648,7 +643,7 @@ class TPrimeExpansion(_WordVector):
 
     def parities(self) -> set[int]:
         length = symmetric_group_table(self.rank).length
-        return {length[wid] & 1 for wid in self._c}
+        return {length[wid] & 1 for wid in self._c[0]}
 
     @property
     def even_supported(self) -> bool:
@@ -658,13 +653,13 @@ class TPrimeExpansion(_WordVector):
 def to_tprime_basis(x: HeckeElement) -> TPrimeExpansion:
     """Re-express an element in the T'-normal-form basis."""
     table = symmetric_group_table(x.rank)
-    return TPrimeExpansion(x.rank, _wids=table.to_tprime(x._c))
+    return TPrimeExpansion(x.rank, _c=table.to_tprime(x._c))
 
 
 def from_tprime_basis(y: TPrimeExpansion) -> HeckeElement:
     """Inverse of `to_tprime_basis` (linear extension of the T'-word products)."""
     table = symmetric_group_table(y.rank)
-    return HeckeElement(y.rank, _wids=table.from_tprime(y._c))
+    return HeckeElement(y.rank, _c=table.from_tprime(y._c))
 
 
 def goldman(x: HeckeElement) -> HeckeElement:
@@ -696,36 +691,34 @@ class HeckeAlgebra:
         self.table = symmetric_group_table(rank)
 
     def zero(self) -> HeckeElement:
-        return HeckeElement(self.rank, _wids={})
+        return HeckeElement(self.rank, _c=({}, _UNIT))
 
     def one(self) -> HeckeElement:
-        return HeckeElement(self.rank, _wids={self.table.identity: _LC_ONE})
+        return HeckeElement(self.rank, _c=self.table.one)
 
     def generator(self, i: int) -> HeckeElement:
         """The generator T_i, 1 <= i <= rank-1."""
         if not 1 <= i <= self.rank - 1:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
         word = tuple(1 if j == i - 1 else 0 for j in range(self.rank - 1))
-        return HeckeElement(self.rank, _wids={self.table.index[word]: _LC_ONE})
+        return HeckeElement(self.rank, _c=_unit_vec(self.table.index[word]))
 
     def tprime(self, i: int) -> HeckeElement:
         """T'_i = (2 T_i - (q - q^-1)) / (q + q^-1), an involutive generator."""
         if not 1 <= i <= self.rank - 1:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        vec = self.table.tprime_gen_apply(i, {self.table.identity: _LC_ONE})
-        return HeckeElement(self.rank, _wids=vec)
+        return HeckeElement(self.rank, _c=self.table.tprime_gen_apply(i, self.table.one))
 
     def basis_element(self, word: Word) -> HeckeElement:
         word = tuple(word)
         check_word(word, self.rank)
-        return HeckeElement(self.rank, _wids={self.table.index[word]: _LC_ONE})
+        return HeckeElement(self.rank, _c=_unit_vec(self.table.index[word]))
 
     def tprime_basis_element(self, word: Word) -> HeckeElement:
         """The product of T' factors along a normal-form word, in the T basis."""
         word = tuple(word)
         check_word(word, self.rank)
-        wid = self.table.index[word]
-        return HeckeElement(self.rank, _wids=self.table.tprime_word(wid))
+        return HeckeElement(self.rank, _c=self.table.tprime_word(self.table.index[word]))
 
     def random_element(self, rng, terms: int = 3) -> HeckeElement:
         """Seeded sparse element with small integer Laurent coefficients."""
@@ -734,4 +727,4 @@ class HeckeAlgebra:
         pairs = ((rng.randrange(nwords), RationalFunction(LaurentPolynomial(
                      {rng.randint(-2, 2): Fraction(rng.randint(-bound, bound))})))
                  for _ in range(terms))
-        return HeckeElement(self.rank, _wids=_axpy({}, None, pairs))
+        return HeckeElement(self.rank, _c=_from_field(pairs))

@@ -14,11 +14,10 @@ Every value is immutable; all operations return new objects.  No floating
 point is used anywhere.
 
 This module also owns the sparse kernels the other layers call: `_axpy`
-(accumulate and drop zeros), `_linear` (the linear extension of a map on
-keys, built on `_axpy`), `_mul_terms` (the Laurent product), and the
-q + q^-1 kernels `_idiv_qp`, `_strip_qp` and `_qp_pow`, which act on term
-dicts with `int` or `Fraction` coefficients and serve both the Hecke layer's
-localized coefficients and the (q^2 + 1)^k fast path of `_reduce`.
+(accumulate and drop zeros), `_mul_terms` (the Laurent product), and the
+q + q^-1 kernels `_qp_divides`, `_idiv_qp`, `_strip_qp` and `_qp_pow`, which
+act on term dicts with `int` or `Fraction` coefficients and serve both the
+Hecke layer's integer numerators and the (q^2 + 1)^k fast path of `_reduce`.
 """
 
 from __future__ import annotations
@@ -57,14 +56,6 @@ def _axpy(out: dict, a, pairs) -> dict:
             out[k] = v
         elif s is not None:
             del out[k]
-    return out
-
-
-def _linear(vec: dict, image) -> dict:
-    """The sum of ``c * image(k)`` over the pairs (k, c) of vec, each image a sparse dict."""
-    out: dict = {}
-    for k, c in vec.items():
-        _axpy(out, c, image(k).items())
     return out
 
 
@@ -184,19 +175,22 @@ def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 # the q + q^-1 kernels (Laurent dicts over int or Fraction)
 # ---------------------------------------------------------------------------
 
-def _idiv_qp(a: dict) -> dict | None:
-    """Exact division of a Laurent dict by q + q^-1, or None.
-
-    q + q^-1 = q^-1 (q - i)(q + i) divides a rational Laurent polynomial
-    exactly when its value at q = i, found by summing coefficients by
-    exponent mod 4, is 0; a nonzero value returns None before any division.
-    """
-    if not a:
-        return {}
+def _qp_divides(a: dict) -> bool:
+    """Whether q + q^-1 = q^-1 (q - i)(q + i) divides a rational Laurent
+    polynomial: exactly when its value at q = i, found by summing
+    coefficients by exponent mod 4, is 0."""
     at_i = [0, 0, 0, 0]
     for e, c in a.items():
         at_i[e & 3] += c
-    if at_i[0] != at_i[2] or at_i[1] != at_i[3]:
+    return at_i[0] == at_i[2] and at_i[1] == at_i[3]
+
+
+def _idiv_qp(a: dict) -> dict | None:
+    """Exact division of a Laurent dict by q + q^-1, or None; `_qp_divides`
+    decides before any division."""
+    if not a:
+        return {}
+    if not _qp_divides(a):
         return None
     lo, hi = min(a), max(a)
     quot: dict = {}
@@ -394,6 +388,8 @@ class LaurentPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))      # a constant equals its Fraction
         return hash(tuple(sorted(self.terms.items())))
 
     def __bool__(self):
@@ -583,6 +579,8 @@ class RationalFunction:
         return self.num.terms == other.num.terms and self.den.terms == other.den.terms
 
     def __hash__(self):
+        if len(self.den.terms) == 1:
+            return hash(self.num)                   # it equals its numerator
         return hash((self.num, self.den))
 
     # -- specialization

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
-from .qfield import PoleError, RationalFunction, _as_point_value, _axpy, _linear
+from .qfield import PoleError, RationalFunction, _as_point_value, _axpy
 
 
 @dataclass(frozen=True)
@@ -443,8 +443,10 @@ class PiRepresentation:
         """Linear extension of the action over the normal-form basis."""
         if x.rank != self.space.r:
             raise ValueError(f"element rank {x.rank} != tensor power {self.space.r}")
-        return OperatorMatrix._raw(self.space.dim, _linear(
-            x.coeffs, lambda word: self.word_matrix(word).entries))
+        out: dict = {}
+        for word, c in x.coeffs.items():
+            _axpy(out, c, self.word_matrix(word).entries.items())
+        return OperatorMatrix._raw(self.space.dim, out)
 
 
 def represent(x: HeckeElement, space: GradedSpace) -> OperatorMatrix:

@@ -13,14 +13,13 @@ from qhecke.alternating import (
     x_generator,
 )
 from qhecke.hecke import (
-    _LC_ONE,
     HeckeAlgebra,
     _lc_to_rf,
     goldman_eigenproject,
     symmetric_group_table,
     to_tprime_basis,
 )
-from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV
+from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV, _qp_pow
 from qhecke.suites import suite_alt
 
 
@@ -115,7 +114,7 @@ class TestClosure:
         table = symmetric_group_table(3)
         odd = next(w for w in range(len(table.words)) if table.length[w] % 2 == 1)
         even = next(w for w in range(len(table.words)) if table.length[w] % 2 == 0)
-        coords = tprime_product_coords(table, odd, even)
+        coords, _ = tprime_product_coords(table, odd, even)
         assert {table.length[w] & 1 for w in coords} == {1}
 
     @pytest.fixture
@@ -128,8 +127,11 @@ class TestClosure:
         column = table.tp_left_col
 
         def tp_left_col(g, wid):
-            col = column(g, wid)
-            return {**col, odd: _LC_ONE} if (g, wid) == target else col
+            nums, den = column(g, wid)
+            if (g, wid) != target:
+                return nums, den
+            d, ek, _ = den         # the coefficient 1 over den
+            return {**nums, odd: {e: d * c for e, c in _qp_pow(ek).items()}}, den
 
         monkeypatch.setitem(vars(table), "tp_left_col", tp_left_col)
         return table
@@ -137,9 +139,10 @@ class TestClosure:
     @staticmethod
     def _violations(table, pairs):
         words, length = table.words, table.length
-        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c)))
+        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c, den)))
                 for w1, w2 in pairs
-                for u, c in tprime_product_coords(table, w1, w2).items() if length[u] & 1]
+                for nums, den in [tprime_product_coords(table, w1, w2)]
+                for u, c in nums.items() if length[u] & 1]
 
     def test_exhaustive_mode_reports_the_violating_pairs(self, broken_table):
         evens = [w for w in range(6) if broken_table.length[w] % 2 == 0]
@@ -162,23 +165,22 @@ class TestClosure:
     def test_suite_fails_closure_with_a_witness(self, broken_table):
         check = next(c for c in suite_alt(3).checks if c.name == "even-basis-closure")
         assert check.status == "fail"
-        assert check.witness.startswith("T'")
+        assert check.witness == "T'(0, 2) * T'(0, 0) hits odd word (0, 1) with coeff 1"
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_cascade_matches_direct_products(self, rank):
         H = HeckeAlgebra(rank)
         table = symmetric_group_table(rank)
         rng = random.Random(rank)
-        from qhecke.hecke import _lc_to_rf
         evens = [w for w in range(len(table.words)) if table.length[w] % 2 == 0]
         for _ in range(10):
             w1, w2 = rng.choice(evens), rng.choice(evens)
-            coords = tprime_product_coords(table, w1, w2)
+            coords, den = tprime_product_coords(table, w1, w2)
             direct = to_tprime_basis(
                 H.tprime_basis_element(table.words[w1])
                 * H.tprime_basis_element(table.words[w2]))
             assert direct.coeffs == {
-                table.words[u]: _lc_to_rf(c) for u, c in sorted(coords.items())}
+                table.words[u]: _lc_to_rf(c, den) for u, c in sorted(coords.items())}
 
 
 class TestCrossedProduct:

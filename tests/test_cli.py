@@ -198,6 +198,8 @@ class TestGoldenOutput:
          "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
         (["verify", "hecke", "--r", "6"],
          "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
+        (["verify", "alt", "--r", "4"],
+         "28a7af8ec8c670a02ca9fb6d995165b9ada1a690f940bed84c18c2c33ad7ed19"),
         (["verify", "alt", "--r", "5"],
          "5ed8704803f90b9f882a3b3a4c1ea76c59bc48dda9fb8e9cda2450706f3a6d7b"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
@@ -216,8 +218,8 @@ class TestGoldenOutput:
          "6669728a513c441c4b5319c60b8ff4b8ea9fbfd231b0f76e8474197862dfcfd1"),
         (["dump", "--m", "2", "--n", "1", "--r", "3", "--gen", "T2"],
          "c67f458a559f5a9d54d95c180ade8e28f6a8ca4423c15bb8236d406706060a11"),
-    ], ids=["hecke-4", "hecke-5", "hecke-6", "alt-5", "dump-Tp1", "dump-X1", "dump-e2", "dump-sigma",
-            "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
+    ], ids=["hecke-4", "hecke-5", "hecke-6", "alt-4", "alt-5", "dump-Tp1", "dump-X1", "dump-e2",
+            "dump-sigma", "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"
         code = cli.main([*args, "--seed", "0", "--out", str(path)])
@@ -240,8 +242,12 @@ class TestGoldenOutput:
          "9c0cd8507fe15b2b614ea9f8eeafec90c7419637b01e42f6a661bff5da8ed5cb"),
         (["verify", "hecke", "--r", "7", "--bound", "7", "--seed", "0"],
          "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
+        # other random samples for `to_tprime` than the seed-0 pin above
+        (["verify", "alt", "--r", "5", "--seed", "7"],
+         "f107c506609c13ae8978fb3f5a0eba2f15dbbe21e0ff7ea5224eefc335bc0b4c"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
-            "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7"])
+            "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
+            "alt-5-seed-7"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main([*args, "--out", str(path)])

@@ -239,3 +239,18 @@ def test_dump_string_format():
     f = Q_MINUS_QINV / Q_PLUS_QINV
     assert f.dump_str() == "(q^2 - 1)/(q^2 + 1)"
     assert RationalFunction.constant(Fraction(3, 2)).dump_str() == "(3/2)/(1)"
+
+
+def test_equal_values_hash_equal_across_types():
+    # Python's rule for == and hash; a value-keyed memo over mixed matrix
+    # coefficients relies on it
+    from qhecke.tensor import OperatorMatrix
+    for c in (0, 2, Fraction(-3, 4)):
+        for v in (LaurentPolynomial.constant(c), RationalFunction.constant(c)):
+            assert v == c == Fraction(c)
+            assert hash(v) == hash(Fraction(c)) == hash(c)
+    x = LaurentPolynomial({1: 2, -1: 1})
+    assert RationalFunction(x) == x and hash(RationalFunction(x)) == hash(x)
+    a = OperatorMatrix(1, {(0, 0): RationalFunction.constant(2)})
+    b = OperatorMatrix(1, {(0, 0): Fraction(2)})
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
