@@ -60,7 +60,15 @@ its start.  One policy, `specialization_points`, takes the points: explicit
 ones must be rational, nonzero and distinct, and fewer than two are filled
 up to two from the stream, skipping the explicit ones; a drawn point at a
 pole gives way to the next point of the stream, while a pole at an explicit
-point propagates.  One certification path, `certify`, serves the tensor
+point propagates.  The first two candidate points are evaluated at once: a
+child made by `os.fork` evaluates the second and sends its value back
+pickled through a pipe while this process evaluates the first.  Any child
+failure (an exception, a value pickle cannot carry, a dead child) has this
+process evaluate the second point itself, so the pairs, every exception and
+the pole policy are those of the serial run, and no child outlives the
+call.  The run stays serial without `os.fork`, with fewer than two usable
+CPUs, while another thread is alive, under a profile or trace function, or
+when the fork fails.  One certification path, `certify`, serves the tensor
 suites (`suites._certify`) and the rank certificate `certified_rank`: it
 evaluates at those points and demands that all values agree.  On a
 disagreement the exact computation over Q(q) decides, and is refused with
@@ -72,10 +80,12 @@ rank of the specialized matrices (`specialize_matrix`); its exact rank, the
 from __future__ import annotations
 
 import heapq
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -593,8 +603,85 @@ def draw_points(seed: int, count: int = 2) -> list[Fraction]:
     return list(islice(_point_stream(seed), count))
 
 
+def _may_fork() -> bool:
+    """Whether a second point may run in a forked child: `os.fork` exists, at
+    least two CPUs are usable, no other thread is alive (a fork copies only
+    the calling thread) and no profile or trace function is set (so a
+    profiler sees both points)."""
+    if not hasattr(os, "fork") or sys.getprofile() or sys.gettrace():
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return False
+    import threading
+    return threading.active_count() == 1
+
+
+class _Ahead:
+    """``evaluate(t)`` started in one forked child while the caller goes on.
+
+    The child pickles the value into a pipe and always ends with `os._exit`.
+    `value` reads it back.  On any child failure (an exception, a value pickle
+    cannot carry, a dead child), and when no child could start, `value`
+    computes ``evaluate(t)`` itself, so every exception is raised in this
+    process with its own type and traceback.  `close` kills and reaps a child
+    whose value was not read; after it no child of this object is left.
+    """
+
+    def __init__(self, evaluate: Callable[[Fraction], object], t: Fraction):
+        self._evaluate, self._t, self._pid = evaluate, t, None
+        if not _may_fork():
+            return
+        try:
+            read, write = os.pipe()
+        except OSError:
+            return
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                import pickle
+                data = pickle.dumps(evaluate(t), pickle.HIGHEST_PROTOCOL)
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self._pid, self._pipe = pid, open(read, "rb")
+
+    def value(self):
+        if self._pid is not None:
+            data = self._pipe.read()
+            self._pipe.close()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                import pickle
+                try:
+                    return pickle.loads(data)
+                except Exception:       # bytes that do not load are a child failure too
+                    pass
+        return self._evaluate(self._t)
+
+    def close(self) -> None:
+        if self._pid is not None:
+            import signal
+            pid, self._pid = self._pid, None
+            self._pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def specialization_points(points: Sequence | None, seed: int,
-                          evaluate: Callable[[Fraction], object] = lambda t: None
+                          evaluate: Callable[[Fraction], object]
                           ) -> list[tuple[Fraction, object]]:
     """The specialization points and ``evaluate`` at each, as (t, value) pairs.
 
@@ -602,6 +689,11 @@ def specialization_points(points: Sequence | None, seed: int,
     propagates.  Fewer than two are filled up to two from the seeded stream,
     skipping the explicit points and any drawn point where ``evaluate``
     raises `PoleError`.  ``points=[]`` is the same as None.
+
+    The first two candidates (explicit points first, then drawn ones) are
+    evaluated at once: the second in a forked child (`_Ahead`) while this
+    process evaluates the first.  The pairs, and any exception, are those of
+    evaluating every candidate here in turn, and no child outlives the call.
     """
     explicit = [Fraction(p) for p in points or ()]
     if 0 in explicit:
@@ -610,17 +702,24 @@ def specialization_points(points: Sequence | None, seed: int,
     if repeated:
         raise ValueError(f"specialization point {repeated[0]} is given more than once; "
                          "rank agreement needs distinct points")
-    out = [(t, evaluate(t)) for t in explicit]
-    stream = (t for t in _point_stream(seed) if t not in explicit)
-    while len(out) < 2:
-        t = next(stream, None)
-        if t is None:
-            raise PoleError("the seeded point stream has no two pole-free points")
-        try:
-            out.append((t, evaluate(t)))
-        except PoleError:
-            continue
-    return out
+    candidates = chain(explicit, (t for t in _point_stream(seed) if t not in explicit))
+    head = list(islice(candidates, 2))
+    ahead = _Ahead(evaluate, head[1])      # the stream holds far more than two points
+    need = max(2, len(explicit))
+    out = []
+    try:
+        for t in chain(head, candidates):
+            try:
+                out.append((t, ahead.value() if t is head[1] else evaluate(t)))
+            except PoleError:
+                if t in explicit:
+                    raise
+                continue
+            if len(out) == need:
+                return out
+    finally:
+        ahead.close()
+    raise PoleError("the seeded point stream has no two pole-free points")
 
 
 def certify(evaluate: Callable[[Fraction], object], exact: Callable[[], object],

@@ -303,27 +303,25 @@ class SymmetricGroupTable:
         # shortest first; T_w = T_g T_rest swaps the values g, g+1 of rest's permutation
         self.perms = perms = [tuple(range(1, rank + 1))] * len(self.words)
         self.seqs: list[tuple[int, ...]] = [()] * len(self.words)
-        for wid in sorted(range(len(self.words)), key=self.length.__getitem__)[1:]:
+        by_length = sorted(range(len(self.words)), key=self.length.__getitem__)[1:]
+        for wid in by_length:
             g, rest = self.first[wid]
             perms[wid] = tuple(g + 1 if v == g else g if v == g + 1 else v for v in perms[rest])
             self.seqs[wid] = (g,) + self.seqs[rest]
         self.perm_index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(perms)}
         if len(self.perm_index) != len(self.words):
             raise AssertionError("normal-form words do not biject onto permutations")
-        # left_mult[g-1][wid] = word index of s_g . w;
-        # right_mult[g-1][wid] = word index of w . s_g
-        self.left_mult: list[list[int]] = []
-        self.right_mult: list[list[int]] = []
-        for g in range(1, rank):
-            lrow = []
-            rrow = []
-            for p in perms:
-                moved = tuple(g + 1 if v == g else g if v == g + 1 else v for v in p)
-                lrow.append(self.perm_index[moved])
-                swapped = p[:g - 1] + (p[g], p[g - 1]) + p[g + 1:]
-                rrow.append(self.perm_index[swapped])
-            self.left_mult.append(lrow)
-            self.right_mult.append(rrow)
+        # right_mult[g-1][wid] = word index of w . s_g (positions g, g+1 swapped);
+        # left_mult[g-1][wid] = word index of s_g . w = (w^-1 . s_g)^-1, read off
+        # right_mult through the inverses, w^-1 = rest^-1 . s_g for w = s_g . rest
+        self.right_mult: list[list[int]] = [
+            [self.perm_index[p[:g - 1] + (p[g], p[g - 1]) + p[g + 1:]] for p in perms]
+            for g in range(1, rank)]
+        inv = [self.identity] * len(self.words)
+        for wid in by_length:
+            g, rest = self.first[wid]
+            inv[wid] = self.right_mult[g - 1][inv[rest]]
+        self.left_mult: list[list[int]] = [[inv[row[v]] for v in inv] for row in self.right_mult]
         self.one = _unit_vec(self.identity)
         self._goldman: dict[int, tuple] = {self.identity: self.one}
         self._tprime: dict[int, tuple] = {self.identity: self.one}

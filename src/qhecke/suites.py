@@ -11,7 +11,9 @@ linear-algebra-heavy suites:
   agree in value; on any disagreement the exact rerun decides the verdict,
   and is refused (`SizeBoundError`) above `EXACT_DIM_BOUND`.  `_certify`
   applies this policy, `commutant.certify` (which `certified_rank` shares),
-  to both tensor suites.
+  to both tensor suites.  The second point runs in a forked child while
+  this process runs the first (`commutant.specialization_points`), so the
+  suites build their generic generators before the points split.
 
 At a point, a dimension can move away from its generic value in one
 direction only, and which one depends on the kind of check:
@@ -233,6 +235,9 @@ def _certify(report: Report, mode: str, seed: int, dim: int, core) -> None:
     rerun's records, renamed ``exact-arbitration: ``, decide the verdict.
     Every generator denominator is a power of q times a power of q^2 + 1, so
     no nonzero rational is a pole and the points are `draw_points(seed)`.
+    The core runs at the second point in a forked child, concurrently with
+    the first, and its records come back pickled; whatever the child does,
+    the records are those of a serial run.
     """
     if mode == "exact":
         core(report, None)
@@ -325,6 +330,11 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     ]:
         report.add(name, ok, expected=exp, actual=act)
 
+    # fill rep's generator cache before the points split, so both start warm
+    rep.x_matrices()
+    rep.t_matrices()
+    if m == n:
+        rep.tprime_matrices()
     _certify(report, mode, seed, space.dim,
              lambda sub, point: _alt_centralizer_core(sub, point, space, rep, pred, seed))
     return report
@@ -423,12 +433,13 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
     rep = PiRepresentation(space)
+    images = (rep.t_matrices(), rep.x_matrices())   # built before the points split
 
     def image_ranks(t):
         """Ranks of the T- and X-generated images at q = t."""
         return tuple(len(_closure_of([specialize_matrix(g, t) for g in gens],
                                      space.dim, Fraction(1)))
-                     for gens in (rep.t_matrices(), rep.x_matrices()))
+                     for gens in images)
 
     points, ranks = zip(*specialization_points(points, seed, image_ranks))
     dims_a, dims_c = (list(d) for d in zip(*ranks))

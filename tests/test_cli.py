@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import re
 
 import pytest
 
 import qhecke.cli as cli
+import qhecke.commutant as commutant
 from qhecke.report import Report
 
 
@@ -265,3 +267,39 @@ class TestGoldenOutput:
         cli.main(["dims", "--m", "1", "--n", "1", "--r", "2", "--timestamps",
                   "--out", str(path)])
         assert "generated_at" in json.loads(path.read_text())
+
+
+class TestForkedPointDeterminism:
+    """The second specialization point runs in a forked child; every report
+    is byte-identical to the serial run's."""
+
+    @staticmethod
+    def report(args, path) -> bytes:
+        assert cli.main(["verify", *args, "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    def check(self, args, tmp_path, monkeypatch):
+        may_fork, forks, fork = commutant._may_fork(), [], os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        concurrent = self.report(args, tmp_path / "forked.json")
+        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
+        serial = self.report(args, tmp_path / "serial.json")
+        assert concurrent == serial
+        assert len(forks) == (1 if may_fork else 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_alt_centralizer(self, seed, tmp_path, monkeypatch):
+        self.check(["alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--seed", str(seed)],
+                   tmp_path, monkeypatch)
+
+    def test_schur_weyl_specialized(self, tmp_path, monkeypatch):
+        self.check(["schur-weyl", "--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
+                   tmp_path, monkeypatch)
+
+    def test_specialize(self, tmp_path, monkeypatch):
+        self.check(["specialize", "--m", "1", "--n", "1", "--r", "3"], tmp_path, monkeypatch)
