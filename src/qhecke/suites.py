@@ -1,8 +1,10 @@
 """End-to-end verification suites over the Hecke algebra and tensor space.
 
 Each suite runs a deterministic list of exact checks (seeded where sampling
-is involved) and returns a `Report`.  Two evaluation modes exist for the
-linear-algebra-heavy suites:
+is involved) and returns a `Report`.  In `suite_alt`, ``even-basis-closure``
+is a proof at every rank: the T'-generator columns of `check_even_closure`
+together with the involutive relations of `_relation_failures`.  Two
+evaluation modes exist for the linear-algebra-heavy suites:
 
 * ``exact``   — all spans, commutants and ranks over Q(q); the default for
   small tensor spaces (dimension at most 8) and the arbiter elsewhere;
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 
 from .alternating import check_even_closure, enumerate_even_basis, is_in_alt, \
-    odd_word_count, verify_crossed_product_H, x_generator
+    verify_crossed_product_H, x_generator
 from .commutant import (
     EXACT_DIM_BOUND,
     AlgebraBasis,
@@ -164,15 +166,8 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
         report.add("even-generator-relations", not xrel, expected="all hold",
                    actual="all hold" if not xrel else "; ".join(xrel))
 
-    half = factorial(r) // 2
-    n_even, n_odd = len(enumerate_even_basis(r)), odd_word_count(r)
-    report.add("even-odd-word-counts", (n_even, n_odd) == (half, half),
-               expected=f"({half}, {half})", actual=f"({n_even}, {n_odd})")
-
-    crossed = verify_crossed_product_H(r, seed=seed)
-    for check in crossed.checks:
-        if check.name != "even-odd-counts":   # already reported above
-            report.checks.append(check)
+    counts, *crossed = verify_crossed_product_H(r, seed=seed).checks
+    report.checks += [replace(counts, name="even-odd-word-counts"), *crossed]
     return report
 
 
@@ -185,17 +180,19 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     n_even = len(enumerate_even_basis(r))
     report.add("even-basis-count", n_even == half, expected=half, actual=n_even)
 
-    closure = check_even_closure(r) if r <= 5 else check_even_closure(
-        r, sample_pairs=50, seed=seed)
-    witness = "; ".join(
-        f"T'{w1} * T'{w2} hits odd word {w} with coeff {c}"
-        for w1, w2, w, c in closure.violations[:5]) or None
-    report.add("even-basis-closure", closure.passed,
-               expected=f"{closure.pairs_checked} products even-supported",
-               actual="closed" if closure.passed else f"{len(closure.violations)} violations",
-               witness=witness)
+    _, involutive, xrel = _relation_failures(r)
+    closure = check_even_closure(r)
+    # the columns prove closure only given the involutive relations (T'_g^2 = 1)
+    proved = closure.passed and not involutive
+    witness = "; ".join([
+        f"T'_{g} * T'{w} hits {('even', 'odd')[sum(u) % 2]} word {u} with coeff {c}"
+        for g, w, u, c in closure.violations[:5]] + involutive) or None
+    actual = ("closed" if proved else f"{len(closure.violations)} violations"
+              if closure.violations else "premise fails")
+    report.add("even-basis-closure", proved,
+               expected=f"{closure.columns_checked} T'-generator columns swap parity",
+               actual=actual, witness=witness)
 
-    _, _, xrel = _relation_failures(r)
     if r >= 3:
         report.add("even-generator-relations", not xrel, expected="all hold",
                    actual="all hold" if not xrel else "; ".join(xrel))

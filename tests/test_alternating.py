@@ -20,6 +20,7 @@ from qhecke.hecke import (
     to_tprime_basis,
 )
 from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV, _qp_pow
+from qhecke import suites
 from qhecke.suites import suite_alt
 
 
@@ -98,15 +99,23 @@ class TestXGenerators:
 
 
 class TestClosure:
+    @staticmethod
+    def _violations(table):
+        """The exhaustive oracle: odd terms in the product of every pair of even T' words."""
+        words, length = table.words, table.length
+        evens = [w for w in range(len(words)) if length[w] % 2 == 0]
+        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c, den)))
+                for w2 in evens for w1 in evens
+                for nums, den in [tprime_product_coords(table, w1, w2)]
+                for u, c in nums.items() if length[u] & 1]
+
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_all_pairs_closed(self, rank):
+        # the proof's verdict matches the product of every pair of even words
         result = check_even_closure(rank)
         assert result.passed
-        assert result.pairs_checked == (factorial(rank) // 2) ** 2
-
-    def test_sampled_mode(self):
-        result = check_even_closure(5, sample_pairs=40, seed=3)
-        assert result.passed and result.pairs_checked == 40
+        assert result.columns_checked == (rank - 1) * factorial(rank) // 2
+        assert not self._violations(symmetric_group_table(rank))
 
     def test_detects_odd_products(self):
         # the same coordinates machinery reports odd support when one factor
@@ -118,54 +127,51 @@ class TestClosure:
         assert {table.length[w] & 1 for w in coords} == {1}
 
     @pytest.fixture
-    def broken_table(self, monkeypatch):
-        """The rank-3 table with an odd term injected into one T'-column."""
-        table = symmetric_group_table(3)
-        odd = next(w for w in range(len(table.words)) if table.length[w] == 1)
-        w1 = next(w for w in range(len(table.words)) if table.length[w] == 2)
-        target = table.first[w1]          # the last step of every cascade for T'_{w1}
+    def broken_table(self, request, monkeypatch):
+        """The table of rank ``request.param`` (default 3) whose column T'_2 * T'(0, ..., 0),
+        which the proof reads, gains the even term 1 * T'(1, 1, 0, ...)."""
+        table = symmetric_group_table(getattr(request, "param", 3))
+        even = table.index[(1, 1) + (0,) * (table.rank - 3)]
         column = table.tp_left_col
 
         def tp_left_col(g, wid):
             nums, den = column(g, wid)
-            if (g, wid) != target:
+            if (g, wid) != (2, table.identity):
                 return nums, den
             d, ek, _ = den         # the coefficient 1 over den
-            return {**nums, odd: {e: d * c for e, c in _qp_pow(ek).items()}}, den
+            return {**nums, even: {e: d * c for e, c in _qp_pow(ek).items()}}, den
 
         monkeypatch.setitem(vars(table), "tp_left_col", tp_left_col)
         return table
 
-    @staticmethod
-    def _violations(table, pairs):
-        words, length = table.words, table.length
-        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c, den)))
-                for w1, w2 in pairs
-                for nums, den in [tprime_product_coords(table, w1, w2)]
-                for u, c in nums.items() if length[u] & 1]
-
     def test_exhaustive_mode_reports_the_violating_pairs(self, broken_table):
-        evens = [w for w in range(6) if broken_table.length[w] % 2 == 0]
-        expected = self._violations(broken_table, [(w1, w2) for w2 in evens for w1 in evens])
+        # the exhaustive oracle sees the corrupted column, and so does the proof
         result = check_even_closure(3)
-        assert expected and not result.passed
-        assert result.violations == expected
-        assert result.pairs_checked == 9
+        assert self._violations(broken_table) and not result.passed
+        assert result.violations == [(2, (0, 0), (1, 1), "1")]
 
-    def test_sampled_mode_reports_the_violating_pairs(self, broken_table):
-        evens = [w for w in range(6) if broken_table.length[w] % 2 == 0]
-        rng = random.Random(5)
-        pairs = [(evens[rng.randrange(3)], evens[rng.randrange(3)]) for _ in range(30)]
-        expected = self._violations(broken_table, pairs)
-        result = check_even_closure(3, sample_pairs=30, seed=5)
-        assert expected and not result.passed
-        assert result.violations == expected
-        assert result.pairs_checked == 30
+    @staticmethod
+    def _closure_record(rank):
+        check = next(c for c in suite_alt(rank).checks if c.name == "even-basis-closure")
+        assert (check.status, check.actual) == ("fail", "1 violations")
+        return check
 
     def test_suite_fails_closure_with_a_witness(self, broken_table):
+        assert self._closure_record(3).witness == (
+            "T'_2 * T'(0, 0) hits even word (1, 1) with coeff 1")
+
+    @pytest.mark.parametrize("broken_table", [5], indirect=True)
+    def test_suite_fails_closure_at_rank5(self, broken_table):
+        assert self._closure_record(5).witness == (
+            "T'_2 * T'(0, 0, 0, 0) hits even word (1, 1, 0, 0) with coeff 1")
+
+    def test_suite_needs_the_involutive_relations(self, monkeypatch):
+        # the columns prove closure only given T'_g^2 = 1
+        monkeypatch.setattr(suites, "_relation_failures",
+                            lambda r: ([], ["involution at i=1"], []))
         check = next(c for c in suite_alt(3).checks if c.name == "even-basis-closure")
-        assert check.status == "fail"
-        assert check.witness == "T'(0, 2) * T'(0, 0) hits odd word (0, 1) with coeff 1"
+        assert (check.status, check.actual, check.witness) == (
+            "fail", "premise fails", "involution at i=1")
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_cascade_matches_direct_products(self, rank):

@@ -201,9 +201,9 @@ class TestGoldenOutput:
         (["verify", "hecke", "--r", "6"],
          "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
         (["verify", "alt", "--r", "4"],
-         "28a7af8ec8c670a02ca9fb6d995165b9ada1a690f940bed84c18c2c33ad7ed19"),
+         "0d4ea4998eb97ee395760e5fc307dfcc89775f27e9b055f2cb3e46fcb4438394"),
         (["verify", "alt", "--r", "5"],
-         "5ed8704803f90b9f882a3b3a4c1ea76c59bc48dda9fb8e9cda2450706f3a6d7b"),
+         "05bb012b58b1cd6d16b714ed7aac5833d739edaf3624e0dc92481615d321e00d"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
          "30253d8da04a72fd47539094e14a045fc2bf9fb3b399b3a4a0393f60761f502c"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "X1"],
@@ -246,7 +246,7 @@ class TestGoldenOutput:
          "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
         # other random samples for `to_tprime` than the seed-0 pin above
         (["verify", "alt", "--r", "5", "--seed", "7"],
-         "f107c506609c13ae8978fb3f5a0eba2f15dbbe21e0ff7ea5224eefc335bc0b4c"),
+         "9ff24cafd0cf485f010a7d24291f4c1b5d1c86808cf0d3c550552397d7e21115"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
             "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
             "alt-5-seed-7"])

@@ -83,7 +83,7 @@ class TestAltSuite:
     def test_rank5_full_closure(self):
         report = suite_alt(5)
         assert report.passed
-        assert "3600" in check_map(report)["even-basis-closure"].expected
+        assert "240" in check_map(report)["even-basis-closure"].expected
 
 
 class TestSchurWeylSuite:
