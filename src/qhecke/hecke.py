@@ -24,15 +24,16 @@ words, the Goldman images, the T'-columns) extend linearly by `_linear`,
 which also serves sums and scalar multiples.
 
 T'-columns.  Left multiplication by T'_g on T' coordinates needs the column
-T'_g * T'_w (`tp_left_col`).  The T' generators are involutions and far ones
-commute exactly, so cancelling g against the first g it commutes up to in the
-word g.w, and then commuting far letters, rewrites the product into an equal
-one.  When the rewritten word is a rearrangement of the normal-form word of
-v = s_g w by far commutations -- decided by comparing the least word of each
-commutation class -- the column is the basis word T'_v, with no arithmetic.
-Any other column goes through the T basis and back by `to_tprime`: reaching
-the word of v from it needs a braid move, and the braid relation of the T'
-generators carries a correction term.  Products of T' words are cascades of
+T'_g * T'_w (`tp_left_col`), w = (c_1, ..., c_{r-1}).  Only T'_i^2 = 1 and the
+commutation of far T' generators, both exact, make it the basis word T'_v,
+v = s_g w, in three cases.  g = 1 toggles the first block.  If c_{g-1} = 0,
+T'_g commutes past blocks 1..g-2 (their letters are at most g - 2); it then
+starts block g when c_g = 0, or cancels the first letter of block g, leaving
+block g-1 of length c_g - 1.  If c_{g-1} = a >= 1 and c_g = 0, it commutes past
+the same blocks and turns block g-1 into block g of length a + 1.  The other
+columns, c_{g-1} and c_g both at least 1, need a braid move, and the braid
+relation of the T' generators carries a correction term, so they go through
+the T basis and back by `to_tprime`.  Products of T' words are cascades of
 these columns along the left word (`word_image` with `tp_left_apply`).
 
 Coefficients.  A vector is stored in one form, the pair (nums, (d, ek, p)):
@@ -42,9 +43,10 @@ values lie in the localization Q[q, q^-1, (q+q^-1)^-1]; after a division by
 q - 1, say, it is a primitive integer polynomial.  `_canonical` makes the pair
 unique for the value -- d prime to the numerators' content, ek minimal, p
 prime to q^2 + 1 and to the numerators' gcd -- so ``==`` and ``hash`` are
-structural.  `RationalFunction` values appear only at the boundary (`coeffs`,
-`repr`, report witnesses), through `_lc_to_rf`.  All values are immutable
-once built.
+structural, except that a scalar (support at most the identity word) hashes
+like the value in K it equals.  `RationalFunction` values appear only at the
+boundary (`coeffs`, `repr`, report witnesses, scalar hashes), through
+`_lc_to_rf`.  All values are immutable once built.
 """
 
 from __future__ import annotations
@@ -114,35 +116,6 @@ def _first_factor(word: Word) -> tuple[int, Word]:
                 rest[j - 1] = c - 1
             return j + 1, tuple(rest)
     raise ValueError("identity word has no leading factor")
-
-
-def _cancel_left(g: int, seq: tuple[int, ...]) -> tuple[int, ...]:
-    """The word g.seq with g cancelled against the first g it commutes up to."""
-    for j, a in enumerate(seq):
-        if a == g:
-            return seq[:j] + seq[j + 1:]
-        if abs(a - g) == 1:
-            break
-    return (g,) + seq
-
-
-def _commutation_key(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """The least word, lexicographically, equal to seq up to commuting far letters.
-
-    Built greedily: the next letter is the smallest one that commutes to the
-    front of what is left.
-    """
-    rest = list(seq)
-    key = []
-    while rest:
-        best = None
-        blocked: set[int] = set()      # letters an earlier letter keeps from the front
-        for j, a in enumerate(rest):
-            if a not in blocked and (best is None or a < rest[best]):
-                best = j
-            blocked.update((a - 1, a, a + 1))
-        key.append(rest.pop(best))
-    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +299,6 @@ class SymmetricGroupTable:
         self._goldman: dict[int, tuple] = {self.identity: self.one}
         self._tprime: dict[int, tuple] = {self.identity: self.one}
         self._tp_left: dict[tuple[int, int], tuple] = {}
-        self._seq_keys: list[tuple[int, ...] | None] = [None] * len(self.words)
 
     # -- generator actions on coefficient vectors
 
@@ -462,12 +434,10 @@ class SymmetricGroupTable:
         return _linear(vec, self.tprime_word)
 
     def tp_left_is_word(self, g: int, wid: int) -> bool:
-        """Whether T'_g * T'_w is the basis word T'_v, v = s_g w, by the word rule."""
-        v = self.left_mult[g - 1][wid]
-        key = self._seq_keys[v]
-        if key is None:
-            key = self._seq_keys[v] = _commutation_key(self.seqs[v])
-        return _commutation_key(_cancel_left(g, self.seqs[wid])) == key
+        """Whether T'_g * T'_w is the basis word T'_{s_g w}: g = 1, c_{g-1} = 0 or
+        c_g = 0 (the descent rule of the module docstring)."""
+        w = self.words[wid]
+        return g == 1 or not w[g - 2] or not w[g - 1]
 
     def tp_left_col(self, g: int, wid: int) -> tuple:
         """T'-coordinates of T'_g * T'_w — one column of left multiplication."""
@@ -617,6 +587,9 @@ class HeckeElement(_WordVector):
 
     def __hash__(self):
         nums, (d, ek, p) = self._c
+        identity = symmetric_group_table(self.rank).identity
+        if nums.keys() <= {identity}:           # a scalar hashes like its value in K
+            return hash(_lc_to_rf(nums.get(identity, {}), (d, ek, p)))
         return hash((self.rank, frozenset((k, frozenset(num.items())) for k, num in nums.items()),
                      d, ek, p and frozenset(p.items())))
 
