@@ -57,9 +57,9 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm
 from typing import Mapping
 
-from .qfield import (HALF, LaurentPolynomial, RationalFunction, _axpy, _dense, _dense_exact_div,
-                     _dense_gcd, _from_dense, _idiv_qp, _mul_terms, _qp_divides, _qp_pow,
-                     _strip_qp)
+from .qfield import (HALF, Q_MINUS_QINV, LaurentPolynomial, RationalFunction, _axpy, _dense,
+                     _dense_exact_div, _dense_gcd, _from_dense, _idiv_qp, _mul_terms,
+                     _qp_divides, _qp_pow, _strip_qp)
 
 Word = tuple[int, ...]
 
@@ -699,3 +699,17 @@ class HeckeAlgebra:
                      {rng.randint(-2, 2): Fraction(rng.randint(-bound, bound))})))
                  for _ in range(terms))
         return HeckeElement(self.rank, _c=_from_field(pairs))
+
+
+def relation_failures(gens: Mapping[int, HeckeElement]) -> list[str]:
+    """The quadratic, braid and far-commutation relations of the generators
+    T_1, ..., T_{r-1} that ``gens[1], ..., gens[r-1]`` violate, named by index."""
+    rank = len(gens) + 1
+    one = HeckeAlgebra(rank).one()
+    failures = [f"quadratic at i={i}" for i, t in gens.items()
+                if t * t != Q_MINUS_QINV * t + one]
+    failures += [f"braid at i={i}" for i in range(1, rank - 1)
+                 if gens[i] * gens[i + 1] * gens[i] != gens[i + 1] * gens[i] * gens[i + 1]]
+    failures += [f"far commutation at ({i},{j})" for i in range(1, rank)
+                 for j in range(i + 2, rank) if gens[i] * gens[j] != gens[j] * gens[i]]
+    return failures

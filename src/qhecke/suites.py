@@ -2,9 +2,11 @@
 
 Each suite runs a deterministic list of exact checks (seeded where sampling
 is involved) and returns a `Report`.  In `suite_alt`, ``even-basis-closure``
-is a proof at every rank: the T'-generator columns of `check_even_closure`
-together with the involutive relations of `_relation_failures`.  Two
-evaluation modes exist for the linear-algebra-heavy suites:
+is a proof at every rank from generator relations only (`check_even_closure`):
+the Goldman images G_i = (q - q^-1) - T_i satisfy the Hecke relations, so the
+Goldman map is an algebra map by Matsumoto's theorem, and it negates each
+T'_i, so the even span is its fixed space.  Two evaluation modes exist for
+the linear-algebra-heavy suites:
 
 * ``exact``   — all spans, commutants and ranks over Q(q); the default for
   small tensor spaces (dimension at most 8) and the arbiter elsewhere;
@@ -58,7 +60,7 @@ from .commutant import (
     specialization_points,
 )
 from .crossed import check_crossed_axioms, check_crossed_embedding, memoized_action
-from .hecke import HeckeAlgebra, goldman_eigenproject, to_tprime_basis
+from .hecke import HeckeAlgebra, goldman_eigenproject, relation_failures, to_tprime_basis
 from .partitions import predicted_dimensions
 from .qfield import Q_MINUS_QINV, Q_PLUS_QINV, RationalFunction
 from .report import Report
@@ -102,20 +104,8 @@ def _relation_failures(rank: int) -> tuple[list[str], list[str], list[str]]:
     algebra = HeckeAlgebra(rank)
     one = algebra.one()
     u2 = (Q_MINUS_QINV / Q_PLUS_QINV) ** 2
-    t = {i: algebra.generator(i) for i in range(1, rank)}
     tp = {i: algebra.tprime(i) for i in range(1, rank)}
-
-    plain: list[str] = []
-    for i in range(1, rank):
-        if t[i] * t[i] != Q_MINUS_QINV * t[i] + one:
-            plain.append(f"quadratic at i={i}")
-    for i in range(1, rank - 1):
-        if t[i] * t[i + 1] * t[i] != t[i + 1] * t[i] * t[i + 1]:
-            plain.append(f"braid at i={i}")
-    for i in range(1, rank):
-        for j in range(i + 2, rank):
-            if t[i] * t[j] != t[j] * t[i]:
-                plain.append(f"far commutation at ({i},{j})")
+    plain = relation_failures({i: algebra.generator(i) for i in range(1, rank)})
 
     involutive: list[str] = []
     for i in range(1, rank):
@@ -180,20 +170,14 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     n_even = len(enumerate_even_basis(r))
     report.add("even-basis-count", n_even == half, expected=half, actual=n_even)
 
-    _, involutive, xrel = _relation_failures(r)
-    closure = check_even_closure(r)
-    # the columns prove closure only given the involutive relations (T'_g^2 = 1)
-    proved = closure.passed and not involutive
-    witness = "; ".join([
-        f"T'_{g} * T'{w} hits {('even', 'odd')[sum(u) % 2]} word {u} with coeff {c}"
-        for g, w, u, c in closure.violations[:5]] + involutive) or None
-    actual = ("closed" if proved else f"{len(closure.violations)} violations"
-              if closure.violations else "premise fails")
-    report.add("even-basis-closure", proved,
-               expected=f"{closure.columns_checked} T'-generator columns swap parity",
-               actual=actual, witness=witness)
+    failures = check_even_closure(r)
+    report.add("even-basis-closure", not failures,
+               expected="Goldman images of T_i satisfy the Hecke relations and negate each T'_i",
+               actual="closed" if not failures else f"{len(failures)} relations fail",
+               witness="; ".join(failures) or None)
 
     if r >= 3:
+        *_, xrel = _relation_failures(r)
         report.add("even-generator-relations", not xrel, expected="all hold",
                    actual="all hold" if not xrel else "; ".join(xrel))
 

@@ -12,15 +12,16 @@ from qhecke.alternating import (
     verify_crossed_product_H,
     x_generator,
 )
+from qhecke import hecke
 from qhecke.hecke import (
     HeckeAlgebra,
+    SymmetricGroupTable,
     _lc_to_rf,
     goldman_eigenproject,
     symmetric_group_table,
     to_tprime_basis,
 )
 from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV, _qp_pow
-from qhecke import suites
 from qhecke.suites import suite_alt
 
 
@@ -98,24 +99,43 @@ class TestXGenerators:
             x_generator(4, 3)
 
 
-class TestClosure:
-    @staticmethod
-    def _violations(table):
-        """The exhaustive oracle: odd terms in the product of every pair of even T' words."""
-        words, length = table.words, table.length
-        evens = [w for w in range(len(words)) if length[w] % 2 == 0]
-        return [(words[w1], words[w2], words[u], str(_lc_to_rf(c, den)))
-                for w2 in evens for w1 in evens
-                for nums, den in [tprime_product_coords(table, w1, w2)]
-                for u, c in nums.items() if length[u] & 1]
+def pair_violations(table):
+    """The exhaustive oracle (r <= 4): odd terms in the product of every pair of even T' words."""
+    words, length = table.words, table.length
+    evens = [w for w in range(len(words)) if length[w] % 2 == 0]
+    return [(words[w1], words[w2], words[u], str(_lc_to_rf(c, den)))
+            for w2 in evens for w1 in evens
+            for nums, den in [tprime_product_coords(table, w1, w2)]
+            for u, c in nums.items() if length[u] & 1]
 
+
+def column_violations(table):
+    """The column oracle (r <= 5): terms of the wrong parity in the (r-1) r!/2 T'-columns.
+
+    T'_g * T'_w must have support of the other parity for g >= 2 and every even
+    w, and for g = 1 and every odd w.  Given T'_g^2 = 1 that proves closure:
+    each X_i = T'_1 T'_{i+1} then maps the even span E into E, every even T'_w
+    is a product of pairs T'_a T'_b = X_{a-1}^-1 X_{b-1} (X_0 = 1), and X_i^-1
+    is a polynomial in X_i.  A violation (g, w, u, c) is a term c T'_u of w's
+    parity in T'_g * T'_w, listed in g-then-w order.
+    """
+    words, length = table.words, table.length
+    return [(g, words[wid], words[u], str(_lc_to_rf(c, den)))
+            for g in range(1, table.rank) for wid in range(len(words))
+            if length[wid] % 2 == (g == 1)
+            for nums, den in [table.tp_left_col(g, wid)]
+            for u, c in nums.items() if length[u] % 2 == length[wid] % 2]
+
+
+class TestClosure:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_all_pairs_closed(self, rank):
         # the proof's verdict matches the product of every pair of even words
-        result = check_even_closure(rank)
-        assert result.passed
-        assert result.columns_checked == (rank - 1) * factorial(rank) // 2
-        assert not self._violations(symmetric_group_table(rank))
+        # and the T'-generator columns
+        table = symmetric_group_table(rank)
+        assert check_even_closure(rank) == []
+        assert not column_violations(table)
+        assert not pair_violations(table)
 
     def test_detects_odd_products(self):
         # the same coordinates machinery reports odd support when one factor
@@ -129,7 +149,7 @@ class TestClosure:
     @pytest.fixture
     def broken_table(self, request, monkeypatch):
         """The table of rank ``request.param`` (default 3) whose column T'_2 * T'(0, ..., 0),
-        which the proof reads, gains the even term 1 * T'(1, 1, 0, ...)."""
+        which the column oracle reads, gains the even term 1 * T'(1, 1, 0, ...)."""
         table = symmetric_group_table(getattr(request, "param", 3))
         even = table.index[(1, 1) + (0,) * (table.rank - 3)]
         column = table.tp_left_col
@@ -145,33 +165,59 @@ class TestClosure:
         return table
 
     def test_exhaustive_mode_reports_the_violating_pairs(self, broken_table):
-        # the exhaustive oracle sees the corrupted column, and so does the proof
-        result = check_even_closure(3)
-        assert self._violations(broken_table) and not result.passed
-        assert result.violations == [(2, (0, 0), (1, 1), "1")]
+        # the exhaustive oracle sees the corrupted column; the proof reads no column
+        assert pair_violations(broken_table)
+        assert check_even_closure(3) == []
+
+    @pytest.mark.parametrize("broken_table", [3, 5], indirect=True)
+    def test_column_oracle_names_the_corrupted_column(self, broken_table):
+        rank = broken_table.rank
+        assert column_violations(broken_table) == [
+            (2, (0,) * (rank - 1), (1, 1) + (0,) * (rank - 3), "1")]
+
+    @pytest.fixture
+    def goldman_table(self, request, monkeypatch):
+        """A fresh table of rank ``request.param`` installed in the table cache, whose
+        Goldman step ``goldman_gen_apply`` a test replaces.  The cached table is left
+        alone: its Goldman word cache would hide the replacement or keep its images."""
+        table = SymmetricGroupTable(request.param)
+        monkeypatch.setitem(hecke._TABLE_CACHE, table.rank, table)
+        return table
 
     @staticmethod
     def _closure_record(rank):
         check = next(c for c in suite_alt(rank).checks if c.name == "even-basis-closure")
-        assert (check.status, check.actual) == ("fail", "1 violations")
+        assert check.status == "fail"
         return check
 
-    def test_suite_fails_closure_with_a_witness(self, broken_table):
-        assert self._closure_record(3).witness == (
-            "T'_2 * T'(0, 0) hits even word (1, 1) with coeff 1")
+    @pytest.mark.parametrize("goldman_table", [3, 5], indirect=True)
+    def test_suite_fails_closure_on_the_tprime_signs(self, goldman_table, monkeypatch):
+        # with gamma the identity the G_i = T_i satisfy every Hecke relation, and
+        # its fixed space is all of H: only the sign check sees that
+        monkeypatch.setattr(goldman_table, "goldman_gen_apply", lambda g, vec: (
+            goldman_table.gen_mul(goldman_table.left_mult[g - 1], vec[0]), vec[1]))
+        rank = goldman_table.rank
+        check = self._closure_record(rank)
+        assert check.actual == f"{rank - 1} relations fail"
+        assert check.witness == "; ".join(
+            f"Goldman image of T'_{i} is not -T'_{i}" for i in range(1, rank))
+        assert not column_violations(goldman_table)    # the columns do not see it
 
-    @pytest.mark.parametrize("broken_table", [5], indirect=True)
-    def test_suite_fails_closure_at_rank5(self, broken_table):
-        assert self._closure_record(5).witness == (
-            "T'_2 * T'(0, 0, 0, 0) hits even word (1, 1, 0, 0) with coeff 1")
-
-    def test_suite_needs_the_involutive_relations(self, monkeypatch):
-        # the columns prove closure only given T'_g^2 = 1
-        monkeypatch.setattr(suites, "_relation_failures",
-                            lambda r: ([], ["involution at i=1"], []))
-        check = next(c for c in suite_alt(3).checks if c.name == "even-basis-closure")
-        assert (check.status, check.actual, check.witness) == (
-            "fail", "premise fails", "involution at i=1")
+    @pytest.mark.parametrize("goldman_table, braids", [
+        (3, "Goldman braid at i=1"),
+        (5, "Goldman braid at i=1; Goldman braid at i=2"),
+    ], indirect=["goldman_table"], ids=["3", "5"])
+    def test_suite_fails_closure_on_the_quadratic_relation(self, goldman_table, braids,
+                                                           monkeypatch):
+        # G_2 = -T_2 squares to T_2^2 = (q - q^-1) T_2 + 1, not (q - q^-1) G_2 + 1
+        step = goldman_table.goldman_gen_apply
+        monkeypatch.setattr(goldman_table, "goldman_gen_apply", lambda g, vec: (
+            (goldman_table.gen_mul(goldman_table.left_mult[1], vec[0], -1), vec[1])
+            if g == 2 else step(g, vec)))
+        check = self._closure_record(goldman_table.rank)
+        assert check.witness == (
+            f"Goldman quadratic at i=2; {braids}; Goldman image of T'_2 is not -T'_2")
+        assert not column_violations(goldman_table)    # the columns do not see it
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_cascade_matches_direct_products(self, rank):

@@ -201,9 +201,9 @@ class TestGoldenOutput:
         (["verify", "hecke", "--r", "6"],
          "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
         (["verify", "alt", "--r", "4"],
-         "0d4ea4998eb97ee395760e5fc307dfcc89775f27e9b055f2cb3e46fcb4438394"),
+         "fc9fd1efaa2af055b5de0ce8a444b9deb6721e8ab64b3994ee7829923a9cd397"),
         (["verify", "alt", "--r", "5"],
-         "05bb012b58b1cd6d16b714ed7aac5833d739edaf3624e0dc92481615d321e00d"),
+         "9f9df94d6050fc069a09ee2f4dffb88b96cd0be769e7fc1b5f74e129e9c4b214"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
          "30253d8da04a72fd47539094e14a045fc2bf9fb3b399b3a4a0393f60761f502c"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "X1"],
@@ -246,10 +246,12 @@ class TestGoldenOutput:
          "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
         # other random samples for `to_tprime` than the seed-0 pin above
         (["verify", "alt", "--r", "5", "--seed", "7"],
-         "9ff24cafd0cf485f010a7d24291f4c1b5d1c86808cf0d3c550552397d7e21115"),
+         "ed954c682d2ba8c008d316d1dfd69c856953a4f354a122c10ff40db7bea1a29a"),
+        (["verify", "alt", "--r", "6", "--seed", "0"],
+         "4b1f9fa31d9fab6d3ce663767af5e2655472daf0713697117311cd35b4af49b8"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
             "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
-            "alt-5-seed-7"])
+            "alt-5-seed-7", "alt-6"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main([*args, "--out", str(path)])
