@@ -26,6 +26,8 @@ and the product law multiplies ``a2 * embed(t)`` once per t and
 Callers pass the action through `memoized_action`, so the suite's own checks
 and both checkers share every conjugate, each computed once per distinct
 argument.  The memo belongs to one suite call and dies with it.
+`add_crossed_records` runs both checkers and adds their two report records,
+for the Hecke side and the tensor side alike.
 """
 
 from __future__ import annotations
@@ -103,3 +105,17 @@ def check_crossed_embedding(apply_fn: Callable, alpha: Callable, embed: Callable
                 if not lhs == rhs:
                     bad.append(f"product law fails at (s,t)=({s},{t}), pair {idx}")
     return bad
+
+
+def add_crossed_records(report, apply_fn: Callable, alpha: Callable, one, samples: list,
+                        embed: Callable, pairs: list) -> None:
+    """Add the ``crossed-system-axioms`` and ``crossed-product-law`` records,
+    each naming up to five violations as its witness."""
+    axiom_failures = check_crossed_axioms(apply_fn, alpha, one, samples)
+    report.add("crossed-system-axioms", not axiom_failures,
+               witness="; ".join(axiom_failures[:5]))
+    law_failures = check_crossed_embedding(apply_fn, alpha, embed, pairs)
+    report.add("crossed-product-law", not law_failures,
+               expected=f"{len(pairs)} pairs x 4 sign patterns",
+               actual="all equal" if not law_failures else f"{len(law_failures)} failures",
+               witness="; ".join(law_failures[:5]))

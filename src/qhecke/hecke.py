@@ -16,6 +16,11 @@ consequences and are exercised by the test suite rather than assumed.  The
 steps run fraction-free: `gen_mul` adds and shifts the integer Laurent
 numerators of the stored form, and the result is normalized once.
 
+Presentations.  `relation_failures` is the one check of t_i^2 = a t_i + 1,
+t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1} + c (t_i - t_{i+1}) and far commutation.
+The T_i and their Goldman images G_i = (q - q^-1) - T_i take (a, c) =
+(q - q^-1, 0); the T'_i below take (0, -u^2), u = (q - q^-1)/(q + q^-1).
+
 The involutive generators ``T'_i = (2 T_i - (q - q^-1)) / (q + q^-1)`` give a
 second normal-form basis (products of T' factors along the same words).  The
 conversion between the two bases is triangular with respect to word length,
@@ -57,9 +62,9 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm
 from typing import Mapping
 
-from .qfield import (HALF, Q_MINUS_QINV, LaurentPolynomial, RationalFunction, _axpy, _dense,
-                     _dense_exact_div, _dense_gcd, _from_dense, _idiv_qp, _mul_terms,
-                     _qp_divides, _qp_pow, _strip_qp)
+from .qfield import (HALF, Q_MINUS_QINV, Q_PLUS_QINV, LaurentPolynomial, RationalFunction,
+                     _axpy, _dense, _dense_exact_div, _dense_gcd, _from_dense, _idiv_qp,
+                     _mul_terms, _qp_divides, _qp_pow, _strip_qp)
 
 Word = tuple[int, ...]
 
@@ -701,15 +706,18 @@ class HeckeAlgebra:
         return HeckeElement(self.rank, _c=_from_field(pairs))
 
 
-def relation_failures(gens: Mapping[int, HeckeElement]) -> list[str]:
-    """The quadratic, braid and far-commutation relations of the generators
-    T_1, ..., T_{r-1} that ``gens[1], ..., gens[r-1]`` violate, named by index."""
+U_SQUARED = (Q_MINUS_QINV / Q_PLUS_QINV) ** 2      # u^2 of the T' braids and the X cubic
+
+
+def relation_failures(gens: Mapping[int, HeckeElement], a=Q_MINUS_QINV, c=0) -> list[str]:
+    """The relations (see the module docstring) that ``gens[1], ..., gens[r-1]``
+    violate, named by index; the T'_i take a = 0, c = -`U_SQUARED`."""
     rank = len(gens) + 1
     one = HeckeAlgebra(rank).one()
-    failures = [f"quadratic at i={i}" for i, t in gens.items()
-                if t * t != Q_MINUS_QINV * t + one]
+    failures = [f"quadratic at i={i}" for i, t in gens.items() if t * t != a * t + one]
     failures += [f"braid at i={i}" for i in range(1, rank - 1)
-                 if gens[i] * gens[i + 1] * gens[i] != gens[i + 1] * gens[i] * gens[i + 1]]
+                 if gens[i] * gens[i + 1] * gens[i]
+                 != gens[i + 1] * gens[i] * gens[i + 1] + c * (gens[i] - gens[i + 1])]
     failures += [f"far commutation at ({i},{j})" for i in range(1, rank)
                  for j in range(i + 2, rank) if gens[i] * gens[j] != gens[j] * gens[i]]
     return failures

@@ -1,12 +1,15 @@
 """End-to-end verification suites over the Hecke algebra and tensor space.
 
 Each suite runs a deterministic list of exact checks (seeded where sampling
-is involved) and returns a `Report`.  In `suite_alt`, ``even-basis-closure``
-is a proof at every rank from generator relations only (`check_even_closure`):
-the Goldman images G_i = (q - q^-1) - T_i satisfy the Hecke relations, so the
-Goldman map is an algebra map by Matsumoto's theorem, and it negates each
-T'_i, so the even span is its fixed space.  Two evaluation modes exist for
-the linear-algebra-heavy suites:
+is involved) and returns a `Report`.  One routine, `hecke.relation_failures`,
+checks t_i^2 = a t_i + 1, the braids with correction c (t_i - t_{i+1}) and far
+commutation: (a, c) = (q - q^-1, 0) for the T_i and the Goldman images G_i,
+(0, -u^2) for the T'_i; the X_i have theirs in `x_relation_failures`.  In
+`suite_alt`, ``even-basis-closure`` is a proof at every rank from generator
+relations only (`check_even_closure`): the G_i = (q - q^-1) - T_i satisfy the
+Hecke relations, so the Goldman map is an algebra map by Matsumoto's theorem,
+and it negates each T'_i, so the even span is its fixed space.  Two
+evaluation modes exist for the linear-algebra-heavy suites:
 
 * ``exact``   — all spans, commutants and ranks over Q(q); the default for
   small tensor spaces (dimension at most 8) and the arbiter elsewhere;
@@ -47,7 +50,7 @@ from fractions import Fraction
 from math import factorial
 
 from .alternating import check_even_closure, enumerate_even_basis, is_in_alt, \
-    verify_crossed_product_H, x_generator
+    verify_crossed_product_H, x_relation_failures
 from .commutant import (
     EXACT_DIM_BOUND,
     AlgebraBasis,
@@ -59,10 +62,11 @@ from .commutant import (
     span_closure,
     specialization_points,
 )
-from .crossed import check_crossed_axioms, check_crossed_embedding, memoized_action
-from .hecke import HeckeAlgebra, goldman_eigenproject, relation_failures, to_tprime_basis
+from .crossed import add_crossed_records, memoized_action
+from .hecke import U_SQUARED, HeckeAlgebra, goldman_eigenproject, relation_failures, \
+    to_tprime_basis
 from .partitions import predicted_dimensions
-from .qfield import Q_MINUS_QINV, Q_PLUS_QINV, RationalFunction
+from .qfield import RationalFunction
 from .report import Report
 from .tensor import (
     GradedSpace,
@@ -99,47 +103,9 @@ def _resolve_mode(space_dim: int, mode: str | None, bound: int | None, *,
 # Hecke-algebra relation suite
 # ---------------------------------------------------------------------------
 
-def _relation_failures(rank: int) -> tuple[list[str], list[str], list[str]]:
-    """Violations of the quadratic/braid, involutive, and X-generator relations."""
-    algebra = HeckeAlgebra(rank)
-    one = algebra.one()
-    u2 = (Q_MINUS_QINV / Q_PLUS_QINV) ** 2
-    tp = {i: algebra.tprime(i) for i in range(1, rank)}
-    plain = relation_failures({i: algebra.generator(i) for i in range(1, rank)})
-
-    involutive: list[str] = []
-    for i in range(1, rank):
-        if tp[i] * tp[i] != one:
-            involutive.append(f"involution at i={i}")
-    for i in range(1, rank - 1):
-        lhs = tp[i] * tp[i + 1] * tp[i]
-        rhs = tp[i + 1] * tp[i] * tp[i + 1] - u2 * (tp[i] - tp[i + 1])
-        if lhs != rhs:
-            involutive.append(f"braid correction at i={i}")
-    for i in range(1, rank):
-        for j in range(i + 2, rank):
-            if tp[i] * tp[j] != tp[j] * tp[i]:
-                involutive.append(f"far commutation at ({i},{j})")
-
-    xrel: list[str] = []
-    if rank >= 3:
-        xs = {i: x_generator(rank, i) for i in range(1, rank - 1)}
-        x1 = xs[1]
-        if x1 * x1 * x1 != -u2 * (x1 * x1 - x1) + one:
-            xrel.append("cubic at X_1")
-        for i in range(2, rank - 1):
-            if xs[i] * xs[i] != one:
-                xrel.append(f"involution at X_{i}")
-            y = xs[i - 1] * xs[i]
-            if y * y * y != -u2 * (y * y - y) + one:
-                xrel.append(f"pair cubic at X_{i-1}X_{i}")
-        for i in xs:
-            for j in xs:
-                if abs(i - j) > 1:
-                    z = xs[i] * xs[j]
-                    if z * z != one:
-                        xrel.append(f"far involution at X_{i}X_{j}")
-    return plain, involutive, xrel
+def _add_relations(report: Report, name: str, failures: list[str]) -> None:
+    report.add(name, not failures, expected="all hold",
+               actual="; ".join(failures) or "all hold")
 
 
 def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
@@ -147,17 +113,15 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     if not 2 <= r <= bound:
         raise SizeBoundError(f"rank {r} outside the supported range 2..{bound}")
     report = Report("hecke", {"r": r, "seed": seed})
-    plain, involutive, xrel = _relation_failures(r)
-    report.add("generator-relations", not plain, expected="all hold",
-               actual="all hold" if not plain else "; ".join(plain))
-    report.add("involutive-generator-relations", not involutive, expected="all hold",
-               actual="all hold" if not involutive else "; ".join(involutive))
+    algebra = HeckeAlgebra(r)
+    _add_relations(report, "generator-relations",
+                   relation_failures({i: algebra.generator(i) for i in range(1, r)}))
+    _add_relations(report, "involutive-generator-relations",
+                   relation_failures({i: algebra.tprime(i) for i in range(1, r)},
+                                     a=0, c=-U_SQUARED))
     if r >= 3:
-        report.add("even-generator-relations", not xrel, expected="all hold",
-                   actual="all hold" if not xrel else "; ".join(xrel))
-
-    counts, *crossed = verify_crossed_product_H(r, seed=seed).checks
-    report.checks += [replace(counts, name="even-odd-word-counts"), *crossed]
+        _add_relations(report, "even-generator-relations", x_relation_failures(r))
+    report.checks += verify_crossed_product_H(r, seed=seed).checks
     return report
 
 
@@ -177,9 +141,7 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
                witness="; ".join(failures) or None)
 
     if r >= 3:
-        *_, xrel = _relation_failures(r)
-        report.add("even-generator-relations", not xrel, expected="all hold",
-                   actual="all hold" if not xrel else "; ".join(xrel))
+        _add_relations(report, "even-generator-relations", x_relation_failures(r))
 
     # membership criterion agrees with even-parity support on seeded samples
     algebra = HeckeAlgebra(r)
@@ -385,20 +347,13 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
         def alpha(s, t):
             return ident if (s == 1 or t == 1) else sign_one
 
-        axiom_failures = check_crossed_axioms(omega, alpha, ident, basis_sample)
-        report.add("crossed-system-axioms", not axiom_failures,
-                   witness="; ".join(axiom_failures[:5]) if axiom_failures else None)
-
         rng = random.Random(seed)
         pool = b_alg.elements
         pairs = [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))])
                  for _ in range(min(8, len(pool) * len(pool)))]
         embed = {1: ident, -1: phi}
-        law_failures = check_crossed_embedding(omega, alpha, embed.__getitem__, pairs)
-        report.add("crossed-product-law", not law_failures,
-                   expected=f"{len(pairs)} pairs x 4 sign patterns",
-                   actual="all equal" if not law_failures else f"{len(law_failures)} failures",
-                   witness="; ".join(law_failures[:5]) if law_failures else None)
+        add_crossed_records(report, omega, alpha, ident, basis_sample,
+                            embed.__getitem__, pairs)
 
     if space.n == 0 and space.m * space.m < space.r:
         # A is closed and unital, so C lies in A once the X generators do

@@ -16,6 +16,7 @@ from qhecke.alternating import (
     enumerate_even_basis,
     odd_word_count,
     verify_crossed_product_H,
+    x_relation_failures,
 )
 from qhecke.commutant import (
     certified_rank,
@@ -23,10 +24,9 @@ from qhecke.commutant import (
     span_closure,
     span_equal,
 )
-from qhecke.hecke import symmetric_group_table
+from qhecke.hecke import U_SQUARED, HeckeAlgebra, relation_failures, symmetric_group_table
 from qhecke.partitions import predicted_dimensions
 from qhecke.suites import (
-    _relation_failures,
     suite_alt_centralizer,
     suite_schur_weyl,
     suite_specialization,
@@ -57,7 +57,11 @@ def test_criterion_1_relation_suites():
     # quadratic/braid/commutation relations, their involutive counterparts,
     # and the even-generator presentation, exactly, for every rank up to 6
     for r in range(2, 7):
-        plain, involutive, xrel = _relation_failures(r)
+        algebra = HeckeAlgebra(r)
+        plain = relation_failures({i: algebra.generator(i) for i in range(1, r)})
+        involutive = relation_failures({i: algebra.tprime(i) for i in range(1, r)},
+                                       a=0, c=-U_SQUARED)
+        xrel = x_relation_failures(r)
         assert not plain, (r, plain)
         assert not involutive, (r, involutive)
         assert not xrel, (r, xrel)

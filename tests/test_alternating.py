@@ -241,7 +241,7 @@ class TestCrossedProduct:
         report = verify_crossed_product_H(rank)
         assert report.passed
         by_name = {c.name: c for c in report.checks}
-        assert by_name["even-odd-counts"].actual == f"({half}, {half})"
+        assert by_name["even-odd-word-counts"].actual == f"({half}, {half})"
         assert by_name["decomposition-dims"].actual == f"({half}, {half})"
 
     def test_sampled_rank5(self):

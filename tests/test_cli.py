@@ -194,12 +194,20 @@ class TestGoldenOutput:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("args, digest", [
+        (["verify", "hecke", "--r", "2"],
+         "5063cd6e82eda58b9c880ad724077d54ccaf97fc32cf3b581567766aca5db78d"),
+        (["verify", "hecke", "--r", "3"],
+         "2079da783c6616b16af41e3c4db7240038d01ee1ec5b26c17e44220e6e1ab3f6"),
         (["verify", "hecke", "--r", "4"],
          "75441cbedfd8346c0052fe737b5c8415d4830eab887b1bfa21cd1029d8ffbae9"),
         (["verify", "hecke", "--r", "5"],
          "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
         (["verify", "hecke", "--r", "6"],
          "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
+        (["verify", "alt", "--r", "2"],
+         "d3b140041f3f51257b563404cab6a93b4b005f84b35f6415453686374969fe00"),
+        (["verify", "alt", "--r", "3"],
+         "f8629e29f998195bf9cf67f545357de246acab7d8ad3617559db20f57008959c"),
         (["verify", "alt", "--r", "4"],
          "fc9fd1efaa2af055b5de0ce8a444b9deb6721e8ab64b3994ee7829923a9cd397"),
         (["verify", "alt", "--r", "5"],
@@ -220,7 +228,8 @@ class TestGoldenOutput:
          "6669728a513c441c4b5319c60b8ff4b8ea9fbfd231b0f76e8474197862dfcfd1"),
         (["dump", "--m", "2", "--n", "1", "--r", "3", "--gen", "T2"],
          "c67f458a559f5a9d54d95c180ade8e28f6a8ca4423c15bb8236d406706060a11"),
-    ], ids=["hecke-4", "hecke-5", "hecke-6", "alt-4", "alt-5", "dump-Tp1", "dump-X1", "dump-e2",
+    ], ids=["hecke-2", "hecke-3", "hecke-4", "hecke-5", "hecke-6", "alt-2", "alt-3", "alt-4",
+            "alt-5", "dump-Tp1", "dump-X1", "dump-e2",
             "dump-sigma", "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"

@@ -13,11 +13,13 @@ from qhecke.hecke import (
     HeckeAlgebra,
     HeckeElement,
     SymmetricGroupTable,
+    U_SQUARED,
     from_tprime_basis,
     generator_sequence,
     goldman,
     goldman_eigenproject,
     normal_form_words,
+    relation_failures,
     symmetric_group_table,
     to_tprime_basis,
     word_parity,
@@ -166,6 +168,36 @@ class TestMultiply:
         assert to_tprime_basis(x).coeffs
         assert from_tprime_basis(to_tprime_basis(x)) == x
         assert goldman(goldman(x)) == x
+
+
+class TestRelationFailures:
+    """The one quadratic/braid/far-commutation check, t_i^2 = a t_i + 1 and
+    t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1} + c (t_i - t_{i+1})."""
+
+    @staticmethod
+    def tprimes(rank):
+        algebra = HeckeAlgebra(rank)
+        return {i: algebra.tprime(i) for i in range(1, rank)}
+
+    @pytest.mark.parametrize("rank", range(2, 7))
+    def test_tprime_presentation_holds(self, rank):
+        assert relation_failures(self.tprimes(rank), a=0, c=-U_SQUARED) == []
+
+    def test_tprimes_fail_the_t_presentation(self):
+        assert relation_failures(self.tprimes(4)) == [
+            "quadratic at i=1", "quadratic at i=2", "quadratic at i=3",
+            "braid at i=1", "braid at i=2"]
+
+    @pytest.mark.parametrize("gens, a, c", [
+        ("tprime", 0, U_SQUARED),
+        ("tprime", 0, 0),
+        ("generator", Q_MINUS_QINV, 1),
+    ])
+    def test_wrong_braid_correction_fails_only_braids(self, gens, a, c):
+        algebra = HeckeAlgebra(5)
+        family = {i: getattr(algebra, gens)(i) for i in range(1, 5)}
+        assert relation_failures(family, a=a, c=c) == [
+            "braid at i=1", "braid at i=2", "braid at i=3"]
 
 
 # -- Goldman involution --------------------------------------------------------

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import qhecke.alternating as alternating
 import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
 from qhecke.commutant import commutant_basis, span_closure, span_equal
-from qhecke.hecke import SymmetricGroupTable
+from qhecke.hecke import HeckeAlgebra, SymmetricGroupTable
 from qhecke.partitions import predicted_dimensions
 from qhecke.qfield import RationalFunction
 from qhecke.report import Report
@@ -64,6 +65,38 @@ class TestHeckeSuite:
         monkeypatch.setattr(SymmetricGroupTable, "elem_mul", counted)
         assert suite_hecke(6, seed=0).passed
         assert len(calls) <= 326 and len(calls) + len(units) <= 535
+
+    @staticmethod
+    def scale_second(monkeypatch, owner, name):
+        """Replace ``owner.name`` by a builder that returns twice its value at index 2."""
+        build = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda self, i: build(self, i) * 2 if i == 2 else build(self, i))
+
+    def test_scaled_generator_fails_its_relations(self, monkeypatch):
+        self.scale_second(monkeypatch, HeckeAlgebra, "generator")
+        record = check_map(suite_hecke(3))["generator-relations"]
+        assert (record.status, record.actual) == ("fail", "quadratic at i=2; braid at i=1")
+
+    def test_scaled_tprime_fails_the_involutive_relations(self, monkeypatch):
+        self.scale_second(monkeypatch, HeckeAlgebra, "tprime")
+        checks = check_map(suite_hecke(3))
+        record = checks["involutive-generator-relations"]
+        assert (record.status, record.actual) == ("fail", "quadratic at i=2; braid at i=1")
+        assert checks["generator-relations"].status == "pass"
+
+    @pytest.mark.parametrize("suite", [suite_hecke, suite_alt])
+    def test_scaled_x1_fails_the_even_relations(self, suite, monkeypatch):
+        build = alternating.x_generator
+        monkeypatch.setattr(alternating, "x_generator",
+                            lambda rank, i: build(rank, i) * 2 if i == 1 else build(rank, i))
+        checks = check_map(suite(5))
+        record = checks["even-generator-relations"]
+        assert (record.status, record.actual) == (
+            "fail", "cubic at X_1; pair cubic at X_1X_2; far involution at X_1X_3; "
+                    "far involution at X_3X_1")
+        assert [c.name for c in checks.values() if c.status == "fail"] == [
+            "even-generator-relations"]
 
     def test_out_of_range(self):
         with pytest.raises(SizeBoundError):
