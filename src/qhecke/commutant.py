@@ -14,7 +14,9 @@ applied in, which makes every produced basis deterministic.
 only the rows whose pivots the vector (or its running residual) reaches, not
 every stored row.  The commutant of a commutant stops eliminating as soon as
 the rank leaves room for nothing beyond the algebra it started from; see
-`commutant_basis`.
+`commutant_basis`.  At a point, a nondegenerate trace form proves the double
+commutant without that elimination; see "The double commutant at a point"
+below.
 
 One row builder, `_commutation_rows`, makes the commutation rows for every
 engine below.  It visits only the entries (i, j) whose row can be nonzero,
@@ -54,6 +56,31 @@ returns:
 A denominator divisible by p, an entry that does not lift or a failed check
 falls back to `_echelon_nullspace` over Q, which also remains the only engine
 over Q(q).  Either way the result, and every report built on it, is the same.
+
+The double commutant at a point.  Let C_t be a unital algebra of matrices
+over Q acting on V = Q^dim, with basis c_1..c_n, closed under products, and
+let D_t = C_t' be its commutant, as `commutant_basis` returns it (commuting
+with the generators is commuting with the algebra they generate).  The
+certificate `trace_form_is_nondegenerate` proves C_t'' = C_t, hence
+dim D_t' = n, without eliminating D_t's basis (Curtis-Reiner,
+*Representation Theory of Finite Groups and Associative Algebras*, sections 3
+and 25; Jacobson, *Basic Algebra II*, section 4.3):
+
+* it reduces the c_i mod p with `_residues`; reduction Z_(p) -> F_p is a ring
+  map, so the Gram matrix tr(c_i c_j) mod p is the reduction of the Gram
+  over Q, and rank_p(Gram) = n makes an n-minor nonzero mod p, so
+  det(Gram) != 0 over Q: the trace form of C_t is nondegenerate;
+* any x in the radical of C_t makes every xy, y in C_t, an element of that
+  nilpotent ideal, so tr(xy) = 0; nondegeneracy gives x = 0.  So rad(C_t) = 0
+  and C_t is semisimple;
+* V is then a semisimple C_t-module, and the density theorem gives
+  End_{C_t'}(V) = C_t, that is C_t'' = C_t.
+
+A Gram of lower rank mod p proves nothing either way: a non-semisimple
+algebra can be its own double commutant (K[N], N^2 = 0) or not (the upper
+triangular 2 x 2 matrices), so then the elimination decides, with the early
+stop of `commutant_basis`.  Exact mode always eliminates: entries in Q(q)
+have no residue, and the certificate declines them.
 
 Specialization points come from one seeded stream; `draw_points(seed)` is
 its start.  One policy, `specialization_points`, takes the points: explicit
@@ -546,6 +573,45 @@ def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     vecs = _nullspace(mats, -1, src_dim)
     elems = [OperatorMatrix.from_flat(src_dim, v) for v in vecs]
     return AlgebraBasis(src_dim, elems, closed=False)
+
+
+# ---------------------------------------------------------------------------
+# the double commutant at a point: a trace-form certificate
+# ---------------------------------------------------------------------------
+
+def trace_form_is_nondegenerate(alg: AlgebraBasis) -> bool:
+    """Whether the Gram matrix tr(c_i c_j) of the basis c_1..c_n of ``alg``
+    has rank n mod `_PRIME`; False when an entry has no residue mod p (not
+    in Q, or a denominator divisible by p).
+
+    Over a unital closed ``alg`` at a point, True proves that its double
+    commutant is itself; the module docstring gives the argument.  Element i
+    is indexed by its transposed positions (b, a) as it is read, so the
+    half row tr(c_i c_j), j <= i, pairs c_i[a,b] with c_j[b,a] of the
+    elements read so far; tr(c_i c_j) = tr(c_j c_i) fills the other half.
+    """
+    p = _PRIME
+    inverses: dict[int, int] = {}
+    transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}   # (b, a) -> [(j, c_j[a,b])]
+    half: list[list[int]] = []
+    for i, c in enumerate(alg.elements):
+        res = _residues(c, p, inverses)
+        if res is None:
+            return False
+        for (a, b), v in res.entries.items():
+            transposed.setdefault((b, a), []).append((i, v))
+        row = [0] * (i + 1)
+        for key, x in res.entries.items():
+            for j, y in transposed.get(key, ()):
+                row[j] += x * y
+        half.append([v % p for v in row])
+    n = len(half)
+    span = LinearSpan(p)
+    for i in range(n):
+        row = chain(half[i], (half[j][i] for j in range(i + 1, n)))
+        if not span.add({j: v for j, v in enumerate(row) if v}):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

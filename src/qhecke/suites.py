@@ -35,9 +35,13 @@ direction only, and which one depends on the kind of check:
   the point.  Given the exact ``action-commutation``, this proves the two
   Schur-Weyl commutant equalities generically: rank_t(B) <= dim B <=
   dim A' <= nullity_t(A), and a pass makes the ends equal (likewise for A in
-  B').  The double commutant (C in C'') and the collapse (C in A once the X's
-  lie in A) stay evidence at the point: C''_t may move either way, and two
-  closure ranks give no upper bound on dim A;
+  B').  The double commutant (C in C'') is a proof at the point when the
+  trace form of C_t is nondegenerate (`commutant.trace_form_is_nondegenerate`):
+  C_t is then semisimple and C_t'' = C_t, so its length is len(C_t) without
+  eliminating D's commutant; otherwise that elimination decides.  Generically
+  it stays evidence: C''_t may move either way.  The collapse (C in A once
+  the X's lie in A) stays evidence at the point: two closure ranks give no
+  upper bound on dim A;
 * containments and direct sums compare spaces at the point, each of which may
   have moved in its own direction; a pass there is evidence at that point.
 """
@@ -61,6 +65,7 @@ from .commutant import (
     direct_sum_check,
     span_closure,
     specialization_points,
+    trace_form_is_nondegenerate,
 )
 from .crossed import add_crossed_records, memoized_action
 from .hecke import U_SQUARED, HeckeAlgebra, goldman_eigenproject, relation_failures, \
@@ -302,11 +307,13 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
 
     d_alg = commutant_basis(c_alg)
     report.info("even-centralizer-dimension", actual=len(d_alg))
-    cd = commutant_basis(d_alg)
-    # C lies in its double commutant in any field
-    report.add("double-commutant-returns-even-image", len(cd) == len(c_alg),
+    # C lies in its double commutant in any field; a nondegenerate trace form
+    # at the point makes C semisimple, and then C'' = C (see `commutant`)
+    dim_cd = (len(c_alg) if trace_form_is_nondegenerate(c_alg)
+              else len(commutant_basis(d_alg)))
+    report.add("double-commutant-returns-even-image", dim_cd == len(c_alg),
                expected=f"span equality at dim {len(c_alg)}",
-               actual=f"dims {len(cd)} vs {len(c_alg)}")
+               actual=f"dims {dim_cd} vs {len(c_alg)}")
 
     if space.m == space.n:
         sign = (-1) ** (space.r * (space.r - 1) // 2)

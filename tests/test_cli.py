@@ -7,7 +7,31 @@ import pytest
 
 import qhecke.cli as cli
 import qhecke.commutant as commutant
+import qhecke.suites as suites
 from qhecke.report import Report
+
+# pinned `verify alt-centralizer` reports at seed 0: arguments, sha256
+ALT_CENTRALIZER_PINS = [
+    pytest.param(["--m", "2", "--n", "1", "--r", "3"],
+                 "3205fa77137f2dd6639d90f4e823d9e9fee3ea9bd3b141232f3c73a8b6ffb1a4", id="2-1-3"),
+    pytest.param(["--m", "1", "--n", "1", "--r", "3"],
+                 "a88e1ef815e3490819a298b5c16ec796cca0bb900e5991cf39b4297fc077a8dc", id="1-1-3"),
+    pytest.param(["--m", "2", "--n", "1", "--r", "2", "--mode", "specialized"],
+                 "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0",
+                 id="2-1-2-specialized"),
+    pytest.param(["--m", "2", "--n", "2", "--r", "2", "--mode", "specialized"],
+                 "5a6a0dabc0e04af12796ab6ee441a30df2cdc6318b8d3ea68a58f3aa0345229f",
+                 id="2-2-2-specialized"),
+    pytest.param(["--m", "1", "--n", "0", "--r", "3"],
+                 "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e", id="1-0-3"),
+    # even images of 12 and 10 dimensions: Gram matrices beyond 3 x 3
+    pytest.param(["--m", "2", "--n", "0", "--r", "4"],
+                 "b47a56f36e0d5e48baabcb84263b511ef70fad2806d1d6a498d2d6a046379573", id="2-0-4"),
+    pytest.param(["--m", "1", "--n", "1", "--r", "4"],
+                 "91583f741717a3a56f0ef441d80126505711eecc8709edb7d323bdac1e38e568", id="1-1-4"),
+]
+ALT_CENTRALIZER_SEED_7 = (["--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
+                          "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38")
 
 
 def run(args, capsys):
@@ -154,18 +178,7 @@ class TestGoldenOutput:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("args, digest", [
-        (["--m", "2", "--n", "1", "--r", "3"],
-         "3205fa77137f2dd6639d90f4e823d9e9fee3ea9bd3b141232f3c73a8b6ffb1a4"),
-        (["--m", "1", "--n", "1", "--r", "3"],
-         "a88e1ef815e3490819a298b5c16ec796cca0bb900e5991cf39b4297fc077a8dc"),
-        (["--m", "2", "--n", "1", "--r", "2", "--mode", "specialized"],
-         "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0"),
-        (["--m", "2", "--n", "2", "--r", "2", "--mode", "specialized"],
-         "5a6a0dabc0e04af12796ab6ee441a30df2cdc6318b8d3ea68a58f3aa0345229f"),
-        (["--m", "1", "--n", "0", "--r", "3"],
-         "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e"),
-    ], ids=["2-1-3", "1-1-3", "2-1-2-specialized", "2-2-2-specialized", "1-0-3"])
+    @pytest.mark.parametrize("args, digest", ALT_CENTRALIZER_PINS)
     def test_alt_centralizer_report_bytes_are_pinned(self, args, digest, tmp_path):
         # reports are a golden-file contract: a change in the linear algebra
         # must not change a single byte of them
@@ -173,6 +186,26 @@ class TestGoldenOutput:
         code = cli.main(["verify", "alt-centralizer", *args, "--seed", "0",
                          "--out", str(path)])
         assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        *(pytest.param([*p.values[0], "--seed", "0"], p.values[1], id=p.id)
+          for p in ALT_CENTRALIZER_PINS),
+        pytest.param(*ALT_CENTRALIZER_SEED_7, id="2-1-3-seed-7"),
+    ])
+    def test_alt_centralizer_pins_hold_without_the_trace_certificate(
+            self, args, digest, tmp_path, monkeypatch):
+        # the eliminated double commutant gives every report the certificate gives
+        declined = []
+
+        def decline(alg):
+            declined.append(alg)
+            return False
+
+        monkeypatch.setattr(suites, "trace_form_is_nondegenerate", decline)
+        path = tmp_path / "r.json"
+        code = cli.main(["verify", "alt-centralizer", *args, "--out", str(path)])
+        assert code == 0 and declined
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("args, digest", [
@@ -240,8 +273,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("args, digest", [
         (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--seed", "0"],
          "62e171f71381737641672154236dff337ad8c471004fa51d57e67b65b8df7880"),
-        (["verify", "alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
-         "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38"),
+        (["verify", "alt-centralizer", *ALT_CENTRALIZER_SEED_7[0]], ALT_CENTRALIZER_SEED_7[1]),
         # the lone point 15 is seed 0's second draw: the fill must skip it
         (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "15"],
          "a20e951f02f9767136a2011811bbf9e6f81988c4ab6c3c0a058b1ed012a1ca88"),

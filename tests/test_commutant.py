@@ -345,6 +345,63 @@ class TestCommutant:
         assert anticommutant_basis(closed)._commutant_of is None
 
 
+def _units(dim, *positions):
+    """The sum of the matrix units E_ab at the given positions, over Q."""
+    return OperatorMatrix(dim, {pos: Fraction(1) for pos in positions})
+
+
+def _times_identity(m, k):
+    """m (x) I_k: entry (a, b) of m at (a*k + x, b*k + x) for every x < k."""
+    return OperatorMatrix(m.dim * k, {(a * k + x, b * k + x): v
+                                      for (a, b), v in m.entries.items() for x in range(k)})
+
+
+class TestTraceFormCertificate:
+    """`trace_form_is_nondegenerate` decides the Gram tr(c_i c_j) mod p; it
+    must hold on semisimple algebras only, and only on entries with residues."""
+
+    @pytest.mark.parametrize("alg", [
+        lambda: AlgebraBasis(3, [_units(3, (a, b)) for a in range(3) for b in range(3)]),
+        lambda: span_closure([_diag(1, 2, 3)]),
+    ], ids=["full-matrix-algebra", "diagonal-algebra"])
+    def test_semisimple_algebras(self, alg):
+        assert commutant.trace_form_is_nondegenerate(alg())
+
+    @pytest.mark.parametrize("m, n, r", [(2, 1, 3), (2, 0, 4), (1, 1, 4)])
+    def test_even_image_at_a_point(self, m, n, r):
+        rep = PiRepresentation(GradedSpace(m, n, r))
+        c_alg = span_closure([specialize_matrix(g, Fraction(2)) for g in rep.x_matrices()])
+        assert commutant.trace_form_is_nondegenerate(c_alg)
+        assert len(commutant_basis(commutant_basis(c_alg))) == len(c_alg)
+
+    @pytest.mark.parametrize("gens, double_dim", [
+        # upper triangular (x) I_4: the unit E_01 spans its radical, and the
+        # double commutant is M_2 (x) I_4
+        ([_units(2, (0, 0)), _units(2, (0, 1))], 4),
+        # K[N] (x) I_4 with N^2 = 0: not semisimple, yet its own double commutant
+        ([_units(2, (0, 1))], 2),
+    ], ids=["upper-triangular", "dual-numbers"])
+    def test_algebras_with_a_radical(self, gens, double_dim):
+        alg = span_closure([_times_identity(g, 4) for g in gens])
+        assert not commutant.trace_form_is_nondegenerate(alg)
+        assert len(commutant_basis(commutant_basis(alg))) == double_dim
+
+    def test_entries_outside_q(self):
+        # the Gram of the identity alone is (2): only the entry type rejects it
+        assert commutant.trace_form_is_nondegenerate(
+            AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))]))
+        assert not commutant.trace_form_is_nondegenerate(
+            AlgebraBasis(2, [OperatorMatrix.identity(2, ONE)]))
+
+    def test_denominator_divisible_by_p(self, monkeypatch):
+        # the Gram is diag(1, 1/9); mod 3 the second element has no residue
+        alg = AlgebraBasis(2, [_diag(1, 0), _diag(0, Fraction(1, 3))])
+        monkeypatch.setattr(commutant, "_PRIME", 5)
+        assert commutant.trace_form_is_nondegenerate(alg)
+        monkeypatch.setattr(commutant, "_PRIME", 3)
+        assert not commutant.trace_form_is_nondegenerate(alg)
+
+
 def _q_path(mats, sign, dim):
     """The nullspace basis `_echelon_nullspace` gives over Q."""
     rows = (row for g in mats for row in commutant._commutation_rows(g, sign))

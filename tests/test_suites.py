@@ -251,6 +251,55 @@ class TestAltCentralizerSuite:
         assert checks["small-row-collapse"].status == "fail"
         assert checks["small-row-collapse"].actual == "dims 42 vs 42 (differ)"
 
+    @staticmethod
+    def _count_commutants(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return commutant_basis(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "commutant_basis", counting)
+        return calls
+
+    @pytest.mark.parametrize("gens, status, actual", [
+        # upper triangular (x) I_4: its double commutant M_2 (x) I_4 is larger
+        ([((0, 0),), ((0, 1),)], "fail", "dims 4 vs 3"),
+        # K[N] (x) I_4 with N^2 = 0: not semisimple, yet its own double commutant
+        ([((0, 1),)], "pass", "dims 2 vs 2"),
+    ], ids=["upper-triangular", "dual-numbers"])
+    def test_double_commutant_of_a_non_semisimple_image_is_eliminated(
+            self, gens, status, actual, monkeypatch):
+        # the trace form of either image is degenerate, so only the
+        # elimination of D's commutant can decide the record
+        space = GradedSpace(2, 0, 3)
+        rep = PiRepresentation(space)
+        x_gens = [OperatorMatrix(8, {(a * 4 + x, b * 4 + x): Fraction(1)
+                                     for (a, b) in units for x in range(4)})
+                  for units in gens]
+        rep.x_matrices = lambda: x_gens
+        calls = self._count_commutants(monkeypatch)
+        report = Report("core", {})
+        suites._alt_centralizer_core(report, Fraction(2), space, rep,
+                                     predicted_dimensions(2, 0, 3), 0)
+        record = check_map(report)["double-commutant-returns-even-image"]
+        assert (record.status, record.actual) == (status, actual)
+        assert len(calls) == 2      # D, then D's commutant
+
+    @pytest.mark.parametrize("certified, calls", [(True, 2), (False, 4)],
+                             ids=["certificate", "forced-fallback"])
+    def test_double_commutant_is_eliminated_only_without_the_certificate(
+            self, certified, calls, monkeypatch):
+        # serial (2,1,3): one commutant per point where the trace form is
+        # nondegenerate, two where the fallback runs
+        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
+        if not certified:
+            monkeypatch.setattr(suites, "trace_form_is_nondegenerate", lambda alg: False)
+        counted = self._count_commutants(monkeypatch)
+        report = suite_alt_centralizer(2, 1, 3)
+        assert report.passed
+        assert len(counted) == calls
+
     def test_collapse_regime_small(self):
         report = suite_alt_centralizer(1, 0, 2)
         assert report.passed
