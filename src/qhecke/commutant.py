@@ -12,10 +12,8 @@ applied in, which makes every produced basis deterministic.
 
 `LinearSpan` indexes its rows by pivot column, so reducing a vector touches
 only the rows whose pivots the vector (or its running residual) reaches, not
-every stored row.  The commutant of a commutant stops eliminating as soon as
-the rank leaves room for nothing beyond the algebra it started from; see
-`commutant_basis`.  At a point, a nondegenerate trace form proves the double
-commutant without that elimination; see "The double commutant at a point"
+every stored row.  A nondegenerate trace form proves the double commutant
+without eliminating a commutant's commutant; see "The double commutant"
 below.
 
 One row builder, `_commutation_rows`, makes the commutation rows for every
@@ -26,18 +24,16 @@ Nullspaces at a point.  When the constraint entries of `commutant_basis` or
 `anticommutant_basis` lie in Q (their first one a `Fraction` or an `int`),
 the reduced echelon nullspace at the point t is first computed over F_p for
 the prime p = 2^127 - 1, by the `_echelon_nullspace` that runs over Q: the
-same rows of `_commutation_rows`, pivot rule, early stop, back-elimination
-and basis builder.  A constraint matrix is reduced mod p only when its rows
-are first read, so the early stop leaves later matrices untouched.  The
-constraint entries enter as balanced residues in (-p/2, p/2], so a row
-entry, a sum of at most two of them, is 0 exactly when it is 0 mod p and the
-rows need no second reduction.  Each entry is lifted to Q by rational
+same rows of `_commutation_rows`, pivot rule, back-elimination and basis
+builder.  The constraint entries enter as balanced residues in (-p/2, p/2],
+so a row entry, a sum of at most two of them, is 0 exactly when it is 0 mod p
+and the rows need no second reduction.  Each entry is lifted to Q by rational
 reconstruction (|numerator|, denominator <= isqrt(p // 2)), and each lifted
 matrix is checked exactly, in integer-scaled form, against the constraint
 matrices.  A pass proves that the lifted basis is the one the Q path
 returns:
 
-* every denominator read is a unit mod p, so the rows read reduce mod p and
+* every denominator is a unit mod p, so the rows reduce mod p and
   rank_p <= rank_t, hence nullity_p >= nullity_t;
 * there are nullity_p lifted vectors and each passes the exact check, so they
   lie in the nullspace W at t.  Each is 1 at its own free column, 0 at the
@@ -46,41 +42,40 @@ returns:
   nullity_p = nullity_t.  The largest columns of the nonzero vectors of W are
   exactly the free columns of the reduced echelon form at t, so the two sets
   of free columns agree, and W has one basis that is the unit vector on them
-  there: the Q path's, element for element;
-* under the early stop (the mod-p rank reached dim^2 - len(B), and B is in D'
-  exactly at t), rank_t of the rows read is at least that bound, which is at
-  least the full system's rank at t: the matrices read already have the full
-  nullspace, and the check runs against only those.  Otherwise it runs
-  against all of them.
+  there: the Q path's, element for element.
 
 A denominator divisible by p, an entry that does not lift or a failed check
 falls back to `_echelon_nullspace` over Q, which also remains the only engine
 over Q(q).  Either way the result, and every report built on it, is the same.
 
-The double commutant at a point.  Let C_t be a unital algebra of matrices
-over Q acting on V = Q^dim, with basis c_1..c_n, closed under products, and
-let D_t = C_t' be its commutant, as `commutant_basis` returns it (commuting
-with the generators is commuting with the algebra they generate).  The
-certificate `trace_form_is_nondegenerate` proves C_t'' = C_t, hence
-dim D_t' = n, without eliminating D_t's basis (Curtis-Reiner,
+The double commutant.  Let C be a unital algebra of matrices over K (Q at
+a point, Q(q) in exact mode) acting on V = K^dim, with basis c_1..c_n,
+closed under products, and let D = C' be its commutant, as `commutant_basis`
+returns it (commuting with the generators is commuting with the algebra they
+generate).  The certificate `trace_form_is_nondegenerate` proves C'' = C,
+hence dim D' = n, without eliminating D's basis (Curtis-Reiner,
 *Representation Theory of Finite Groups and Associative Algebras*, sections 3
 and 25; Jacobson, *Basic Algebra II*, section 4.3):
 
 * it reduces the c_i mod p with `_residues`; reduction Z_(p) -> F_p is a ring
   map, so the Gram matrix tr(c_i c_j) mod p is the reduction of the Gram
-  over Q, and rank_p(Gram) = n makes an n-minor nonzero mod p, so
-  det(Gram) != 0 over Q: the trace form of C_t is nondegenerate;
-* any x in the radical of C_t makes every xy, y in C_t, an element of that
-  nilpotent ideal, so tr(xy) = 0; nondegeneracy gives x = 0.  So rad(C_t) = 0
-  and C_t is semisimple;
-* V is then a semisimple C_t-module, and the density theorem gives
-  End_{C_t'}(V) = C_t, that is C_t'' = C_t.
+  over Q, and rank_p(Gram) = n makes its determinant nonzero mod p, so
+  det(Gram) != 0 over Q;
+* over Q(q) it first evaluates the c_i at the fixed point `_GRAM_POINT`.
+  Every entry lies in the local ring of Q(q) at that point (a pole there
+  declines), and evaluation is a ring map on it, so the Gram of the
+  evaluated c_i is the evaluation of the Gram: its determinant, nonzero at
+  the point by the step above, is nonzero over Q(q).  Either way the trace
+  form of C is nondegenerate;
+* any x in the radical of C makes every xy, y in C, an element of that
+  nilpotent ideal, so tr(xy) = 0; nondegeneracy gives x = 0.  So rad(C) = 0
+  and C is semisimple;
+* V is then a semisimple C-module, and the density theorem gives
+  End_{C'}(V) = C, that is C'' = C.
 
-A Gram of lower rank mod p proves nothing either way: a non-semisimple
-algebra can be its own double commutant (K[N], N^2 = 0) or not (the upper
-triangular 2 x 2 matrices), so then the elimination decides, with the early
-stop of `commutant_basis`.  Exact mode always eliminates: entries in Q(q)
-have no residue, and the certificate declines them.
+A Gram of lower rank proves nothing either way: a non-semisimple algebra
+can be its own double commutant (K[N], N^2 = 0) or not (the upper
+triangular 2 x 2 matrices), so then eliminating D's commutant decides.
 
 Specialization points come from one seeded stream; `draw_points(seed)` is
 its start.  One policy, `specialization_points`, takes the points: explicit
@@ -232,11 +227,8 @@ class AlgebraBasis:
 
     dim: int                                  # ambient matrix dimension
     elements: list[OperatorMatrix]
-    closed: bool = False
     generators: list[OperatorMatrix] = field(default_factory=list)
     _span: LinearSpan | None = field(default=None, repr=False)
-    # set by `commutant_basis`: the closed algebra this basis is the commutant of
-    _commutant_of: AlgebraBasis | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -302,7 +294,7 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
             p = m * g
             if span.add(p.flatten()):
                 basis.append(p)
-    return AlgebraBasis(dim, basis, closed=True, generators=generators, _span=span)
+    return AlgebraBasis(dim, basis, generators=generators, _span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +302,15 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
 # ---------------------------------------------------------------------------
 
 def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
-                       max_rank: int | None = None,
                        modulus: int | None = None) -> list[dict]:
     """Basis of the solution space of the homogeneous system (sparse rows),
     over F_p for a prime ``modulus`` p (then ``one`` is 1, and the other
     entries are ints in (-p, 0)).  The rows are reduced in place, without a
     copy, so callers pass rows they do not keep.
-
-    With ``max_rank`` set, rows stop being read once the rank reaches it; the
-    caller vouches that the full system's rank is at most ``max_rank``.
     """
     span = LinearSpan(modulus)
     by_pivot, clear, insert = span._by_pivot, span._clear, span._insert
     for row in rows:
-        if len(by_pivot) == max_rank:
-            break
         insert(clear(row))
     # back-eliminate to reduced row echelon form, largest pivot first: a
     # finished row is 0 at every other pivot, so reducing a row modulo the
@@ -478,8 +464,8 @@ def _commutator_test(g: OperatorMatrix, sign: int):
     return solves
 
 
-def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
-                        max_rank: int | None) -> list[dict] | None:
+def _nullspace_at_point(mats: list[OperatorMatrix], sign: int,
+                        dim: int) -> list[dict] | None:
     """`_echelon_nullspace` of the commutation system, computed mod `_PRIME`.
 
     Returns the lifted basis once it is verified over Q, else None; the module
@@ -487,19 +473,11 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
     """
     p = _PRIME
     inverses: dict[int, int] = {}
-    residues: list[OperatorMatrix | None] = []   # of the matrices read, in order
-
-    def rows():
-        # lazy: the early stop leaves later matrices unread, residues and all
-        for g in mats:
-            residues.append(_residues(g, p, inverses))
-            if residues[-1] is None:
-                return
-            yield from _commutation_rows(residues[-1], sign)
-
-    vecs = _echelon_nullspace(rows(), dim * dim, 1, max_rank, p)
-    if residues and residues[-1] is None:    # a matrix read has no residues mod p
+    residues = [_residues(g, p, inverses) for g in mats]
+    if any(res is None for res in residues):
         return None
+    rows = (row for g in residues for row in _commutation_rows(g, sign))
+    vecs = _echelon_nullspace(rows, dim * dim, 1, p)
     lifted: dict[int, Fraction | None] = {}
     for vec in vecs:
         for col, v in vec.items():
@@ -508,8 +486,7 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
             if lifted[v] is None:
                 return None
             vec[col] = lifted[v]
-    # the exact check, against the matrices whose rows were read
-    tests = [_commutator_test(g, sign) for g in mats[:len(residues)]]
+    tests = [_commutator_test(g, sign) for g in mats]
     for vec in vecs:
         x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
         if not all(solves(x) for solves in tests):
@@ -517,17 +494,16 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int, dim: int,
     return vecs
 
 
-def _nullspace(mats: list[OperatorMatrix], sign: int, dim: int,
-               max_rank: int | None = None) -> list[dict]:
+def _nullspace(mats: list[OperatorMatrix], sign: int, dim: int) -> list[dict]:
     """Reduced-echelon basis of {X : X*G = sign*G*X for every G in mats}:
     certified mod p at a point, else eliminated over the entries' field."""
     one = _infer_one(mats)
     if isinstance(one, Fraction):
-        vecs = _nullspace_at_point(mats, sign, dim, max_rank)
+        vecs = _nullspace_at_point(mats, sign, dim)
         if vecs is not None:
             return vecs
     rows = (row for g in mats for row in _commutation_rows(g, sign))
-    return _echelon_nullspace(rows, dim * dim, one, max_rank)
+    return _echelon_nullspace(rows, dim * dim, one)
 
 
 def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
@@ -537,64 +513,60 @@ def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     with generators implies commuting with the generated algebra) or an
     explicit list of matrices.  An empty constraint list yields the full
     matrix algebra, which requires passing ``dim``.
-
-    Early stop for the commutant of a commutant.  When ``source`` is a closed
-    `AlgebraBasis` B, the result D records B.  Closed means B is the algebra
-    generated by its constraint matrices, as `span_closure` and this function
-    build it, so every element of B commutes with D: B is contained in D'.
-    When D is passed back in, its commutant D' therefore has dimension at
-    least len(B), and the constraint system rank at most dim^2 - len(B).
-    Elimination stops reading constraint rows once the rank reaches that
-    bound.  The row space is then already the full system's, so the reduced
-    echelon basis returned is the same as without the stop.  At a point the
-    rank mod p decides the stop (see the module docstring).  Plain lists,
-    unclosed bases and the empty list are never recorded.
     """
     dim, mats = _constraint_matrices(source, dim)
-    inner = source._commutant_of if isinstance(source, AlgebraBasis) else None
-    max_rank = None if inner is None else dim * dim - len(inner)
-    vecs = _nullspace(mats, 1, dim, max_rank)
-    elems = [OperatorMatrix.from_flat(dim, v) for v in vecs]
-    closed_source = source if isinstance(source, AlgebraBasis) and source.closed else None
+    vecs = _nullspace(mats, 1, dim)
     # a commutant is closed under products; no generating set smaller than
-    # the basis is known for it, so the basis doubles as the generator list
-    return AlgebraBasis(dim, elems, closed=True, generators=list(elems),
-                        _commutant_of=closed_source)
+    # the basis is known for it, so it carries none and `_constraint_matrices`
+    # reads its elements
+    return AlgebraBasis(dim, [OperatorMatrix.from_flat(dim, v) for v in vecs])
 
 
 def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
     """Basis of the space of matrices anticommuting with every generator.
 
-    The result is a subspace, not a subalgebra: `closed` stays False and no
-    generator list is attached.  An empty constraint list yields the whole
-    matrix space, which requires passing ``dim``.
+    The result is a subspace, not a subalgebra, and carries no generator
+    list.  An empty constraint list yields the whole matrix space, which
+    requires passing ``dim``.
     """
     src_dim, mats = _constraint_matrices(source, dim)
     vecs = _nullspace(mats, -1, src_dim)
     elems = [OperatorMatrix.from_flat(src_dim, v) for v in vecs]
-    return AlgebraBasis(src_dim, elems, closed=False)
+    return AlgebraBasis(src_dim, elems)
 
 
 # ---------------------------------------------------------------------------
-# the double commutant at a point: a trace-form certificate
+# the double commutant: a trace-form certificate
 # ---------------------------------------------------------------------------
+
+# where the certificate evaluates a basis over Q(q)
+_GRAM_POINT = Fraction(2)
+
 
 def trace_form_is_nondegenerate(alg: AlgebraBasis) -> bool:
     """Whether the Gram matrix tr(c_i c_j) of the basis c_1..c_n of ``alg``
-    has rank n mod `_PRIME`; False when an entry has no residue mod p (not
-    in Q, or a denominator divisible by p).
+    has rank n mod `_PRIME`; a basis over Q(q) is evaluated at `_GRAM_POINT`
+    first.  False when an entry has a pole there or no residue mod p (a
+    denominator divisible by p).
 
-    Over a unital closed ``alg`` at a point, True proves that its double
-    commutant is itself; the module docstring gives the argument.  Element i
-    is indexed by its transposed positions (b, a) as it is read, so the
-    half row tr(c_i c_j), j <= i, pairs c_i[a,b] with c_j[b,a] of the
-    elements read so far; tr(c_i c_j) = tr(c_j c_i) fills the other half.
+    Over a unital closed ``alg``, True proves that its double commutant is
+    itself, at a point and over Q(q); the module docstring gives the
+    argument.  Element i is indexed by its transposed positions (b, a) as it
+    is read, so the half row tr(c_i c_j), j <= i, pairs c_i[a,b] with
+    c_j[b,a] of the elements read so far; tr(c_i c_j) = tr(c_j c_i) fills
+    the other half.
     """
     p = _PRIME
+    generic = isinstance(_infer_one(alg.elements), RationalFunction)
     inverses: dict[int, int] = {}
     transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}   # (b, a) -> [(j, c_j[a,b])]
     half: list[list[int]] = []
     for i, c in enumerate(alg.elements):
+        if generic:
+            try:
+                c = specialize_matrix(c, _GRAM_POINT)
+            except PoleError:
+                return False
         res = _residues(c, p, inverses)
         if res is None:
             return False

@@ -38,10 +38,11 @@ direction only, and which one depends on the kind of check:
   B').  The double commutant (C in C'') is a proof at the point when the
   trace form of C_t is nondegenerate (`commutant.trace_form_is_nondegenerate`):
   C_t is then semisimple and C_t'' = C_t, so its length is len(C_t) without
-  eliminating D's commutant; otherwise that elimination decides.  Generically
-  it stays evidence: C''_t may move either way.  The collapse (C in A once
-  the X's lie in A) stays evidence at the point: two closure ranks give no
-  upper bound on dim A;
+  eliminating D's commutant; otherwise that elimination decides.  Exact mode
+  decides it the same way over Q(q), where a pass is a proof.  Generically a
+  pass at a point stays evidence: C''_t may move either way.  The collapse
+  (C in A once the X's lie in A) stays evidence at the point: two closure
+  ranks give no upper bound on dim A;
 * containments and direct sums compare spaces at the point, each of which may
   have moved in its own direction; a pass there is evidence at that point.
 """
@@ -167,7 +168,7 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
 
 def _closure_of(gens: list[OperatorMatrix], dim: int, one) -> AlgebraBasis:
     if not gens:
-        return AlgebraBasis(dim, [OperatorMatrix.identity(dim, one)], closed=True)
+        return AlgebraBasis(dim, [OperatorMatrix.identity(dim, one)])
     return span_closure(gens)
 
 
@@ -308,7 +309,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
     d_alg = commutant_basis(c_alg)
     report.info("even-centralizer-dimension", actual=len(d_alg))
     # C lies in its double commutant in any field; a nondegenerate trace form
-    # at the point makes C semisimple, and then C'' = C (see `commutant`)
+    # makes C semisimple, and then C'' = C (see `commutant`)
     dim_cd = (len(c_alg) if trace_form_is_nondegenerate(c_alg)
               else len(commutant_basis(d_alg)))
     report.add("double-commutant-returns-even-image", dim_cd == len(c_alg),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qhecke.commutant as commutant
+import qhecke.suites as suites
 from qhecke.commutant import (
     AlgebraBasis,
     LinearSpan,
@@ -227,7 +228,7 @@ class TestSpanClosure:
         sp = GradedSpace(1, 1, 2)
         t = PiRepresentation(sp).t_matrix(1)
         alg = span_closure([t])
-        assert len(alg) == 2 and alg.closed
+        assert len(alg) == 2
 
     def test_idempotent(self):
         sp = GradedSpace(1, 1, 2)
@@ -269,80 +270,45 @@ class TestCommutant:
             for g in a_alg.generators:
                 assert mat.commutes_with(g)
 
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_double_commutant_returns_hecke_image(self, r):
-        sp = GradedSpace(1, 1, r)
-        rep = PiRepresentation(sp)
-        a_alg = span_closure(rep.t_matrices())
-        double = commutant_basis(commutant_basis(a_alg))
-        assert span_equal(double, a_alg)
-
     @pytest.mark.parametrize("case, prime", [
+        ("1-1-2-hecke-image", None),
+        ("1-1-3-hecke-image", None),
         ("exact-1-1-3-even-image", None),
         ("point-2-1-2-hecke-image", None),
         ("point-2-1-2-scalars", None),
         # t = 5/2 puts 2 in the denominators, so every nullspace falls back to Q
         ("point-2-1-2-hecke-image", 2),
-    ], ids=["exact-1-1-3-even-image", "point-2-1-2-hecke-image", "point-2-1-2-scalars",
-            "point-2-1-2-hecke-image-over-Q"])
-    def test_early_stop_matches_full_elimination(self, case, prime, monkeypatch):
-        # the commutant of a recorded commutant reads fewer constraint
-        # matrices than the plain list of the same basis, with the same result;
-        # at a point the F_p engine stops early, and the Q engine when it runs
-        sp = GradedSpace(2, 1, 2)
+    ], ids=["2", "3", "exact-1-1-3-even-image", "point-2-1-2-hecke-image",
+            "point-2-1-2-scalars", "point-2-1-2-hecke-image-over-Q"])
+    def test_double_commutant_returns_hecke_image(self, case, prime, monkeypatch):
+        # the commutant of a commutant is the algebra again: Hecke images of
+        # (1,1,r) over Q(q), the even image of (1,1,3) over Q(q), and at a
+        # point the F_p engine, or the Q engine when every lift is refused
         t = Fraction(5, 2)
-        b_alg = {
+        point_space = GradedSpace(2, 1, 2)
+        alg = {
+            "1-1-2-hecke-image":
+                lambda: span_closure(PiRepresentation(GradedSpace(1, 1, 2)).t_matrices()),
+            "1-1-3-hecke-image":
+                lambda: span_closure(PiRepresentation(GradedSpace(1, 1, 3)).t_matrices()),
             "exact-1-1-3-even-image":
                 lambda: span_closure(PiRepresentation(GradedSpace(1, 1, 3)).x_matrices()),
             "point-2-1-2-hecke-image":
                 lambda: span_closure([specialize_matrix(g, t)
-                                      for g in PiRepresentation(sp).t_matrices()]),
+                                      for g in PiRepresentation(point_space).t_matrices()]),
             "point-2-1-2-scalars":
-                lambda: span_closure([OperatorMatrix.identity(sp.dim, Fraction(1))]),
+                lambda: span_closure([OperatorMatrix.identity(point_space.dim, Fraction(1))]),
         }[case]()
         if prime is not None:
             monkeypatch.setattr(commutant, "_PRIME", prime)
-        calls = []
-        original = commutant._commutation_rows
-
-        def counting(constraint, sign):
-            calls.append(constraint)
-            return original(constraint, sign)
-
-        monkeypatch.setattr(commutant, "_commutation_rows", counting)
-        d_alg = commutant_basis(b_alg)
-        assert d_alg._commutant_of is b_alg
-
-        def reads():
-            # the Q engine reads D's own matrices, the F_p engine their residues
-            over_q = sum(1 for g in calls if any(g is e for e in d_alg.elements))
-            counts = {"Q": over_q, "F_p": len(calls) - over_q}
-            calls.clear()
-            return counts
-
-        engine = "F_p" if case.startswith("point") and prime is None else "Q"
-        reads()
-        double = commutant_basis(d_alg)
-        stopped = reads()
-        plain = commutant_basis(list(d_alg.elements))
-        full = reads()
-        assert plain._commutant_of is None
-        assert stopped[engine] < full[engine] == len(d_alg)
-        if engine == "F_p":
-            assert stopped["Q"] == full["Q"] == 0
-        assert double.elements == plain.elements
-        assert span_equal(double, b_alg)
-
-    def test_only_closed_bases_are_recorded(self):
-        sp = GradedSpace(1, 1, 2)
-        t_gens = PiRepresentation(sp).t_matrices()
-        closed = span_closure(t_gens)
-        assert commutant_basis(closed)._commutant_of is closed
-        unclosed = AlgebraBasis(sp.dim, list(closed.elements), closed=False)
-        assert commutant_basis(unclosed)._commutant_of is None
-        assert commutant_basis(t_gens)._commutant_of is None
-        assert commutant_basis([], dim=sp.dim)._commutant_of is None
-        assert anticommutant_basis(closed)._commutant_of is None
+        answers = TestNullspaceAtAPoint._record_answers(monkeypatch)
+        double = commutant_basis(commutant_basis(alg))
+        assert span_equal(double, alg)
+        if case.startswith("point"):
+            assert len(answers) == 2
+            assert all((a is None) == (prime is not None) for a in answers)
+        else:
+            assert answers == []    # entries in Q(q) go to the Q(q) engine directly
 
 
 def _units(dim, *positions):
@@ -357,8 +323,9 @@ def _times_identity(m, k):
 
 
 class TestTraceFormCertificate:
-    """`trace_form_is_nondegenerate` decides the Gram tr(c_i c_j) mod p; it
-    must hold on semisimple algebras only, and only on entries with residues."""
+    """`trace_form_is_nondegenerate` decides the Gram tr(c_i c_j) mod p, over
+    Q(q) at `_GRAM_POINT`; it must hold on semisimple algebras only, and only
+    on entries with residues there."""
 
     @pytest.mark.parametrize("alg", [
         lambda: AlgebraBasis(3, [_units(3, (a, b)) for a in range(3) for b in range(3)]),
@@ -385,13 +352,49 @@ class TestTraceFormCertificate:
         alg = span_closure([_times_identity(g, 4) for g in gens])
         assert not commutant.trace_form_is_nondegenerate(alg)
         assert len(commutant_basis(commutant_basis(alg))) == double_dim
+        # the same algebra over Q(q) is declined at the Gram point too
+        generic = span_closure([OperatorMatrix(8, {key: RationalFunction.constant(v)
+                                                   for key, v in m.entries.items()})
+                                for m in alg.generators])
+        assert not commutant.trace_form_is_nondegenerate(generic)
+
+    @pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 0, 3), (1, 1, 4)])
+    def test_even_image_over_q_of_q(self, m, n, r):
+        c_alg = span_closure(PiRepresentation(GradedSpace(m, n, r)).x_matrices())
+        assert commutant.trace_form_is_nondegenerate(c_alg)
 
     def test_entries_outside_q(self):
-        # the Gram of the identity alone is (2): only the entry type rejects it
+        # the Gram of the identity alone is (2), over Q and, evaluated at
+        # the Gram point, over Q(q)
         assert commutant.trace_form_is_nondegenerate(
             AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))]))
-        assert not commutant.trace_form_is_nondegenerate(
+        assert commutant.trace_form_is_nondegenerate(
             AlgebraBasis(2, [OperatorMatrix.identity(2, ONE)]))
+
+    def test_pole_at_the_gram_point(self):
+        # 1/(q - 2) has no value at q = 2; 1/(q - 3) has one
+        assert commutant._GRAM_POINT == 2
+
+        def inverse_of(root):
+            return AlgebraBasis(1, [OperatorMatrix(1, {(0, 0): RationalFunction(
+                LaurentPolynomial.one(), LaurentPolynomial({1: 1, 0: -root}))})])
+
+        assert not commutant.trace_form_is_nondegenerate(inverse_of(2))
+        assert commutant.trace_form_is_nondegenerate(inverse_of(3))
+
+    def test_exact_suite_eliminates_no_double_commutant(self, monkeypatch):
+        # exact (1,1,3): the certificate holds over Q(q), so D is the one
+        # commutant the suite computes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return commutant_basis(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "commutant_basis", counting)
+        report = suites.suite_alt_centralizer(1, 1, 3, mode="exact")
+        assert report.passed and report.params["mode"] == "exact"
+        assert len(calls) == 1
 
     def test_denominator_divisible_by_p(self, monkeypatch):
         # the Gram is diag(1, 1/9); mod 3 the second element has no residue
@@ -442,7 +445,7 @@ class TestNullspaceAtAPoint:
         dim, mats = case
         for sign, build in ((1, commutant_basis), (-1, anticommutant_basis)):
             expected = _q_path(mats, sign, dim)
-            vecs = commutant._nullspace_at_point(mats, sign, dim, None)
+            vecs = commutant._nullspace_at_point(mats, sign, dim)
             assert vecs is not None     # the F_p path itself answered
             assert [OperatorMatrix.from_flat(dim, v) for v in vecs] == expected
             assert build(mats).elements == expected
@@ -494,22 +497,7 @@ class TestNullspaceAtAPoint:
 
     def test_denominator_divisible_by_p_is_never_inverted(self, monkeypatch):
         monkeypatch.setattr(commutant, "_PRIME", 3)
-        assert commutant._nullspace_at_point([_diag(1, Fraction(1, 3))], 1, 2, None) is None
-
-    def test_early_stop_at_a_point_reads_no_further_matrix(self, monkeypatch):
-        # B = upper triangular, recorded as a commutant of the scalars, so the
-        # rank bound is 4 - 1 = 3; diag(1, 2) and E_01 reach it, and the third
-        # generator, whose denominator 7 has no inverse mod 7, is never read
-        mats = [_diag(1, 2), OperatorMatrix(2, {(0, 1): Fraction(1)}), _diag(Fraction(1, 7), 0)]
-        scalars = AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))], closed=True)
-        source = AlgebraBasis(2, list(mats), closed=True, generators=list(mats),
-                              _commutant_of=scalars)
-        monkeypatch.setattr(commutant, "_PRIME", 7)
-        answers = self._record_answers(monkeypatch)
-        result = commutant_basis(source)
-        assert len(answers) == 1 and answers[0] is not None   # F_p answered
-        assert result.elements == _q_path(mats, 1, 2)
-        assert result.elements == [OperatorMatrix.identity(2, Fraction(1))]
+        assert commutant._nullspace_at_point([_diag(1, Fraction(1, 3))], 1, 2) is None
 
     def test_reconstruction_bound(self):
         p = commutant._PRIME
@@ -590,7 +578,7 @@ class TestCommutationRows:
         # enter the anticommutant rows as a nonzero entry that is 0 mod p
         mats = [_diag(1, -1)]
         expected = _q_path(mats, -1, 2)
-        vecs = commutant._nullspace_at_point(mats, -1, 2, None)
+        vecs = commutant._nullspace_at_point(mats, -1, 2)
         assert vecs is not None
         assert [OperatorMatrix.from_flat(2, v) for v in vecs] == expected
         assert anticommutant_basis(mats).elements == expected
