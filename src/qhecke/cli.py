@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .partitions import predicted_dimensions
-from .report import Report
 from .suites import (
     SizeBoundError,
     suite_alt,
@@ -42,11 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "its even subalgebra, and their centralizers on graded tensor space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all sampling (default 0, reproducible)")
-    common.add_argument("--out", type=str, default=None,
-                        help="write the report to this path instead of stdout")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--seed", type=int, default=0,
+                      help="seed for all sampling (default 0, reproducible)")
+    base.add_argument("--out", type=str, default=None,
+                      help="write the report to this path instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--timestamps", action="store_true",
                         help="include a generation timestamp in the report")
 
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--n", type=int, required=True)
     dims.add_argument("--r", type=int, required=True)
 
-    dump = sub.add_parser("dump", parents=[common],
+    dump = sub.add_parser("dump", parents=[base],
                           help="sparse dump of one generator matrix")
     dump.add_argument("--m", type=int, required=True)
     dump.add_argument("--n", type=int, required=True)
@@ -149,22 +149,17 @@ def _emit(doc: dict | str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: str(getattr(args, k)) for k in keys if getattr(args, k, None) is not None}
-
-
-def _report_doc(command: str, args, config_keys, report: Report, dumps=None) -> dict:
+def _header(command: str, args, config_keys) -> dict:
+    """The tool, command and config echo, then the opt-in timestamp."""
     doc = {
         "tool": "qhecke",
         "command": command,
-        "config": _config_dict(args, config_keys),
+        "config": {k: str(getattr(args, k)) for k in config_keys
+                   if getattr(args, k, None) is not None},
     }
     if args.timestamps:
         import datetime
         doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    doc.update(report.as_dict())
-    if dumps:
-        doc["dumps"] = dumps
     return doc
 
 
@@ -203,17 +198,16 @@ def main(argv=None) -> int:
                                               points=points, seed=args.seed,
                                               bound=args.bound)
                 keys = ("m", "n", "r", "seed", "points", "bound")
-            dumps = _suite_dumps(args) if getattr(args, "dump", False) else None
-            doc = _report_doc(f"verify {args.suite}", args, keys, report, dumps)
+            doc = {**_header(f"verify {args.suite}", args, keys), **report.as_dict()}
+            if getattr(args, "dump", False):
+                doc["dumps"] = _suite_dumps(args)
             _emit(doc, args.out)
             return 0 if report.passed else 1
 
         if args.command == "dims":
             table = predicted_dimensions(args.m, args.n, args.r)
             doc = {
-                "tool": "qhecke",
-                "command": "dims",
-                "config": _config_dict(args, ("m", "n", "r")),
+                **_header("dims", args, ("m", "n", "r")),
                 "records": [
                     {"partition": ",".join(str(p) for p in part),
                      "tableaux": str(d), "class": cls}
@@ -224,9 +218,6 @@ def main(argv=None) -> int:
                 "dimC": str(table.dimC), "dimC0": str(table.dimC0),
                 "dimC1": str(table.dimC1),
             }
-            if args.timestamps:
-                import datetime
-                doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _emit(doc, args.out)
             return 0
 

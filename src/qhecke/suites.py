@@ -43,8 +43,23 @@ direction only, and which one depends on the kind of check:
   pass at a point stays evidence: C''_t may move either way.  The collapse
   (C in A once the X's lie in A) stays evidence at the point: two closure
   ranks give no upper bound on dim A;
-* containments and direct sums compare spaces at the point, each of which may
-  have moved in its own direction; a pass there is evidence at that point.
+* the square split (m = n) rests on four generator identities, tested once
+  over Q(q) before the points split: (i) phi^2 = +-1; (ii) phi T'_i =
+  -T'_i phi; (iii) T'_1^2 = 1; (iv) every superalgebra generator commutes
+  with every T'_i.  By (iv), B commutes with each T'_i, hence with each
+  X_i = T'_1 T'_{i+1}, so B lies in D.  By (ii), phi commutes with each X_i,
+  so phi B lies in D.  By (ii) and (iv), each phi b anticommutes with every
+  T'_i, so phi B lies in anti(T'): ``flip-maps-commutant-onto-anticommutant``
+  is (ii) and (iv).  An x in both B and phi B commutes and anticommutes with
+  T'_1, which is invertible by (iii), so x = 0; phi is invertible by (i), so
+  dim phi B = dim B.  At t, 2 len(B_t) <= 2 dim B <= dim D <= len(D_t), so
+  ``centralizer-splits-as-direct-sum`` is (i)-(iv) and len(D_t) =
+  2 len(B_t), and a pass proves D = B + phi B over Q(q) and at t.  The
+  same chain, len(B_t) <= dim phi B <= dim anti(T') <= len(anti_t), makes
+  ``anticommutant-dimension-matches`` a proof.  omega is conjugation by phi
+  up to sign, an automorphism by (i), so ``conjugation-preserves-commutant``
+  tests it on B's generators.  ``conjugation-has-order-two`` and the
+  crossed-product records sample B and stay evidence at the point.
 """
 
 from __future__ import annotations
@@ -63,7 +78,6 @@ from .commutant import (
     anticommutant_basis,
     certify,
     commutant_basis,
-    direct_sum_check,
     span_closure,
     specialization_points,
     trace_form_is_nondegenerate,
@@ -282,15 +296,25 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     # fill rep's generator cache before the points split, so both start warm
     rep.x_matrices()
     rep.t_matrices()
+    square = None
     if m == n:
-        rep.tprime_matrices()
-    _certify(report, mode, seed, space.dim,
-             lambda sub, point: _alt_centralizer_core(sub, point, space, rep, pred, seed))
+        # premises (i)-(iv) of the split, once over Q(q); see the module docstring
+        rho_gens = [g for _, g in rho_generators(space)]
+        phi, tp_gens = phi_tensor(space), rep.tprime_matrices()
+        sign = (-1) ** (r * (r - 1) // 2)
+        ident = OperatorMatrix.identity(space.dim)
+        square = (rho_gens, phi, sign, (
+            phi * phi == ident.scale(sign),
+            all(tp.anticommutes_with(phi) for tp in tp_gens),
+            tp_gens[0] * tp_gens[0] == ident,
+            all(g.commutes_with(tp) for g in rho_gens for tp in tp_gens)))
+    _certify(report, mode, seed, space.dim, lambda sub, point: _alt_centralizer_core(
+        sub, point, space, rep, pred, seed, square))
     return report
 
 
 def _alt_centralizer_core(report: Report, point, space: GradedSpace,
-                          rep: PiRepresentation, pred, seed: int) -> None:
+                          rep: PiRepresentation, pred, seed: int, square=None) -> None:
     one = RationalFunction.one() if point is None else Fraction(1)
     dim = space.dim
 
@@ -316,38 +340,34 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
                expected=f"span equality at dim {len(c_alg)}",
                actual=f"dims {dim_cd} vs {len(c_alg)}")
 
-    if space.m == space.n:
-        sign = (-1) ** (space.r * (space.r - 1) // 2)
-        tp_gens = [mat(g) for g in rep.tprime_matrices()]
-        phi = mat(phi_tensor(space))
+    if square is not None:   # m = n: generic rho generators, phi, sign of phi^2, (i)-(iv)
+        rho_gens, phi, sign, (squares, anti, involutive, commute) = square
+        phi = mat(phi)
         ident = OperatorMatrix.identity(dim, one)
-        signed = one if sign == 1 else -one
-        sign_one = ident.scale(signed)
-        squares = phi * phi == sign_one
+        sign_one = ident.scale(sign)
         report.add("flip-squares-to-sign", squares,
                    expected=f"({sign})*identity", actual="equal" if squares else "differs")
-        anti = all(tp.anticommutes_with(phi) for tp in tp_gens)
         report.add("flip-anticommutes-with-involutive-generators", anti)
 
-        b_alg = _closure_of([mat(g) for _, g in rho_generators(space)], dim, one)
+        b_alg = _closure_of([mat(g) for g in rho_gens], dim, one)
         report.info("superalgebra-image-dimension", actual=len(b_alg))
-        bd = anticommutant_basis(tp_gens)
+        bd = anticommutant_basis([mat(g) for g in rep.tprime_matrices()])
         report.add("anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
-        phi_b = AlgebraBasis(dim, [phi * bm for bm in b_alg.elements])
-        flips_into = all(bd.contains(f) for f in phi_b.elements)
-        report.add("flip-maps-commutant-onto-anticommutant", flips_into)
+        report.add("flip-maps-commutant-onto-anticommutant", anti and commute)
         report.add("centralizer-splits-as-direct-sum",
-                   direct_sum_check(d_alg, b_alg, phi_b),
-                   expected=f"{len(d_alg)} = {len(b_alg)} + {len(phi_b)}",
-                   actual=f"dims ({len(d_alg)}; {len(b_alg)}, {len(phi_b)})")
+                   squares and anti and involutive and commute
+                   and len(d_alg) == 2 * len(b_alg),
+                   expected=f"{len(d_alg)} = {len(b_alg)} + {len(b_alg)}",
+                   actual=f"dims ({len(d_alg)}; {len(b_alg)}, {len(b_alg)})")
         report.add("centralizer-dimension-doubles", len(d_alg) == 2 * len(b_alg),
                    expected=2 * len(b_alg), actual=len(d_alg))
 
-        # the weak action omega: conjugation by the flip, times the sign
-        omega = memoized_action(lambda f: (phi * f * phi).scale(signed))
+        # the weak action omega: conjugation by the flip, times the sign; an
+        # automorphism given (i), so its generator images decide closure
+        omega = memoized_action(lambda f: (phi * f * phi).scale(sign))
         basis_sample = b_alg.elements[:12]
-        omega_closes = all(b_alg.contains(omega(-1, f)) for f in basis_sample)
+        omega_closes = all(b_alg.contains(omega(-1, g)) for g in b_alg.generators)
         omega_invol = all(omega(-1, omega(-1, f)) == f for f in basis_sample)
         report.add("conjugation-preserves-commutant", omega_closes)
         report.add("conjugation-has-order-two", omega_invol)

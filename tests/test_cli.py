@@ -168,6 +168,15 @@ class TestDumpCommand:
                             "--gen", "nope"], capsys)
         assert code == 2 and "error" in err
 
+    def test_timestamps_rejected(self, tmp_path, capsys):
+        # a dump is plain lines, with no field to carry a timestamp
+        target = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1",
+                      "--timestamps", "--out", str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == "" and not target.exists()
+
 
 class TestGoldenOutput:
     def test_identical_configs_identical_bytes(self, tmp_path, capsys):

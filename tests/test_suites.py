@@ -218,6 +218,50 @@ class TestSchurWeylCommutantChecks:
                            for c in records), name
 
 
+SQUARE_CHECKS = ("flip-squares-to-sign", "flip-anticommutes-with-involutive-generators",
+                 "anticommutant-dimension-matches", "flip-maps-commutant-onto-anticommutant",
+                 "centralizer-splits-as-direct-sum", "centralizer-dimension-doubles",
+                 "conjugation-preserves-commutant", "conjugation-has-order-two",
+                 "crossed-system-axioms", "crossed-product-law")
+
+
+def _identity_flip(space):
+    """phi = I: it squares to +1 where the sign is -1 and commutes with T'."""
+    return OperatorMatrix.identity(space.dim)
+
+
+class TestSquareBlockFailures:
+    """The square records are decided from premises tested over Q(q) and from
+    lengths at the point; each mutation must fail exactly the records that
+    depend on what it breaks, in both modes."""
+
+    @pytest.mark.parametrize("target, mutation, failing", [
+        ("rho_generators", _extra_generator,
+         {"anticommutant-dimension-matches", "flip-maps-commutant-onto-anticommutant",
+          "centralizer-splits-as-direct-sum", "centralizer-dimension-doubles",
+          "conjugation-preserves-commutant"}),
+        # every length stays: only premise (iv) and omega on B's generators tell
+        ("rho_generators", _conjugated,
+         {"flip-maps-commutant-onto-anticommutant", "centralizer-splits-as-direct-sum",
+          "conjugation-preserves-commutant"}),
+        ("phi_tensor", _identity_flip,
+         {"flip-squares-to-sign", "flip-anticommutes-with-involutive-generators",
+          "flip-maps-commutant-onto-anticommutant", "centralizer-splits-as-direct-sum",
+          "crossed-system-axioms", "crossed-product-law"}),
+    ], ids=["extra-generator", "conjugated", "identity-flip"])
+    @pytest.mark.parametrize("mode", ["exact", "specialized"])
+    def test_mutation_fails_exactly_its_records(self, target, mutation, failing, mode,
+                                                monkeypatch):
+        monkeypatch.setattr(suites, target, mutation)
+        report = suite_alt_centralizer(1, 1, 3, mode=mode)
+        statuses = {}
+        for c in report.checks:
+            statuses.setdefault(c.name.rpartition(": ")[2], set()).add(c.status)
+        assert {name: statuses[name] for name in SQUARE_CHECKS} == {
+            name: {"fail" if name in failing else "pass"} for name in SQUARE_CHECKS}
+        assert mode == "exact" or "point-agreement" in statuses
+
+
 class TestAltCentralizerSuite:
     def test_scalar_even_image_at_r2(self):
         report = suite_alt_centralizer(1, 1, 2)
@@ -252,14 +296,15 @@ class TestAltCentralizerSuite:
         assert checks["small-row-collapse"].actual == "dims 42 vs 42 (differ)"
 
     @staticmethod
-    def _count_commutants(monkeypatch):
-        calls = []
+    def _count_calls(monkeypatch, name):
+        """The results of every call the suites make to ``suites.<name>``."""
+        calls, original = [], getattr(suites, name)
 
         def counting(*args, **kwargs):
-            calls.append(None)
-            return commutant_basis(*args, **kwargs)
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr(suites, "commutant_basis", counting)
+        monkeypatch.setattr(suites, name, counting)
         return calls
 
     @pytest.mark.parametrize("gens, status, actual", [
@@ -278,7 +323,7 @@ class TestAltCentralizerSuite:
                                      for (a, b) in units for x in range(4)})
                   for units in gens]
         rep.x_matrices = lambda: x_gens
-        calls = self._count_commutants(monkeypatch)
+        calls = self._count_calls(monkeypatch, "commutant_basis")
         report = Report("core", {})
         suites._alt_centralizer_core(report, Fraction(2), space, rep,
                                      predicted_dimensions(2, 0, 3), 0)
@@ -295,10 +340,29 @@ class TestAltCentralizerSuite:
         monkeypatch.setattr(commutant, "_may_fork", lambda: False)
         if not certified:
             monkeypatch.setattr(suites, "trace_form_is_nondegenerate", lambda alg: False)
-        counted = self._count_commutants(monkeypatch)
+        counted = self._count_calls(monkeypatch, "commutant_basis")
         report = suite_alt_centralizer(2, 1, 3)
         assert report.passed
         assert len(counted) == calls
+
+    def test_square_block_builds_its_generic_generators_once(self, monkeypatch):
+        # serial specialized (1,1,3): the premises are tested over Q(q) before
+        # the points split, and no point tests membership in an anticommutant
+        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
+        rho, phi, anti = (self._count_calls(monkeypatch, name) for name in
+                          ("rho_generators", "phi_tensor", "anticommutant_basis"))
+        searched = []
+        contains = commutant.AlgebraBasis.contains
+
+        def recording(alg, matrix):
+            searched.append(alg)
+            return contains(alg, matrix)
+
+        monkeypatch.setattr(commutant.AlgebraBasis, "contains", recording)
+        report = suite_alt_centralizer(1, 1, 3, mode="specialized")
+        assert report.passed
+        assert (len(rho), len(phi), len(anti)) == (1, 1, 2)
+        assert searched and not any(alg is bd for alg in searched for bd in anti)
 
     def test_collapse_regime_small(self):
         report = suite_alt_centralizer(1, 0, 2)
