@@ -8,8 +8,11 @@ commutation: (a, c) = (q - q^-1, 0) for the T_i and the Goldman images G_i,
 `suite_alt`, ``even-basis-closure`` is a proof at every rank from generator
 relations only (`check_even_closure`): the G_i = (q - q^-1) - T_i satisfy the
 Hecke relations, so the Goldman map is an algebra map by Matsumoto's theorem,
-and it negates each T'_i, so the even span is its fixed space.  Two
-evaluation modes exist for the linear-algebra-heavy suites:
+and it negates each T'_i, so the even span is its fixed space.  The same
+premises decide ``membership-matches-even-support``: gamma(T'_w) =
+(-1)^l(w) T'_w, so an element is gamma-fixed exactly when its T'-support is
+even, for every element and not only for samples.  Two evaluation modes
+exist for the linear-algebra-heavy suites:
 
 * ``exact``   — all spans, commutants and ranks over Q(q); the default for
   small tensor spaces (dimension at most 8) and the arbiter elsewhere;
@@ -32,27 +35,33 @@ direction only, and which one depends on the kind of check:
   constraint system whose rank can only drop: they can only overshoot, so a
   point that meets the prediction shows the generic dimension is at most it;
 * span equalities compare lengths once an inclusion is known or tested at
-  the point.  Given the exact ``action-commutation``, this proves the two
-  Schur-Weyl commutant equalities generically: rank_t(B) <= dim B <=
-  dim A' <= nullity_t(A), and a pass makes the ends equal (likewise for A in
-  B').  The double commutant (C in C'') is a proof at the point when the
-  trace form of C_t is nondegenerate (`commutant.trace_form_is_nondegenerate`):
-  C_t is then semisimple and C_t'' = C_t, so its length is len(C_t) without
-  eliminating D's commutant; otherwise that elimination decides.  Exact mode
-  decides it the same way over Q(q), where a pass is a proof.  Generically a
-  pass at a point stays evidence: C''_t may move either way.  The collapse
-  (C in A once the X's lie in A) stays evidence at the point: two closure
-  ranks give no upper bound on dim A;
+  the point.  One exact test, `_commutation_failures` (every T_i against
+  every superalgebra generator over Q(q)), decides ``action-commutation``;
+  the commutant records and premise (iv) below read its result, and a pass
+  holds at every point because specialization is a ring map.  Given it, the
+  length comparisons prove the two Schur-Weyl commutant equalities
+  generically: rank_t(B) <= dim B <= dim A' <= nullity_t(A), and a pass
+  makes the ends equal (likewise for A in B').  The double commutant (C in
+  C'') is a proof at the point when the trace form of C_t is nondegenerate
+  (`commutant.trace_form_is_nondegenerate`): C_t is then semisimple and
+  C_t'' = C_t, so its length is len(C_t) without eliminating D's commutant;
+  otherwise that elimination decides.  Exact mode decides it the same way
+  over Q(q), where a pass is a proof.  Generically a pass at a point stays
+  evidence: C''_t may move either way.  The collapse (C in A once the X's
+  lie in A) stays evidence at the point: two closure ranks give no upper
+  bound on dim A;
 * the square split (m = n) rests on four generator identities, tested once
   over Q(q) before the points split: (i) phi^2 = +-1; (ii) phi T'_i =
   -T'_i phi; (iii) T'_1^2 = 1; (iv) every superalgebra generator commutes
-  with every T'_i.  By (iv), B commutes with each T'_i, hence with each
-  X_i = T'_1 T'_{i+1}, so B lies in D.  By (ii), phi commutes with each X_i,
-  so phi B lies in D.  By (ii) and (iv), each phi b anticommutes with every
-  T'_i, so phi B lies in anti(T'): ``flip-maps-commutant-onto-anticommutant``
-  is (ii) and (iv).  An x in both B and phi B commutes and anticommutes with
-  T'_1, which is invertible by (iii), so x = 0; phi is invertible by (i), so
-  dim phi B = dim B.  At t, 2 len(B_t) <= 2 dim B <= dim D <= len(D_t), so
+  with every T'_i.  As (q + q^-1) T'_i = 2 T_i - (q - q^-1), (iv) is the
+  one commutation test, on the cheaper T_i.  By (iv), B commutes with each
+  T'_i, hence with each X_i = T'_1 T'_{i+1}, so B lies in D.  By (ii), phi
+  commutes with each X_i, so phi B lies in D.  By (ii) and (iv), each phi b
+  anticommutes with every T'_i, so phi B lies in anti(T'):
+  ``flip-maps-commutant-onto-anticommutant`` is (ii) and (iv).  An x in
+  both B and phi B commutes and anticommutes with T'_1, which is invertible
+  by (iii), so x = 0; phi is invertible by (i), so dim phi B = dim B.  At
+  t, 2 len(B_t) <= 2 dim B <= dim D <= len(D_t), so
   ``centralizer-splits-as-direct-sum`` is (i)-(iv) and len(D_t) =
   2 len(B_t), and a pass proves D = B + phi B over Q(q) and at t.  The
   same chain, len(B_t) <= dim phi B <= dim anti(T') <= len(anti_t), makes
@@ -69,8 +78,8 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
-from .alternating import check_even_closure, enumerate_even_basis, is_in_alt, \
-    verify_crossed_product_H, x_relation_failures
+from .alternating import check_even_closure, enumerate_even_basis, verify_crossed_product_H, \
+    x_relation_failures
 from .commutant import (
     EXACT_DIM_BOUND,
     AlgebraBasis,
@@ -83,8 +92,7 @@ from .commutant import (
     trace_form_is_nondegenerate,
 )
 from .crossed import add_crossed_records, memoized_action
-from .hecke import U_SQUARED, HeckeAlgebra, goldman_eigenproject, relation_failures, \
-    to_tprime_basis
+from .hecke import U_SQUARED, HeckeAlgebra, relation_failures
 from .partitions import predicted_dimensions
 from .qfield import RationalFunction
 from .report import Report
@@ -146,7 +154,7 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
 
 
 def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
-    """Even-subalgebra suite: counts, closure under products, X relations."""
+    """Even-subalgebra suite: counts, closure under products, X relations, membership."""
     if not 2 <= r <= bound:
         raise SizeBoundError(f"rank {r} outside the supported range 2..{bound}")
     report = Report("alt", {"r": r, "seed": seed})
@@ -162,17 +170,8 @@ def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
 
     if r >= 3:
         _add_relations(report, "even-generator-relations", x_relation_failures(r))
-
-    # membership criterion agrees with even-parity support on seeded samples
-    algebra = HeckeAlgebra(r)
-    rng = random.Random(seed)
-    agree = True
-    for _ in range(10):
-        x = algebra.random_element(rng, terms=3)
-        for candidate in (x, goldman_eigenproject(x, 1)):
-            if is_in_alt(candidate) != to_tprime_basis(candidate).even_supported:
-                agree = False
-    report.add("membership-matches-even-support", agree)
+    # the closure premises give gamma(T'_w) = (-1)^l(w) T'_w for every w
+    report.add("membership-matches-even-support", not failures)
     return report
 
 
@@ -238,19 +237,24 @@ def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
     rho = rho_generators(space)
     rho_gens = [g for _, g in rho]
 
-    bad = [f"T_{i+1} vs {name}" for i, tmat in enumerate(t_gens)
-           for name, g in rho if not tmat.commutes_with(g)]
+    bad = _commutation_failures(t_gens, rho)
     report.add("action-commutation", not bad, expected="all generator pairs commute",
                actual="all commute" if not bad else "; ".join(bad[:6]))
 
     pred = predicted_dimensions(m, n, r)
-    _certify(report, mode, seed, space.dim,
-             lambda sub, point: _schur_weyl_core(sub, point, space, t_gens, rho_gens, pred))
+    _certify(report, mode, seed, space.dim, lambda sub, point: _schur_weyl_core(
+        sub, point, space, t_gens, rho_gens, pred, not bad))
     return report
 
 
+def _commutation_failures(t_gens, rho) -> list[str]:
+    """The pairs of a T_i and a named superalgebra generator that do not commute."""
+    return [f"T_{i+1} vs {name}" for i, tmat in enumerate(t_gens)
+            for name, g in rho if not tmat.commutes_with(g)]
+
+
 def _schur_weyl_core(report: Report, point, space: GradedSpace,
-                     t_gens, rho_gens, pred) -> None:
+                     t_gens, rho_gens, pred, commute: bool) -> None:
     if point is None:
         one = RationalFunction.one()
     else:
@@ -262,8 +266,7 @@ def _schur_weyl_core(report: Report, point, space: GradedSpace,
     report.add("hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
     report.info("superalgebra-image-dimension", actual=len(b_alg))
-    # B in A' and A in B' hold iff the generators commute
-    commute = all(t.commutes_with(g) for t in t_gens for g in rho_gens)
+    # B in A' and A in B' hold iff the generators commute, over Q(q) and so at t
     ca = commutant_basis(a_alg)
     report.add("commutant-of-hecke-image-is-superalgebra-image",
                commute and len(ca) == len(b_alg),
@@ -299,15 +302,15 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     square = None
     if m == n:
         # premises (i)-(iv) of the split, once over Q(q); see the module docstring
-        rho_gens = [g for _, g in rho_generators(space)]
+        rho = rho_generators(space)
         phi, tp_gens = phi_tensor(space), rep.tprime_matrices()
         sign = (-1) ** (r * (r - 1) // 2)
         ident = OperatorMatrix.identity(space.dim)
-        square = (rho_gens, phi, sign, (
+        square = ([g for _, g in rho], phi, sign, (
             phi * phi == ident.scale(sign),
             all(tp.anticommutes_with(phi) for tp in tp_gens),
             tp_gens[0] * tp_gens[0] == ident,
-            all(g.commutes_with(tp) for g in rho_gens for tp in tp_gens)))
+            not _commutation_failures(rep.t_matrices(), rho)))
     _certify(report, mode, seed, space.dim, lambda sub, point: _alt_centralizer_core(
         sub, point, space, rep, pred, seed, square))
     return report

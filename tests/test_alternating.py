@@ -52,12 +52,20 @@ class TestMembership:
         # independent route: the second-basis expansion has even support only
         assert to_tprime_basis(p).even_supported
 
-    @pytest.mark.parametrize("rank", [3, 4])
-    def test_matches_even_support_on_samples(self, rank):
+    @pytest.mark.parametrize("rank, seed, samples", [
+        pytest.param(3, 3, 8, id="3"),
+        pytest.param(4, 4, 8, id="4"),
+        # the draws `verify alt` sampled at these ranks and seeds before its
+        # record was decided from the closure premises
+        pytest.param(5, 0, 10, id="5-seed-0"),
+        pytest.param(5, 7, 10, id="5-seed-7"),
+        pytest.param(6, 0, 10, id="6-seed-0"),
+    ])
+    def test_matches_even_support_on_samples(self, rank, seed, samples):
         H = HeckeAlgebra(rank)
-        rng = random.Random(rank)
-        for _ in range(8):
-            x = H.random_element(rng, 3)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            x = H.random_element(rng, terms=3)
             assert is_in_alt(x) == to_tprime_basis(x).even_supported
             proj = goldman_eigenproject(x, 1)
             assert is_in_alt(proj)
@@ -186,7 +194,10 @@ class TestClosure:
 
     @staticmethod
     def _closure_record(rank):
-        check = next(c for c in suite_alt(rank).checks if c.name == "even-basis-closure")
+        # membership rests on the closure premises, so it fails with them
+        checks = {c.name: c for c in suite_alt(rank).checks}
+        assert checks["membership-matches-even-support"].status == "fail"
+        check = checks["even-basis-closure"]
         assert check.status == "fail"
         return check
 

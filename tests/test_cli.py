@@ -294,14 +294,18 @@ class TestGoldenOutput:
          "9c0cd8507fe15b2b614ea9f8eeafec90c7419637b01e42f6a661bff5da8ed5cb"),
         (["verify", "hecke", "--r", "7", "--bound", "7", "--seed", "0"],
          "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
-        # other random samples for `to_tprime` than the seed-0 pin above
+        # no `verify alt` record samples: the seed reaches only the params echo
         (["verify", "alt", "--r", "5", "--seed", "7"],
          "ed954c682d2ba8c008d316d1dfd69c856953a4f354a122c10ff40db7bea1a29a"),
         (["verify", "alt", "--r", "6", "--seed", "0"],
          "4b1f9fa31d9fab6d3ce663767af5e2655472daf0713697117311cd35b4af49b8"),
+        (["verify", "alt", "--r", "7", "--bound", "7", "--seed", "0"],
+         "f0edf5c98bb4fe8b681f7e204720a1d3a22409b39b6cc3ed43876e5de16f42d4"),
+        (["verify", "alt", "--r", "8", "--bound", "8", "--seed", "0"],
+         "b169f7d25179cb55b3b7e98737100e43f3d9001b174514b8bc94b307df133a95"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
             "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
-            "alt-5-seed-7", "alt-6"])
+            "alt-5-seed-7", "alt-6", "alt-7-bound-7", "alt-8-bound-8"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main([*args, "--out", str(path)])

@@ -113,6 +113,17 @@ class TestAltSuite:
         assert checks["even-basis-count"].actual == "12"
         assert checks["even-basis-closure"].status == "pass"
 
+    def test_rank6_reads_no_tprime_coordinates(self, monkeypatch):
+        # membership is decided from the closure premises, not from sampled
+        # T'-expansions, so no element is converted to the T' basis
+        def refuse(table, vec):
+            raise AssertionError("to_tprime called")
+
+        monkeypatch.setattr(SymmetricGroupTable, "to_tprime", refuse)
+        report = suite_alt(6)
+        assert report.passed
+        assert check_map(report)["membership-matches-even-support"].status == "pass"
+
     def test_rank5_full_closure(self):
         report = suite_alt(5)
         assert report.passed
@@ -187,10 +198,12 @@ class TestSchurWeylCommutantChecks:
     def test_core_agrees_with_span_equal(self, point, expected):
         space = GradedSpace(1, 1, 3)
         t_gens = PiRepresentation(space).t_matrices()
-        rho_gens = [g for _, g in rho_generators(space)]
+        rho = rho_generators(space)
+        rho_gens = [g for _, g in rho]
         report = Report("core", {})
         suites._schur_weyl_core(report, point, space, t_gens, rho_gens,
-                                predicted_dimensions(1, 1, 3))
+                                predicted_dimensions(1, 1, 3),
+                                not suites._commutation_failures(t_gens, rho))
         if point is not None:
             t_gens = [specialize_matrix(g, point) for g in t_gens]
             rho_gens = [specialize_matrix(g, point) for g in rho_gens]
@@ -216,6 +229,29 @@ class TestSchurWeylCommutantChecks:
             if mutation is _conjugated:   # equal lengths: only commutation fails them
                 assert all(len(set(c.actual[len("dims "):].split(" vs "))) == 1
                            for c in records), name
+
+
+class TestOneCommutationTest:
+    """Both tensor suites test each T_i against each superalgebra generator
+    once, over Q(q); the points and premise (iv) read that result."""
+
+    @pytest.mark.parametrize("suite", [suite_schur_weyl, suite_alt_centralizer],
+                             ids=["schur-weyl", "alt-centralizer"])
+    def test_serial_specialized_run_commutes_only_the_generic_generators(
+            self, suite, monkeypatch):
+        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
+        tested, commutes = [], OperatorMatrix.commutes_with
+
+        def recording(a, b):
+            tested.append((a, b))
+            return commutes(a, b)
+
+        monkeypatch.setattr(OperatorMatrix, "commutes_with", recording)
+        assert suite(1, 1, 3, mode="specialized").passed
+        space = GradedSpace(1, 1, 3)
+        t_gens, rho = PiRepresentation(space).t_matrices(), rho_generators(space)
+        assert len(tested) == (space.r - 1) * len(rho)
+        assert tested == [(t, g) for t in t_gens for _, g in rho]
 
 
 SQUARE_CHECKS = ("flip-squares-to-sign", "flip-anticommutes-with-involutive-generators",
