@@ -42,13 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--seed", type=int, default=0,
-                      help="seed for all sampling (default 0, reproducible)")
     base.add_argument("--out", type=str, default=None,
                       help="write the report to this path instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[base])
-    common.add_argument("--timestamps", action="store_true",
-                        help="include a generation timestamp in the report")
+    stamped = argparse.ArgumentParser(add_help=False, parents=[base])
+    stamped.add_argument("--timestamps", action="store_true",
+                         help="include a generation timestamp in the report")
+    common = argparse.ArgumentParser(add_help=False, parents=[stamped])
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of the sampled even words and the specialization "
+                             "points (default 0, reproducible)")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rational points, e.g. 2,3/2")
     spec.add_argument("--bound", type=int, default=None)
 
-    dims = sub.add_parser("dims", parents=[common],
+    dims = sub.add_parser("dims", parents=[stamped],
                           help="predicted dimension table over hook partitions")
     dims.add_argument("--m", type=int, required=True)
     dims.add_argument("--n", type=int, required=True)

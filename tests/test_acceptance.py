@@ -40,6 +40,7 @@ from qhecke.tensor import (
     specialize_matrix,
 )
 from test_alternating import column_violations
+from test_crossed import hecke_crossed_failures
 
 COMMUTATION_CASES = [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2), (2, 2, 2), (2, 0, 3)]
 DOUBLE_COMMUTANT_CASES = [(1, 1, 2), (1, 1, 3), (2, 0, 3), (1, 0, 2)]
@@ -91,6 +92,9 @@ def test_criterion_3_crossed_product_of_hecke_algebra():
         assert named["decomposition-dims"].actual == f"({half}, {half})"
         assert named["crossed-system-axioms"].status == "pass"
         assert named["crossed-product-law"].status == "pass"
+        # the records are decided from T'_1^2 = 1 and the closure premises;
+        # the sampled checks confirm them on every pair of even basis elements
+        assert not any(hecke_crossed_failures(r).values())
     report(3, "crossed-product presentation verified on all basis pairs for r <= 4, "
               "with the even/odd decomposition of dimensions (r!/2, r!/2)")
 

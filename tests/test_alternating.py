@@ -22,7 +22,8 @@ from qhecke.hecke import (
     to_tprime_basis,
 )
 from qhecke.qfield import Q_MINUS_QINV, Q_PLUS_QINV, _qp_pow
-from qhecke.suites import suite_alt
+from qhecke.suites import suite_alt, suite_hecke
+from test_crossed import hecke_crossed_failures
 
 
 class TestEvenBasis:
@@ -194,9 +195,12 @@ class TestClosure:
 
     @staticmethod
     def _closure_record(rank):
-        # membership rests on the closure premises, so it fails with them
+        # membership, and conjugation by T'_1 preserving the even part, rest on
+        # the closure premises, so they fail with them
         checks = {c.name: c for c in suite_alt(rank).checks}
         assert checks["membership-matches-even-support"].status == "fail"
+        hecke_checks = {c.name: c for c in suite_hecke(rank).checks}
+        assert hecke_checks["weak-action-preserves-even-part"].status == "fail"
         check = checks["even-basis-closure"]
         assert check.status == "fail"
         return check
@@ -265,8 +269,9 @@ class TestCrossedProduct:
 
     @pytest.mark.parametrize("rank,pairs", [(4, 144), (5, 12)])
     def test_non_involutive_conjugator_fails(self, monkeypatch, rank, pairs):
-        # T'_1 replaced by the plain generator T_1, which does not square to one:
-        # the memoized action must not hide it
+        # T'_1 replaced by the plain generator T_1, which does not square to one
+        # and is not negated by gamma: both premises fail, and the sampled
+        # oracle fails the same records, on every one of its pairs
         tprime = HeckeAlgebra.tprime
         monkeypatch.setattr(HeckeAlgebra, "tprime", lambda self, i:
                             self.generator(1) if i == 1 else tprime(self, i))
@@ -276,10 +281,9 @@ class TestCrossedProduct:
                                 "weak-action-multiplicative", "crossed-system-axioms",
                                 "crossed-product-law"]
         assert all(c.status == "fail" for c in failed.values())
-        assert failed["crossed-system-axioms"].witness == "; ".join(
-            f"weak-action axiom fails at (s,t)=(-1,-1), sample {i}" for i in range(5))
         law = failed["crossed-product-law"]
-        assert (law.expected, law.actual) == (f"{pairs} pairs x 4 sign patterns",
-                                              f"{pairs} failures")
-        assert law.witness == "; ".join(
-            f"product law fails at (s,t)=(-1,1), pair {i}" for i in range(5))
+        assert (law.expected, law.actual, law.witness) == (
+            "all pairs x 4 sign patterns, given T'_1^2 = 1", "T'_1^2 = 1 fails", None)
+        oracle = {name: bad for name, bad in hecke_crossed_failures(rank).items() if bad}
+        assert list(oracle) == list(failed)
+        assert len(oracle["crossed-product-law"]) == pairs

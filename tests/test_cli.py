@@ -15,12 +15,12 @@ ALT_CENTRALIZER_PINS = [
     pytest.param(["--m", "2", "--n", "1", "--r", "3"],
                  "3205fa77137f2dd6639d90f4e823d9e9fee3ea9bd3b141232f3c73a8b6ffb1a4", id="2-1-3"),
     pytest.param(["--m", "1", "--n", "1", "--r", "3"],
-                 "a88e1ef815e3490819a298b5c16ec796cca0bb900e5991cf39b4297fc077a8dc", id="1-1-3"),
+                 "f4cf3ccc7f61ae4b1f6d7cd8790bc2876d9bbe5ab74266b024df92fbe8bf40a9", id="1-1-3"),
     pytest.param(["--m", "2", "--n", "1", "--r", "2", "--mode", "specialized"],
                  "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0",
                  id="2-1-2-specialized"),
     pytest.param(["--m", "2", "--n", "2", "--r", "2", "--mode", "specialized"],
-                 "5a6a0dabc0e04af12796ab6ee441a30df2cdc6318b8d3ea68a58f3aa0345229f",
+                 "9955a3be12141c017f1af3dccd083eca2cfcf76bf7ab2516aa3195f3ef081db4",
                  id="2-2-2-specialized"),
     pytest.param(["--m", "1", "--n", "0", "--r", "3"],
                  "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e", id="1-0-3"),
@@ -28,7 +28,7 @@ ALT_CENTRALIZER_PINS = [
     pytest.param(["--m", "2", "--n", "0", "--r", "4"],
                  "b47a56f36e0d5e48baabcb84263b511ef70fad2806d1d6a498d2d6a046379573", id="2-0-4"),
     pytest.param(["--m", "1", "--n", "1", "--r", "4"],
-                 "91583f741717a3a56f0ef441d80126505711eecc8709edb7d323bdac1e38e568", id="1-1-4"),
+                 "dd1e3aab1194dcbc1c5d18072f8b249376a0ce565e235696510965d1a466d670", id="1-1-4"),
 ]
 ALT_CENTRALIZER_SEED_7 = (["--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
                           "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38")
@@ -137,6 +137,17 @@ class TestDimsCommand:
         assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["dims", "--m", "1", "--n", "1", "--r", "2"],
+    ["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1"],
+], ids=["dims", "dump"])
+def test_seed_rejected_where_nothing_is_sampled(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--seed", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 class TestDumpCommand:
     def test_single_generator(self, capsys):
         code, out, _ = run(["dump", "--m", "1", "--n", "0", "--r", "2", "--gen", "T1"], capsys)
@@ -237,15 +248,15 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("args, digest", [
         (["verify", "hecke", "--r", "2"],
-         "5063cd6e82eda58b9c880ad724077d54ccaf97fc32cf3b581567766aca5db78d"),
+         "51139ee7b273848e4a12e37fae02401312fa5e336df87cf7dcc260dea95aa493"),
         (["verify", "hecke", "--r", "3"],
-         "2079da783c6616b16af41e3c4db7240038d01ee1ec5b26c17e44220e6e1ab3f6"),
+         "5a43db3751a93c675952444d6eee2e58d06b968c5c38b2f5e943583852204b67"),
         (["verify", "hecke", "--r", "4"],
-         "75441cbedfd8346c0052fe737b5c8415d4830eab887b1bfa21cd1029d8ffbae9"),
+         "d320cdbd2f58ab2093539c199d975e0052f09bfb9739ef4e6186e7a4bfec15df"),
         (["verify", "hecke", "--r", "5"],
-         "b2142c33f146be152650ec9d184e05720bfb1443543b0ab6051d7eee09e8fcb9"),
+         "16156828b7e45b2cc4ab11b07042c9fc5315f4b16e6315fb4413968a8602c569"),
         (["verify", "hecke", "--r", "6"],
-         "22354e243f4fcd0663fd5a5c0527deb33b60395956c097e8786cd153e91003bb"),
+         "bf3a7b141a744994962f2cc1cdaea7b13248ae381eb63c511ff0176162076a7d"),
         (["verify", "alt", "--r", "2"],
          "d3b140041f3f51257b563404cab6a93b4b005f84b35f6415453686374969fe00"),
         (["verify", "alt", "--r", "3"],
@@ -275,7 +286,8 @@ class TestGoldenOutput:
             "dump-sigma", "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"
-        code = cli.main([*args, "--seed", "0", "--out", str(path)])
+        seed = ["--seed", "0"] if args[0] == "verify" else []
+        code = cli.main([*args, *seed, "--out", str(path)])
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
@@ -286,14 +298,15 @@ class TestGoldenOutput:
         # the lone point 15 is seed 0's second draw: the fill must skip it
         (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "15"],
          "a20e951f02f9767136a2011811bbf9e6f81988c4ab6c3c0a058b1ed012a1ca88"),
-        # at these seeds a Hecke product left with q^2 + 1 in its numerator
-        # would change the report
+        # these seeds once drew sampled elements whose products a numerator
+        # left with q^2 + 1 would change; now they pick the even words whose
+        # T'-coordinates the direct-sum records read
         (["verify", "hecke", "--r", "6", "--seed", "820626892"],
-         "667dc8180f0c39d4668dfb9b07546050093736a594af1afb576e89bb275661e6"),
+         "e845d7d10953557773aed3f2e511cd981df8af6a8775ce472cac315f1a6874f7"),
         (["verify", "hecke", "--r", "6", "--seed", "1924014660"],
-         "9c0cd8507fe15b2b614ea9f8eeafec90c7419637b01e42f6a661bff5da8ed5cb"),
+         "05fee7ceb34467c9d212e6a56f668377f01ef551af66b71bd0da6bb30d4b4629"),
         (["verify", "hecke", "--r", "7", "--bound", "7", "--seed", "0"],
-         "279843a5c84de271921f7e4a22a24353481a4d731442ef0018e11d65f13118ee"),
+         "5197617426807ee9c9403537605b739918d3a103d421bf8d0da9edd0afc2cdb8"),
         # no `verify alt` record samples: the seed reaches only the params echo
         (["verify", "alt", "--r", "5", "--seed", "7"],
          "ed954c682d2ba8c008d316d1dfd69c856953a4f354a122c10ff40db7bea1a29a"),

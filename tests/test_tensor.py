@@ -348,7 +348,8 @@ def test_dump_lines_rejects_a_negative_limit():
 
 
 def test_equal_matrices_hash_alike():
-    # the crossed-product checks key their memo by matrix value
+    # value-keyed caches of matrices, such as the crossed-product oracle's in
+    # test_crossed, rely on equal matrices hashing alike
     sp = GradedSpace(1, 1, 2)
     g = pi_T(sp, 1)
     built = OperatorMatrix(sp.dim, dict(reversed(list(g.entries.items()))))
