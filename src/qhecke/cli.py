@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    def add_rank_suite(name, helptext):
-        p = vsub.add_parser(name, parents=[common], help=helptext)
+    def add_rank_suite(name, helptext, parent):
+        p = vsub.add_parser(name, parents=[parent], help=helptext)
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--bound", type=int, default=6,
                        help="largest admissible rank (default 6)")
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include truncated matrix dumps in the report")
         return p
 
-    add_rank_suite("hecke", "relations, counting, crossed-product presentation")
-    add_rank_suite("alt", "even subalgebra: counts, closure, generator relations")
+    add_rank_suite("hecke", "relations, counting, crossed-product presentation", common)
+    add_rank_suite("alt", "even subalgebra: counts, closure, generator relations", stamped)
     add_tensor_suite("schur-weyl", "double-commutant checks for the full action")
     add_tensor_suite("alt-centralizer", "centralizer structure of the even image")
     spec = vsub.add_parser("specialize", parents=[common],
@@ -184,8 +184,8 @@ def main(argv=None) -> int:
                 report = suite_hecke(args.r, seed=args.seed, bound=args.bound)
                 keys = ("r", "seed", "bound")
             elif args.suite == "alt":
-                report = suite_alt(args.r, seed=args.seed, bound=args.bound)
-                keys = ("r", "seed", "bound")
+                report = suite_alt(args.r, bound=args.bound)
+                keys = ("r", "bound")
             elif args.suite == "schur-weyl":
                 report = suite_schur_weyl(args.m, args.n, args.r, mode=args.mode,
                                           seed=args.seed, bound=args.bound)

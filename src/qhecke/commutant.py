@@ -82,29 +82,21 @@ its start.  One policy, `specialization_points`, takes the points: explicit
 ones must be rational, nonzero and distinct, and fewer than two are filled
 up to two from the stream, skipping the explicit ones; a drawn point at a
 pole gives way to the next point of the stream, while a pole at an explicit
-point propagates.  The first two candidate points are evaluated at once: a
-child made by `os.fork` evaluates the second and sends its value back
-pickled through a pipe while this process evaluates the first.  Any child
-failure (an exception, a value pickle cannot carry, a dead child) has this
-process evaluate the second point itself, so the pairs, every exception and
-the pole policy are those of the serial run, and no child outlives the
-call.  The run stays serial without `os.fork`, with fewer than two usable
-CPUs, while another thread is alive, under a profile or trace function, or
-when the fork fails.  One certification path, `certify`, serves the tensor
-suites (`suites._certify`) and the rank certificate `certified_rank`: it
-evaluates at those points and demands that all values agree.  On a
-disagreement the exact computation over Q(q) decides, and is refused with
-`SizeBoundError` above `EXACT_DIM_BOUND`.  `certified_rank` evaluates the
-rank of the specialized matrices (`specialize_matrix`); its exact rank, the
-`LinearSpan` elimination over Q(q), can also be requested outright.
+point propagates.  The candidates are evaluated one after the other, in this
+process (`_evaluations`).  One certification path serves the rank
+certificate `certified_rank`, through `certify`, and the tensor suites,
+through `suites._certify`, which may stop after the first point: the values
+at the points must all agree.  On a disagreement the exact computation over
+Q(q) decides (`_arbitrate`), and is refused with `SizeBoundError` above
+`EXACT_DIM_BOUND`.  `certified_rank` evaluates the rank of the specialized
+matrices (`specialize_matrix`); its exact rank, the `LinearSpan` elimination
+over Q(q), can also be requested outright.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -641,81 +633,22 @@ def draw_points(seed: int, count: int = 2) -> list[Fraction]:
     return list(islice(_point_stream(seed), count))
 
 
-def _may_fork() -> bool:
-    """Whether a second point may run in a forked child: `os.fork` exists, at
-    least two CPUs are usable, no other thread is alive (a fork copies only
-    the calling thread) and no profile or trace function is set (so a
-    profiler sees both points)."""
-    if not hasattr(os, "fork") or sys.getprofile() or sys.gettrace():
-        return False
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
-        return False
-    import threading
-    return threading.active_count() == 1
-
-
-class _Ahead:
-    """``evaluate(t)`` started in one forked child while the caller goes on.
-
-    The child pickles the value into a pipe and always ends with `os._exit`.
-    `value` reads it back.  On any child failure (an exception, a value pickle
-    cannot carry, a dead child), and when no child could start, `value`
-    computes ``evaluate(t)`` itself, so every exception is raised in this
-    process with its own type and traceback.  `close` kills and reaps a child
-    whose value was not read; after it no child of this object is left.
-    """
-
-    def __init__(self, evaluate: Callable[[Fraction], object], t: Fraction):
-        self._evaluate, self._t, self._pid = evaluate, t, None
-        if not _may_fork():
-            return
+def _evaluations(explicit: list[Fraction], seed: int,
+                 evaluate: Callable[[Fraction], object]
+                 ) -> Iterator[tuple[Fraction, object]]:
+    """``evaluate`` at the candidates one after the other, as (t, value)
+    pairs: the explicit points, then the seeded stream without them.  A drawn
+    point where ``evaluate`` raises `PoleError` is skipped; a pole at an
+    explicit point propagates.  `PoleError` also follows the last candidate."""
+    for t in chain(explicit, (t for t in _point_stream(seed) if t not in explicit)):
         try:
-            read, write = os.pipe()
-        except OSError:
-            return
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read)
-                import pickle
-                data = pickle.dumps(evaluate(t), pickle.HIGHEST_PROTOCOL)
-                with open(write, "wb") as pipe:
-                    pipe.write(data)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self._pid, self._pipe = pid, open(read, "rb")
-
-    def value(self):
-        if self._pid is not None:
-            data = self._pipe.read()
-            self._pipe.close()
-            _, status = os.waitpid(self._pid, 0)
-            self._pid = None
-            if os.waitstatus_to_exitcode(status) == 0:
-                import pickle
-                try:
-                    return pickle.loads(data)
-                except Exception:       # bytes that do not load are a child failure too
-                    pass
-        return self._evaluate(self._t)
-
-    def close(self) -> None:
-        if self._pid is not None:
-            import signal
-            pid, self._pid = self._pid, None
-            self._pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            value = evaluate(t)
+        except PoleError:
+            if t in explicit:
+                raise
+            continue
+        yield t, value
+    raise PoleError("the seeded point stream has no two pole-free points")
 
 
 def specialization_points(points: Sequence | None, seed: int,
@@ -727,11 +660,6 @@ def specialization_points(points: Sequence | None, seed: int,
     propagates.  Fewer than two are filled up to two from the seeded stream,
     skipping the explicit points and any drawn point where ``evaluate``
     raises `PoleError`.  ``points=[]`` is the same as None.
-
-    The first two candidates (explicit points first, then drawn ones) are
-    evaluated at once: the second in a forked child (`_Ahead`) while this
-    process evaluates the first.  The pairs, and any exception, are those of
-    evaluating every candidate here in turn, and no child outlives the call.
     """
     explicit = [Fraction(p) for p in points or ()]
     if 0 in explicit:
@@ -740,24 +668,22 @@ def specialization_points(points: Sequence | None, seed: int,
     if repeated:
         raise ValueError(f"specialization point {repeated[0]} is given more than once; "
                          "rank agreement needs distinct points")
-    candidates = chain(explicit, (t for t in _point_stream(seed) if t not in explicit))
-    head = list(islice(candidates, 2))
-    ahead = _Ahead(evaluate, head[1])      # the stream holds far more than two points
-    need = max(2, len(explicit))
-    out = []
-    try:
-        for t in chain(head, candidates):
-            try:
-                out.append((t, ahead.value() if t is head[1] else evaluate(t)))
-            except PoleError:
-                if t in explicit:
-                    raise
-                continue
-            if len(out) == need:
-                return out
-    finally:
-        ahead.close()
-    raise PoleError("the seeded point stream has no two pole-free points")
+    return list(islice(_evaluations(explicit, seed, evaluate), max(2, len(explicit))))
+
+
+def _arbitrate(pairs: list[tuple[Fraction, object]], exact: Callable[[], object],
+               dim: int):
+    """None when all values of the (t, value) pairs agree, else ``exact()``
+    (never None); above `EXACT_DIM_BOUND` that rerun is refused instead."""
+    if all(value == pairs[0][1] for _, value in pairs):
+        return None
+    if dim > EXACT_DIM_BOUND:
+        *rest, last = (str(t) for t, _ in pairs)
+        raise SizeBoundError(
+            f"specialized points {', '.join(rest)} and {last} disagreed, and exact "
+            f"arbitration at tensor space dimension {dim} exceeds the exact-mode "
+            f"bound {EXACT_DIM_BOUND}")
+    return exact()
 
 
 def certify(evaluate: Callable[[Fraction], object], exact: Callable[[], object],
@@ -767,15 +693,7 @@ def certify(evaluate: Callable[[Fraction], object], exact: Callable[[], object],
     pairs and None when all values agree, else the pairs and ``exact()``
     (never None); above `EXACT_DIM_BOUND` that rerun is refused instead."""
     pairs = specialization_points(points, seed, evaluate)
-    if all(value == pairs[0][1] for _, value in pairs):
-        return pairs, None
-    if dim > EXACT_DIM_BOUND:
-        *rest, last = (str(t) for t, _ in pairs)
-        raise SizeBoundError(
-            f"specialized points {', '.join(rest)} and {last} disagreed, and exact "
-            f"arbitration at tensor space dimension {dim} exceeds the exact-mode "
-            f"bound {EXACT_DIM_BOUND}")
-    return pairs, exact()
+    return pairs, _arbitrate(pairs, exact, dim)
 
 
 def _rank(vectors: Iterable[dict]) -> int:

@@ -20,10 +20,11 @@ exist for the linear-algebra-heavy suites:
   points (never 0 or +-1) with all checks repeated per point and required to
   agree in value; on any disagreement the exact rerun decides the verdict,
   and is refused (`SizeBoundError`) above `EXACT_DIM_BOUND`.  `_certify`
-  applies this policy, `commutant.certify` (which `certified_rank` shares),
-  to both tensor suites.  The second point runs in a forked child while
-  this process runs the first (`commutant.specialization_points`), so the
-  suites build their generic generators before the points split.
+  applies this policy, the one `commutant.certify` (which `certified_rank`
+  shares) applies, to both tensor suites.  Where exact premises make every
+  record a proof, a run whose records all pass at the first point stops
+  there (see "One point" below).  The suites build their generic generators
+  once, before the points split.
 
 At a point, a dimension can move away from its generic value in one
 direction only, and which one depends on the kind of check:
@@ -47,9 +48,9 @@ direction only, and which one depends on the kind of check:
   C_t'' = C_t, so its length is len(C_t) without eliminating D's commutant;
   otherwise that elimination decides.  Exact mode decides it the same way
   over Q(q), where a pass is a proof.  Generically a pass at a point stays
-  evidence: C''_t may move either way.  The collapse (C in A once the X's
-  lie in A) stays evidence at the point: two closure ranks give no upper
-  bound on dim A;
+  evidence, as C''_t may move either way, except at m = n ("One point"
+  below).  The collapse (C in A once the X's lie in A) stays evidence at the
+  point: two closure ranks give no upper bound on dim A;
 * the square split (m = n) rests on four generator identities, tested once
   over Q(q) before the points split: (i) phi^2 = +-1; (ii) phi T'_i =
   -T'_i phi; (iii) T'_1^2 = 1; (iv) every superalgebra generator commutes
@@ -73,6 +74,53 @@ direction only, and which one depends on the kind of check:
   ``crossed-product-law`` are (i) (`alternating.add_crossed_records`), over
   Q(q) and at every point.
 
+One point.  Given exact premises tested over Q(q) before the points
+split, each pass/fail record below that passes at a point t proves its
+statement over Q(q).  So when the premises hold and every pass/fail record
+passes at the first point, `_certify` stops there and writes
+``proved-at-one-point`` in place of ``point-agreement``; otherwise the
+second point runs and the points are compared as above.  A rank can only
+drop at t and a nullity only grow; len(X_t) is a length at t, dim X one
+over Q(q).  Info records then report generic values too.
+
+  Schur-Weyl, given action-commutation (B in A' and A in B' over Q(q)):
+  commutant-of-hecke-image-is-     len(B_t) <= dim B <= dim A' <= len(A'_t)
+    superalgebra-image
+  commutant-of-superalgebra-       len(A_t) <= dim A <= dim B' <= len(B'_t)
+    image-is-hecke-image
+  hecke-image-dimension            dim A = len(A_t), by the row above
+
+  alt-centralizer at m = n, given (i)-(iv) and predicted dim A = 2 dim C:
+  flip-squares-to-sign,            (i)
+    conjugation-has-order-two,
+    crossed-system-axioms,
+    crossed-product-law
+  flip-anticommutes-with-          (ii)
+    involutive-generators
+  flip-maps-commutant-onto-        (ii) and (iv)
+    anticommutant
+  centralizer-splits-as-direct-    2 len(B_t) <= 2 dim B <= dim D <= len(D_t)
+    sum, centralizer-dimension-
+    doubles
+  anticommutant-dimension-matches  len(B_t) <= dim B <= dim anti <= len(anti_t)
+  double-commutant-returns-even-   C <= C'' <= {rho, phi}', and
+    image, even-image-dimension    dim {rho, phi}' <= len(C_t) <= dim C   [a]
+  hecke-image-dimension            len(A_t) <= dim A <= 2 dim C = len(A_t) [b]
+  conjugation-preserves-commutant  omega(B) lies in B over Q(q)           [c]
+
+[a] By (ii) and (iv), rho and phi commute with every X_i, so C and C'' = D'
+    (rho and phi lie in D) lie in {rho, phi}'.  At t the split makes D_t =
+    B_t + phi B_t, the algebra that rho_t and phi_t generate, so {rho_t,
+    phi_t}' = D_t' = C_t'', of length len(C_t) when the double-commutant
+    record passes, and the nullity of {rho, phi} only grows at t.
+[b] A = C + C T'_1, as the Hecke algebra is H^1 + H^1 T'_1 (T'_1^2 = 1, and
+    the X_i generate H^1), and 2 dim C = 2 len(C_t) is the predicted dim A
+    by [a] and the prediction, which holds at every m = n (each hook is
+    conjugation-paired); `suite_alt_centralizer` checks it.
+[c] sign phi b phi commutes with every T'_i by (ii) and (iv), so it lies in
+    D = B + phi B; its phi B part both commutes and anticommutes with T'_1,
+    so it is 0 by (i) and (iii).
+
 On the Hecke side, `verify_crossed_product_H` decides the crossed-product
 records from `check_even_closure` and T'_1^2 = 1 (the `alternating`
 docstring); only its direct-sum records read T'-coordinates, of every even
@@ -92,7 +140,8 @@ from .commutant import (
     AlgebraBasis,
     SizeBoundError,
     anticommutant_basis,
-    certify,
+    _arbitrate,
+    _evaluations,
     commutant_basis,
     span_closure,
     specialization_points,
@@ -159,11 +208,11 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     return report
 
 
-def suite_alt(r: int, *, seed: int = 0, bound: int = 6) -> Report:
+def suite_alt(r: int, *, bound: int = 6) -> Report:
     """Even-subalgebra suite: counts, closure under products, X relations, membership."""
     if not 2 <= r <= bound:
         raise SizeBoundError(f"rank {r} outside the supported range 2..{bound}")
-    report = Report("alt", {"r": r, "seed": seed})
+    report = Report("alt", {"r": r})
     half = factorial(r) // 2
     n_even = len(enumerate_even_basis(r))
     report.add("even-basis-count", n_even == half, expected=half, actual=n_even)
@@ -191,21 +240,25 @@ def _closure_of(gens: list[OperatorMatrix], dim: int, one) -> AlgebraBasis:
     return span_closure(gens)
 
 
-def _certify(report: Report, mode: str, seed: int, dim: int, core) -> None:
+def _certify(report: Report, mode: str, seed: int, dim: int, core,
+             proof: str | None = None) -> None:
     """Run ``core(report, point)`` under the mode's certification policy.
 
     ``point=None`` asks the core for its checks over Q(q).  Exact mode runs
-    that once.  Specialized mode `certify`s the core's records at the two
-    points, each run into a sub-report: records compare by name, status,
-    expected and actual.  When they agree, both points' records stand,
-    renamed ``q=t: ``, followed by ``point-agreement``.  When they differ,
-    a ``point-disagreement`` record names the disputed checks and the exact
-    rerun's records, renamed ``exact-arbitration: ``, decide the verdict.
-    Every generator denominator is a power of q times a power of q^2 + 1, so
-    no nonzero rational is a pole and the points are `draw_points(seed)`.
-    The core runs at the second point in a forked child, concurrently with
-    the first, and its records come back pickled; whatever the child does,
-    the records are those of a serial run.
+    that once.  Specialized mode runs the core at the points, each run into a
+    sub-report; records compare by name, status, expected and actual, as
+    `commutant.certify` compares values.  ``proof`` names the exact premises
+    under which every record of the core is a proof once all pass at one
+    point (the module docstring's table), or is None when they do not hold.
+    Then a run whose pass/fail records all pass at the first point stops:
+    those records stand, renamed ``q=t: ``, followed by
+    ``proved-at-one-point``.  Otherwise the second point runs.  When the two
+    agree, both points' records stand, followed by ``point-agreement``.  When
+    they differ, a ``point-disagreement`` record names the disputed checks
+    and the exact rerun's records, renamed ``exact-arbitration: ``, decide
+    the verdict.  Every generator denominator is a power of q times a power
+    of q^2 + 1, so no nonzero rational is a pole and the points are
+    `draw_points(seed)`.
     """
     if mode == "exact":
         core(report, None)
@@ -216,8 +269,17 @@ def _certify(report: Report, mode: str, seed: int, dim: int, core) -> None:
         core(sub, point)
         return sub.checks
 
-    pairs, arbitrated = certify(run, lambda: run(None), dim, seed=seed)
-    (t1, first), (t2, second) = pairs
+    evaluations = _evaluations([], seed, run)
+    t1, first = next(evaluations)
+    if proof is not None and all(c.status != "fail" for c in first):
+        report.checks.extend(replace(c, name=f"q={t1}: {c.name}") for c in first)
+        report.add("proved-at-one-point", True,
+                   expected=f"every record a proof given {proof}",
+                   actual=f"all records pass at q={t1}")
+        return
+    pairs = [(t1, first), next(evaluations)]
+    t2, second = pairs[1]
+    arbitrated = _arbitrate(pairs, lambda: run(None), dim)
     if arbitrated is None:
         report.checks.extend(replace(c, name=f"q={t}: {c.name}")
                              for t, checks in pairs for c in checks)
@@ -249,7 +311,8 @@ def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
 
     pred = predicted_dimensions(m, n, r)
     _certify(report, mode, seed, space.dim, lambda sub, point: _schur_weyl_core(
-        sub, point, space, t_gens, rho_gens, pred, not bad))
+        sub, point, space, t_gens, rho_gens, pred, not bad),
+        proof=None if bad else "action-commutation")
     return report
 
 
@@ -302,10 +365,7 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     ]:
         report.add(name, ok, expected=exp, actual=act)
 
-    # fill rep's generator cache before the points split, so both start warm
-    rep.x_matrices()
-    rep.t_matrices()
-    square = None
+    square = proof = None
     if m == n:
         # premises (i)-(iv) of the split, once over Q(q); see the module docstring
         rho = rho_generators(space)
@@ -317,8 +377,10 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
             all(tp.anticommutes_with(phi) for tp in tp_gens),
             tp_gens[0] * tp_gens[0] == ident,
             not _commutation_failures(rep.t_matrices(), rho)))
+        if all(square[3]) and pred.dimA == 2 * pred.dimC:
+            proof = "premises (i)-(iv)"
     _certify(report, mode, seed, space.dim, lambda sub, point: _alt_centralizer_core(
-        sub, point, space, rep, pred, square))
+        sub, point, space, rep, pred, square), proof=proof)
     return report
 
 

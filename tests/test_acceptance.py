@@ -139,7 +139,7 @@ def test_criterion_6_square_case_structure():
             assert named[name].status == "pass", (m, n, r, name)
     rep = suite_alt_centralizer(2, 2, 2, mode="specialized")
     assert rep.passed, [c.name for c in rep.failures()]
-    assert any(c.name == "point-agreement" and c.status == "pass" for c in rep.checks)
+    assert any(c.name == "proved-at-one-point" and c.status == "pass" for c in rep.checks)
     report(6, "square-case flip/crossed-product structure exact on (1,1,2), (1,1,3); "
               "(2,2,2) certified at two points with exact arbitration available")
 

@@ -6,7 +6,6 @@ import re
 import pytest
 
 import qhecke.cli as cli
-import qhecke.commutant as commutant
 import qhecke.suites as suites
 from qhecke.report import Report
 
@@ -20,7 +19,7 @@ ALT_CENTRALIZER_PINS = [
                  "6aa6689ae31a03eca86021fca3561517e93a6c139e4189004a91999a2e454da0",
                  id="2-1-2-specialized"),
     pytest.param(["--m", "2", "--n", "2", "--r", "2", "--mode", "specialized"],
-                 "9955a3be12141c017f1af3dccd083eca2cfcf76bf7ab2516aa3195f3ef081db4",
+                 "cac11c0e01848d59a7fb1d2db532375bc1eb662bfa1791fe24b11ec8792087ae",
                  id="2-2-2-specialized"),
     pytest.param(["--m", "1", "--n", "0", "--r", "3"],
                  "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e", id="1-0-3"),
@@ -28,7 +27,7 @@ ALT_CENTRALIZER_PINS = [
     pytest.param(["--m", "2", "--n", "0", "--r", "4"],
                  "b47a56f36e0d5e48baabcb84263b511ef70fad2806d1d6a498d2d6a046379573", id="2-0-4"),
     pytest.param(["--m", "1", "--n", "1", "--r", "4"],
-                 "dd1e3aab1194dcbc1c5d18072f8b249376a0ce565e235696510965d1a466d670", id="1-1-4"),
+                 "98f60ad013660fe0e292f7698fb8f63cea18f454afa91d8d20897ac0a2f65895", id="1-1-4"),
 ]
 ALT_CENTRALIZER_SEED_7 = (["--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
                           "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38")
@@ -140,7 +139,8 @@ class TestDimsCommand:
 @pytest.mark.parametrize("args", [
     ["dims", "--m", "1", "--n", "1", "--r", "2"],
     ["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1"],
-], ids=["dims", "dump"])
+    ["verify", "alt", "--r", "3"],
+], ids=["dims", "dump", "alt"])
 def test_seed_rejected_where_nothing_is_sampled(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--seed", "0"])
@@ -232,13 +232,13 @@ class TestGoldenOutput:
         (["--m", "1", "--n", "1", "--r", "3"],
          "4373d9ff33a1dd1dbe633478e5565b8dff9d70a28e1662cab715e16fb4695843"),
         (["--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
-         "912270faa1f89bbe451ab29080bea9dc159f4b15ae39511c07e4542f7daeaf5e"),
+         "47df9a8070348e3a692d0226fa8ed1d5c8bb59a2656578abbd6fcc4ec6dc9e22"),
         (["--m", "2", "--n", "0", "--r", "4"],
-         "6db6dfd376f285c5b86ce3855f2c709034b9331e8260a4caa5d9792338df3745"),
+         "f7d6daf9ba47980329abde0d4f169e1e621aef31bce395656376eef89891c48d"),
         (["--m", "1", "--n", "1", "--r", "4", "--mode", "exact"],
          "74d05b6a85a2dd62110173cf8698f5e258e36399aeb1bf858787f6146b172848"),
         (["--m", "2", "--n", "1", "--r", "2"],
-         "aa82e80cd38531406f4a44add2cacf2bf3ab1597f8bf7543e8da0c52306c0fca"),
+         "307484b02fe299dbea3e01dc8d8007e64d0989ab314e6492900452089d39a921"),
     ], ids=["1-1-3", "1-1-3-specialized", "2-0-4", "1-1-4-exact", "2-1-2"])
     def test_schur_weyl_report_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
@@ -258,13 +258,13 @@ class TestGoldenOutput:
         (["verify", "hecke", "--r", "6"],
          "bf3a7b141a744994962f2cc1cdaea7b13248ae381eb63c511ff0176162076a7d"),
         (["verify", "alt", "--r", "2"],
-         "d3b140041f3f51257b563404cab6a93b4b005f84b35f6415453686374969fe00"),
+         "3542c6bd912630004e6c4805d8f32122671e8d8c20e3787e0e16013efce994bf"),
         (["verify", "alt", "--r", "3"],
-         "f8629e29f998195bf9cf67f545357de246acab7d8ad3617559db20f57008959c"),
+         "e9bdf4220bb2b68022c041b6ff656327dc6aba7e72303d16695ddb66b7dc2a99"),
         (["verify", "alt", "--r", "4"],
-         "fc9fd1efaa2af055b5de0ce8a444b9deb6721e8ab64b3994ee7829923a9cd397"),
+         "5074bee0ba1459d33797923f10f7817ca217f582dbb63df8d336846103ba7510"),
         (["verify", "alt", "--r", "5"],
-         "9f9df94d6050fc069a09ee2f4dffb88b96cd0be769e7fc1b5f74e129e9c4b214"),
+         "fc701178276888791a4e85f98e2fdcbfda7d6ab70495cedb7081739ecf231f2e"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "Tp1"],
          "30253d8da04a72fd47539094e14a045fc2bf9fb3b399b3a4a0393f60761f502c"),
         (["dump", "--m", "1", "--n", "1", "--r", "3", "--gen", "X1"],
@@ -286,7 +286,7 @@ class TestGoldenOutput:
             "dump-sigma", "dump-qh3", "dump-f2", "dump-phi", "dump-T2"])
     def test_hecke_side_and_dump_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.out"
-        seed = ["--seed", "0"] if args[0] == "verify" else []
+        seed = ["--seed", "0"] if args[:2] == ["verify", "hecke"] else []
         code = cli.main([*args, *seed, "--out", str(path)])
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -307,15 +307,16 @@ class TestGoldenOutput:
          "05fee7ceb34467c9d212e6a56f668377f01ef551af66b71bd0da6bb30d4b4629"),
         (["verify", "hecke", "--r", "7", "--bound", "7", "--seed", "0"],
          "5197617426807ee9c9403537605b739918d3a103d421bf8d0da9edd0afc2cdb8"),
-        # no `verify alt` record samples: the seed reaches only the params echo
-        (["verify", "alt", "--r", "5", "--seed", "7"],
-         "ed954c682d2ba8c008d316d1dfd69c856953a4f354a122c10ff40db7bea1a29a"),
-        (["verify", "alt", "--r", "6", "--seed", "0"],
-         "4b1f9fa31d9fab6d3ce663767af5e2655472daf0713697117311cd35b4af49b8"),
-        (["verify", "alt", "--r", "7", "--bound", "7", "--seed", "0"],
-         "f0edf5c98bb4fe8b681f7e204720a1d3a22409b39b6cc3ed43876e5de16f42d4"),
-        (["verify", "alt", "--r", "8", "--bound", "8", "--seed", "0"],
-         "b169f7d25179cb55b3b7e98737100e43f3d9001b174514b8bc94b307df133a95"),
+        # once run with --seed 7, which reached only the params echo; `verify
+        # alt` samples nothing and takes no seed, so this is alt-5's report
+        (["verify", "alt", "--r", "5"],
+         "fc701178276888791a4e85f98e2fdcbfda7d6ab70495cedb7081739ecf231f2e"),
+        (["verify", "alt", "--r", "6"],
+         "25bb2f08d02a26fe0efbaebb0bce13b94b0f2804a6e4956039fa51d04d2bdb43"),
+        (["verify", "alt", "--r", "7", "--bound", "7"],
+         "347b645028f1846c2eb47c8a50b3fad11b11e5eb4c8a23844db008348dfd5dd1"),
+        (["verify", "alt", "--r", "8", "--bound", "8"],
+         "2ae79de0b6a0d3f481caf81d2b0e24948b3bbacc38cfae6dbabff35513930d9b"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
             "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
             "alt-5-seed-7", "alt-6", "alt-7-bound-7", "alt-8-bound-8"])
@@ -338,37 +339,16 @@ class TestGoldenOutput:
         assert "generated_at" in json.loads(path.read_text())
 
 
-class TestForkedPointDeterminism:
-    """The second specialization point runs in a forked child; every report
-    is byte-identical to the serial run's."""
+@pytest.mark.parametrize("args", [
+    ["alt-centralizer", "--m", "2", "--n", "1", "--r", "3"],
+    ["alt-centralizer", "--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
+    ["schur-weyl", "--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
+    ["specialize", "--m", "1", "--n", "1", "--r", "3"],
+], ids=["alt-centralizer-2-1-3", "alt-centralizer-1-1-3", "schur-weyl-1-1-3", "specialize"])
+def test_points_run_in_this_process(args, tmp_path, monkeypatch):
+    # every specialization point is evaluated here, one after the other
+    def forbidden():
+        raise AssertionError("os.fork called")
 
-    @staticmethod
-    def report(args, path) -> bytes:
-        assert cli.main(["verify", *args, "--out", str(path)]) == 0
-        return path.read_bytes()
-
-    def check(self, args, tmp_path, monkeypatch):
-        may_fork, forks, fork = commutant._may_fork(), [], os.fork
-
-        def counted():
-            forks.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        concurrent = self.report(args, tmp_path / "forked.json")
-        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
-        serial = self.report(args, tmp_path / "serial.json")
-        assert concurrent == serial
-        assert len(forks) == (1 if may_fork else 0)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_alt_centralizer(self, seed, tmp_path, monkeypatch):
-        self.check(["alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--seed", str(seed)],
-                   tmp_path, monkeypatch)
-
-    def test_schur_weyl_specialized(self, tmp_path, monkeypatch):
-        self.check(["schur-weyl", "--m", "1", "--n", "1", "--r", "3", "--mode", "specialized"],
-                   tmp_path, monkeypatch)
-
-    def test_specialize(self, tmp_path, monkeypatch):
-        self.check(["specialize", "--m", "1", "--n", "1", "--r", "3"], tmp_path, monkeypatch)
+    monkeypatch.setattr(os, "fork", forbidden)
+    assert cli.main(["verify", *args, "--out", str(tmp_path / "r.json")]) == 0

@@ -1,6 +1,4 @@
-import os
 import random
-import time
 from fractions import Fraction
 from math import isqrt
 
@@ -797,6 +795,55 @@ class TestPointPolicy:
         # an agreement needs no arbitration
         assert certified_rank([OperatorMatrix.identity(2)]).rank == 1
 
+    @staticmethod
+    def traced(evaluate):
+        """``evaluate`` and the list of points it is called at, in order."""
+        seen = []
+
+        def run(t):
+            seen.append(t)
+            return evaluate(t)
+
+        return run, seen
+
+    def test_an_explicit_pole_at_the_second_point_propagates(self):
+        from qhecke.qfield import PoleError
+
+        def evaluate(t):
+            if t == 2:
+                raise PoleError("pole at 2")
+            return t
+
+        run, seen = self.traced(evaluate)
+        with pytest.raises(PoleError, match="pole at 2"):
+            specialization_points([3, 2], 0, run)
+        assert seen == [3, 2]
+
+    def test_an_exception_at_a_point_propagates(self):
+        def evaluate(t):
+            if t == 5:
+                raise ValueError(f"fails at {t}")
+            return t
+
+        run, seen = self.traced(evaluate)
+        with pytest.raises(ValueError, match="fails at 5"):
+            specialization_points([3, 5], 0, run)
+        assert seen == [3, 5]
+
+    def test_a_drawn_pole_is_skipped(self):
+        from qhecke.qfield import PoleError
+        drawn = draw_points(0, count=3)
+
+        def evaluate(t):
+            if t == drawn[1]:
+                raise PoleError(f"pole at {t}")
+            return -t
+
+        run, seen = self.traced(evaluate)
+        pairs = specialization_points(None, 0, run)
+        assert pairs == [(drawn[0], -drawn[0]), (drawn[2], -drawn[2])]
+        assert seen == drawn    # one after the other, in stream order
+
 
 class TestCertify:
     """`certify` compares the values at the points and arbitrates exactly
@@ -828,122 +875,6 @@ class TestCertify:
             certify(lambda t: t, self.never, dim, points=[2, 3])
         assert f"exact-mode bound {commutant.EXACT_DIM_BOUND}" in str(exc.value)
         assert "points 2 and 3 disagreed" in str(exc.value)
-
-
-class _Unpicklable:
-    """A value compared by its point that pickle refuses to carry."""
-
-    def __init__(self, t):
-        self.t = t
-
-    def __eq__(self, other):
-        return isinstance(other, _Unpicklable) and other.t == self.t
-
-    def __reduce__(self):
-        raise TypeError("not picklable")
-
-
-class TestForkedPoint:
-    """`specialization_points` evaluates its second candidate in one forked
-    child; every fallback gives the pairs and values of the serial run, and no
-    child outlives the call."""
-
-    @staticmethod
-    def points(evaluate, points=None, seed=0):
-        """The pairs, and the candidates evaluated in this process."""
-        parent, here = os.getpid(), []
-
-        def traced(t):
-            if os.getpid() == parent:
-                here.append(t)
-            return evaluate(t)
-
-        return specialization_points(points, seed, traced), here
-
-    @staticmethod
-    def serial(evaluate, monkeypatch, **kw):
-        with monkeypatch.context() as m:
-            m.setattr(commutant, "_may_fork", lambda: False)
-            return TestForkedPoint.points(evaluate, **kw)
-
-    def test_the_child_value_is_used(self, monkeypatch):
-        pairs, here = self.points(lambda t: (t, t * t))
-        assert pairs == self.serial(lambda t: (t, t * t), monkeypatch)[0]
-        assert pairs == [(t, (t, t * t)) for t in draw_points(0)]
-        assert here == (draw_points(0)[:1] if commutant._may_fork() else draw_points(0))
-
-    def test_an_exception_only_in_the_child_falls_back(self, monkeypatch):
-        parent = os.getpid()
-
-        def evaluate(t):
-            if os.getpid() != parent:
-                raise RuntimeError("child only")
-            return 2 * t
-
-        pairs, here = self.points(evaluate, points=[3, 5])
-        assert pairs == self.serial(evaluate, monkeypatch, points=[3, 5])[0] == [(3, 6), (5, 10)]
-        assert here == [3, 5]
-
-    def test_a_value_pickle_cannot_carry_falls_back(self, monkeypatch):
-        pairs, here = self.points(_Unpicklable, seed=4)
-        assert pairs == self.serial(_Unpicklable, monkeypatch, seed=4)[0]
-        assert here == draw_points(4)
-
-    def test_a_child_that_exits_falls_back(self, monkeypatch):
-        parent = os.getpid()
-
-        def evaluate(t):
-            if os.getpid() != parent:
-                os._exit(1)
-            return t + 1
-
-        pairs, here = self.points(evaluate, seed=2)
-        assert pairs == self.serial(evaluate, monkeypatch, seed=2)[0]
-        assert here == draw_points(2)
-
-    def test_a_failed_fork_runs_serially(self, monkeypatch):
-        def refuse():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        pairs, here = self.points(lambda t: -t, points=[7])
-        assert pairs == self.serial(lambda t: -t, monkeypatch, points=[7])[0]
-        assert here == [7, draw_points(0)[0]]
-
-    def test_one_usable_cpu_does_not_fork(self, monkeypatch):
-        def forbidden():
-            raise AssertionError("os.fork must not be called")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", forbidden)
-        pairs, here = self.points(lambda t: t)
-        assert pairs == [(t, t) for t in draw_points(0)] and here == draw_points(0)
-
-    def test_a_parent_exception_propagates_and_leaves_no_child(self):
-        parent = os.getpid()
-
-        def evaluate(t):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise ValueError(f"parent fails at {t}")
-
-        started = time.monotonic()
-        with pytest.raises(ValueError, match="parent fails at 3"):
-            specialization_points([3, 5], 0, evaluate)
-        assert time.monotonic() - started < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_an_explicit_pole_at_the_child_point_propagates(self):
-        from qhecke.qfield import PoleError
-
-        def evaluate(t):
-            if t == 2:
-                raise PoleError("pole at 2")
-            return t
-
-        with pytest.raises(PoleError, match="pole at 2"):
-            specialization_points([3, 2], 0, evaluate)
 
 
 class TestExactRank:

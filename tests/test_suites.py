@@ -9,7 +9,7 @@ import qhecke.alternating as alternating
 import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
-from qhecke.commutant import commutant_basis, span_closure, span_equal
+from qhecke.commutant import commutant_basis, draw_points, span_closure, span_equal
 from qhecke.hecke import HeckeAlgebra, SymmetricGroupTable
 from qhecke.partitions import predicted_dimensions
 from qhecke.qfield import RationalFunction
@@ -143,9 +143,11 @@ class TestSchurWeylSuite:
         assert checks["superalgebra-image-dimension"].actual == "8"
 
     def test_specialized_mode_agrees(self):
+        # given action-commutation a pass at one point is a proof: no second point
         report = suite_schur_weyl(1, 1, 2, mode="specialized")
         assert report.passed
-        assert any(c.name == "point-agreement" for c in report.checks)
+        assert report.checks[-1].name == "proved-at-one-point"
+        assert {c.name.partition(": ")[0] for c in report.checks[1:-1]} == {"q=2"}
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundError):
@@ -224,6 +226,9 @@ class TestSchurWeylCommutantChecks:
         monkeypatch.setattr(suites, "rho_generators", mutation)
         report = suite_schur_weyl(*shape, mode=mode)
         assert check_map(report)["action-commutation"].status == "fail"
+        names = {c.name for c in report.checks}
+        assert "proved-at-one-point" not in names
+        assert mode == "exact" or names & {"point-agreement", "point-disagreement"}
         for name in COMMUTANT_CHECKS:
             records = [c for c in report.checks
                        if c.name == name or c.name.endswith(": " + name)]
@@ -241,7 +246,6 @@ class TestOneCommutationTest:
                              ids=["schur-weyl", "alt-centralizer"])
     def test_serial_specialized_run_commutes_only_the_generic_generators(
             self, suite, monkeypatch):
-        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
         tested, commutes = [], OperatorMatrix.commutes_with
 
         def recording(a, b):
@@ -299,7 +303,9 @@ class TestSquareBlockFailures:
             statuses.setdefault(c.name.rpartition(": ")[2], set()).add(c.status)
         assert {name: statuses[name] for name in SQUARE_CHECKS} == {
             name: {"fail" if name in failing else "pass"} for name in SQUARE_CHECKS}
+        # a broken premise leaves the records evidence: both points run
         assert mode == "exact" or "point-agreement" in statuses
+        assert "proved-at-one-point" not in statuses
 
 
 class TestAltCentralizerSuite:
@@ -385,7 +391,6 @@ class TestAltCentralizerSuite:
             self, certified, calls, monkeypatch):
         # serial (2,1,3): one commutant per point where the trace form is
         # nondegenerate, two where the fallback runs
-        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
         if not certified:
             monkeypatch.setattr(suites, "trace_form_is_nondegenerate", lambda alg: False)
         counted = self._count_calls(monkeypatch, "commutant_basis")
@@ -394,9 +399,8 @@ class TestAltCentralizerSuite:
         assert len(counted) == calls
 
     def test_square_block_builds_its_generic_generators_once(self, monkeypatch):
-        # serial specialized (1,1,3): the premises are tested over Q(q) before
+        # specialized (1,1,3): the premises are tested over Q(q) before
         # the points split, and no point tests membership in an anticommutant
-        monkeypatch.setattr(commutant, "_may_fork", lambda: False)
         rho, phi, anti = (self._count_calls(monkeypatch, name) for name in
                           ("rho_generators", "phi_tensor", "anticommutant_basis"))
         searched = []
@@ -409,7 +413,8 @@ class TestAltCentralizerSuite:
         monkeypatch.setattr(commutant.AlgebraBasis, "contains", recording)
         report = suite_alt_centralizer(1, 1, 3, mode="specialized")
         assert report.passed
-        assert (len(rho), len(phi), len(anti)) == (1, 1, 2)
+        # one anticommutant: given (i)-(iv) the first point's pass is a proof
+        assert (len(rho), len(phi), len(anti)) == (1, 1, 1)
         assert searched and not any(alg is bd for alg in searched for bd in anti)
 
     def test_collapse_regime_small(self):
@@ -483,6 +488,8 @@ class TestPointDisagreement:
         assert arbitrated and all(c.status != "fail" for c in arbitrated)
         assert not any(c.name.startswith("q=") for c in report.checks)
         assert "point-agreement" not in checks
+        # a closure rank drops at q = 1: the first point proves nothing
+        assert "proved-at-one-point" not in checks
 
     def test_a_differing_value_alone_is_arbitrated(self):
         # equal statuses, different info values: still a disagreement
@@ -530,10 +537,52 @@ class TestPointDisagreement:
         assert "disagreed" in capsys.readouterr().err
 
 
+class TestOnePoint:
+    """Where exact premises make every record a proof, `_certify` stops at
+    the first point once every pass/fail record passes there."""
+
+    @staticmethod
+    def certify(ok, proof):
+        seen = []
+
+        def core(report, point):
+            seen.append(point)
+            report.add("dimension", ok, actual="3")
+            report.info("size", actual="9")
+
+        report = Report("demo", {})
+        suites._certify(report, "specialized", 0, 8, core, proof)
+        return [(c.name, c.status) for c in report.checks], seen
+
+    def test_a_pass_given_the_premises_stops_at_the_first_point(self):
+        checks, seen = self.certify(True, "a premise")
+        assert seen == draw_points(0)[:1] == [2]
+        assert checks == [("q=2: dimension", "pass"), ("q=2: size", "info"),
+                          ("proved-at-one-point", "pass")]
+
+    @pytest.mark.parametrize("ok, proof", [(False, "a premise"), (True, None)],
+                             ids=["failing-record", "no-premises"])
+    def test_otherwise_both_points_run(self, ok, proof):
+        checks, seen = self.certify(ok, proof)
+        assert seen == draw_points(0) == [2, 15]
+        assert [name for name, _ in checks] == [
+            "q=2: dimension", "q=2: size", "q=15: dimension", "q=15: size",
+            "point-agreement"]
+
+    def test_the_proof_record_names_the_point_and_the_premises(self):
+        report = suite_alt_centralizer(1, 1, 3, mode="specialized")
+        record = report.checks[-1]
+        assert (record.name, record.status) == ("proved-at-one-point", "pass")
+        assert record.expected == "every record a proof given premises (i)-(iv)"
+        assert record.actual == "all records pass at q=2"
+        assert {c.name.partition(": ")[0] for c in report.checks
+                if c.name.startswith("q=")} == {"q=2"}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("factory", [
         lambda: suite_hecke(3, seed=0),
-        lambda: suite_alt(4, seed=0),
+        lambda: suite_alt(4),
         lambda: suite_schur_weyl(1, 1, 2, seed=0),
         lambda: suite_alt_centralizer(1, 1, 2, seed=0),
         lambda: suite_specialization(1, 1, 2, seed=0),
