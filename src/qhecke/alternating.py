@@ -38,7 +38,6 @@ so `verify hecke` keeps running the T'-word cascade
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import factorial
 
 from .commutant import _rank
@@ -54,15 +53,14 @@ from .hecke import (
     relation_failures,
     word_parity,
 )
-from .report import Report
+from .report import FrozenRecord, Report
 
 
-@dataclass(frozen=True)
-class EvenBasis:
+class EvenBasis(FrozenRecord):
     """The even-parity T'-normal-form words of a given rank."""
 
-    rank: int
-    words: tuple[Word, ...]
+    def __init__(self, rank: int, words: tuple[Word, ...]):
+        super().__init__(rank=rank, words=words)
 
     def __len__(self):
         return len(self.words)

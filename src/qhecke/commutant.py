@@ -97,13 +97,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .qfield import PoleError, RationalFunction
+from .report import FrozenRecord, Record
 from .tensor import OperatorMatrix, specialize_matrix
 
 EXACT_DIM_BOUND = 64
@@ -213,14 +213,18 @@ class LinearSpan:
 # algebra bases and closure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlgebraBasis:
-    """Linearly independent matrices spanning a subspace of End(V^{x r})."""
+class AlgebraBasis(Record):
+    """Linearly independent matrices spanning a subspace of End(V^{x r}).
 
-    dim: int                                  # ambient matrix dimension
-    elements: list[OperatorMatrix]
-    generators: list[OperatorMatrix] = field(default_factory=list)
-    _span: LinearSpan | None = field(default=None, repr=False)
+    Bases compare by dim, elements and generators, not by the cached span."""
+
+    def __init__(self, dim: int, elements: list[OperatorMatrix],
+                 generators: list[OperatorMatrix] | None = None,
+                 _span: LinearSpan | None = None):
+        self.dim = dim                        # ambient matrix dimension
+        self.elements = elements
+        self.generators = [] if generators is None else generators
+        self._span = _span
 
     def __len__(self):
         return len(self.elements)
@@ -607,11 +611,9 @@ def direct_sum_check(whole: AlgebraBasis, part1: AlgebraBasis, part2: AlgebraBas
 # rank certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankCertificate:
-    rank: int
-    points: tuple[Fraction, ...]
-    exact: bool
+class RankCertificate(FrozenRecord):
+    def __init__(self, rank: int, points: tuple[Fraction, ...], exact: bool):
+        super().__init__(rank=rank, points=points, exact=exact)
 
 
 _STREAM_SIZE = len({Fraction(a, b) for a in range(2, 20) for b in range(1, 8)}) - 1  # not 1

@@ -18,9 +18,10 @@ tableau enumeration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
+
+from .report import FrozenRecord
 
 Partition = tuple[int, ...]
 
@@ -75,16 +76,13 @@ def d_lambda(partition: Partition) -> int:
     return factorial(r) // hooks
 
 
-@dataclass(frozen=True)
-class HookClassification:
+class HookClassification(FrozenRecord):
     """The (m,n)-hook partitions of r, split by whether the conjugate is one too."""
 
-    m: int
-    n: int
-    r: int
-    hooks: tuple[Partition, ...]
-    h0: tuple[Partition, ...]    # conjugate also a hook
-    h1: tuple[Partition, ...]    # conjugate falls outside
+    def __init__(self, m: int, n: int, r: int, hooks: tuple[Partition, ...],
+                 h0: tuple[Partition, ...], h1: tuple[Partition, ...]):
+        # h0: conjugate also a hook; h1: conjugate falls outside
+        super().__init__(m=m, n=n, r=r, hooks=hooks, h0=h0, h1=h1)
 
 
 def in_hook(partition: Partition, m: int, n: int) -> bool:
@@ -102,8 +100,7 @@ def hook_classify(m: int, n: int, r: int) -> HookClassification:
     return HookClassification(m, n, r, hooks, h0, h1)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(FrozenRecord):
     """Predicted dimensions of the tensor images and their graded pieces.
 
     Per-shape records carry (partition, d, class) with class one of
@@ -112,16 +109,10 @@ class DimensionReport:
     dimA1 = dimC1; the report constructor asserts them anyway.
     """
 
-    m: int
-    n: int
-    r: int
-    records: tuple[tuple[Partition, int, str], ...]
-    dimA: int
-    dimA0: int
-    dimA1: int
-    dimC: int
-    dimC0: int
-    dimC1: int
+    def __init__(self, m: int, n: int, r: int, records: tuple[tuple[Partition, int, str], ...],
+                 dimA: int, dimA0: int, dimA1: int, dimC: int, dimC0: int, dimC1: int):
+        super().__init__(m=m, n=n, r=r, records=records, dimA=dimA, dimA0=dimA0, dimA1=dimA1,
+                         dimC=dimC, dimC0=dimC0, dimC1=dimC1)
 
 
 def predicted_dimensions(m: int, n: int, r: int) -> DimensionReport:

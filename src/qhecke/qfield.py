@@ -22,10 +22,11 @@ Hecke layer's integer numerators and the (q^2 + 1)^k fast path of `_reduce`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Mapping, Union
+
+from .report import FrozenRecord
 
 Scalar = Union[int, Fraction]
 
@@ -623,16 +624,14 @@ def normalize(num, den) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-@dataclass(frozen=True)
-class SpecializationPoint:
+class SpecializationPoint(FrozenRecord):
     """A nonzero rational evaluation point for q."""
 
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value == 0:
+    def __init__(self, value: Fraction):
+        value = Fraction(value)
+        if value == 0:
             raise ValueError("specialization point must be nonzero")
+        super().__init__(value=value)
 
     def __str__(self):
         return str(self.value)

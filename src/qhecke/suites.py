@@ -129,7 +129,6 @@ word up to rank 4 and of a sample of 12 seeded even words above it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -272,7 +271,7 @@ def _certify(report: Report, mode: str, seed: int, dim: int, core,
     evaluations = _evaluations([], seed, run)
     t1, first = next(evaluations)
     if proof is not None and all(c.status != "fail" for c in first):
-        report.checks.extend(replace(c, name=f"q={t1}: {c.name}") for c in first)
+        report.checks.extend(c.renamed(f"q={t1}: {c.name}") for c in first)
         report.add("proved-at-one-point", True,
                    expected=f"every record a proof given {proof}",
                    actual=f"all records pass at q={t1}")
@@ -281,7 +280,7 @@ def _certify(report: Report, mode: str, seed: int, dim: int, core,
     t2, second = pairs[1]
     arbitrated = _arbitrate(pairs, lambda: run(None), dim)
     if arbitrated is None:
-        report.checks.extend(replace(c, name=f"q={t}: {c.name}")
+        report.checks.extend(c.renamed(f"q={t}: {c.name}")
                              for t, checks in pairs for c in checks)
         report.add("point-agreement", True,
                    expected="identical outcomes at both points",
@@ -291,7 +290,7 @@ def _certify(report: Report, mode: str, seed: int, dim: int, core,
     disputed = [name for name in {**first, **second} if first.get(name) != second.get(name)]
     report.info("point-disagreement", expected="identical outcomes at both points",
                 actual=f"points {t1}, {t2} disagree on: " + ", ".join(disputed))
-    report.checks.extend(replace(c, name="exact-arbitration: " + c.name) for c in arbitrated)
+    report.checks.extend(c.renamed("exact-arbitration: " + c.name) for c in arbitrated)
 
 
 def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,

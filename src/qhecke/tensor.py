@@ -23,25 +23,21 @@ exact Q(q) entries and their rational specializations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
 from .qfield import PoleError, RationalFunction, _as_point_value, _axpy
+from .report import FrozenRecord
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(FrozenRecord):
     """Parameters of the graded tensor power: dim V_0 = m, dim V_1 = n, power r."""
 
-    m: int
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1 or self.r < 1:
+    def __init__(self, m: int, n: int, r: int):
+        if m < 0 or n < 0 or m + n < 1 or r < 1:
             raise ValueError("need m, n >= 0, m + n >= 1, r >= 1")
+        super().__init__(m=m, n=n, r=r)
 
     @property
     def letters(self) -> int:
@@ -255,8 +251,7 @@ def sign_permutation_matrix(space: GradedSpace, i: int) -> OperatorMatrix:
 # the quantized-superalgebra action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(FrozenRecord):
     """Root data of the general linear superalgebra of shape (m, n).
 
     The simple-root index set is I = {1, ..., m+n-1}; index m is the odd one
@@ -265,8 +260,8 @@ class RootDatum:
     is (alpha_i, eps_b).
     """
 
-    m: int
-    n: int
+    def __init__(self, m: int, n: int):
+        super().__init__(m=m, n=n)
 
     @property
     def index_set(self) -> range:

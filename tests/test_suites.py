@@ -142,7 +142,7 @@ class TestSchurWeylSuite:
         assert checks["hecke-image-dimension"].actual == "2"
         assert checks["superalgebra-image-dimension"].actual == "8"
 
-    def test_specialized_mode_agrees(self):
+    def test_specialized_mode_proves_at_one_point(self):
         # given action-commutation a pass at one point is a proof: no second point
         report = suite_schur_weyl(1, 1, 2, mode="specialized")
         assert report.passed
