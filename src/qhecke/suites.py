@@ -49,13 +49,30 @@ direction only, and which one depends on the kind of check:
   otherwise that elimination decides.  Exact mode decides it the same way
   over Q(q), where a pass is a proof.  Generically a pass at a point stays
   evidence, as C''_t may move either way, except at m = n ("One point"
-  below).  The collapse (C in A once the X's lie in A) stays evidence at the
-  point: two closure ranks give no upper bound on dim A;
+  below).  The collapse (A = C, read as len(A_t) = len(C_t) given the
+  quadratic below) stays evidence at the point: both are ranks at t, and
+  nothing bounds dim A - dim C from above;
+* the Hecke image rests on one exact premise, tested once over Q(q) before
+  the points split: T_j^2 = (q - q^-1) T_j + 1 for every j.  With Y_j =
+  2 T_j - (q - q^-1) = (q + q^-1) T'_j it gives Y_j^2 = (q + q^-1)^2, so
+  T'_j^2 = 1 and T'_1 X_i T'_1 = T'_{i+1} T'_1 = X_i^-1, which lies in C (a
+  finite-dimensional algebra holds the inverse of each invertible element).
+  So C + C T'_1 is closed under products; it holds 1, T'_1 and T'_{i+1} =
+  T'_1 X_i, hence every T_j, and lies in A: A = C + C T'_1 = C + C T_1.
+  That holds over Q(q) and at every rational t != 0, where t + t^-1 != 0,
+  so the T's are never closed: len(A_t) is len(C_t) plus the rank of the
+  residuals of the c T_1 modulo C_t, and ``hecke-image-dimension`` is the
+  premise and that length against the prediction.  C is closed from the
+  X~_i = Y_1 Y_{i+1} = (q + q^-1)^2 X_i, whose entries are Laurent
+  polynomials; at t they are scaled by (t + t^-1)^-2, so the closure
+  multiplies exactly the X_i(t);
 * the square split (m = n) rests on four generator identities, tested once
   over Q(q) before the points split: (i) phi^2 = +-1; (ii) phi T'_i =
   -T'_i phi; (iii) T'_1^2 = 1; (iv) every superalgebra generator commutes
-  with every T'_i.  As (q + q^-1) T'_i = 2 T_i - (q - q^-1), (iv) is the
-  one commutation test, on the cheaper T_i.  By (iv), B commutes with each
+  with every T'_i.  As (q + q^-1) T'_i = Y_i = 2 T_i - (q - q^-1), (ii) is
+  tested as phi Y_i = -Y_i phi, (iii) is T_1's quadratic above, and (iv) is
+  the one commutation test, on the cheaper T_i; the anticommutant at t is
+  that of the Y_j(t), which is anti(T'_t).  By (iv), B commutes with each
   T'_i, hence with each X_i = T'_1 T'_{i+1}, so B lies in D.  By (ii), phi
   commutes with each X_i, so phi B lies in D.  By (ii) and (iv), each phi b
   anticommutes with every T'_i, so phi B lies in anti(T'):
@@ -113,10 +130,10 @@ over Q(q).  Info records then report generic values too.
     B_t + phi B_t, the algebra that rho_t and phi_t generate, so {rho_t,
     phi_t}' = D_t' = C_t'', of length len(C_t) when the double-commutant
     record passes, and the nullity of {rho, phi} only grows at t.
-[b] A = C + C T'_1, as the Hecke algebra is H^1 + H^1 T'_1 (T'_1^2 = 1, and
-    the X_i generate H^1), and 2 dim C = 2 len(C_t) is the predicted dim A
-    by [a] and the prediction, which holds at every m = n (each hook is
-    conjugation-paired); `suite_alt_centralizer` checks it.
+[b] A = C + C T'_1 by the quadratic (the Hecke image above), the record's
+    premise, so dim A <= 2 dim C; 2 dim C = 2 len(C_t) is the predicted
+    dim A by [a] and the prediction, which holds at every m = n (each hook
+    is conjugation-paired); `suite_alt_centralizer` checks it.
 [c] sign phi b phi commutes with every T'_i by (ii) and (iv), so it lies in
     D = B + phi B; its phi B part both commutes and anticommutes with T'_1,
     so it is 0 by (i) and (iii).
@@ -137,6 +154,7 @@ from .alternating import add_crossed_records, check_even_closure, enumerate_even
 from .commutant import (
     EXACT_DIM_BOUND,
     AlgebraBasis,
+    LinearSpan,
     SizeBoundError,
     anticommutant_basis,
     _arbitrate,
@@ -364,41 +382,67 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     ]:
         report.add(name, ok, expected=exp, actual=act)
 
+    quadratic, ys, x_tilde = _hecke_generators(rep)
     square = proof = None
     if m == n:
         # premises (i)-(iv) of the split, once over Q(q); see the module docstring
         rho = rho_generators(space)
-        phi, tp_gens = phi_tensor(space), rep.tprime_matrices()
+        phi = phi_tensor(space)
         sign = (-1) ** (r * (r - 1) // 2)
-        ident = OperatorMatrix.identity(space.dim)
-        square = ([g for _, g in rho], phi, sign, (
-            phi * phi == ident.scale(sign),
-            all(tp.anticommutes_with(phi) for tp in tp_gens),
-            tp_gens[0] * tp_gens[0] == ident,
+        square = ([g for _, g in rho], phi, sign, ys, (
+            phi * phi == OperatorMatrix.identity(space.dim).scale(sign),
+            all(y.anticommutes_with(phi) for y in ys),
+            quadratic[0],
             not _commutation_failures(rep.t_matrices(), rho)))
-        if all(square[3]) and pred.dimA == 2 * pred.dimC:
+        if all(square[4]) and pred.dimA == 2 * pred.dimC:
             proof = "premises (i)-(iv)"
     _certify(report, mode, seed, space.dim, lambda sub, point: _alt_centralizer_core(
-        sub, point, space, rep, pred, square), proof=proof)
+        sub, point, space, pred, all(quadratic), rep.t_matrix(1), x_tilde, square),
+        proof=proof)
     return report
 
 
-def _alt_centralizer_core(report: Report, point, space: GradedSpace,
-                          rep: PiRepresentation, pred, square=None) -> None:
+def _hecke_generators(rep: PiRepresentation):
+    """Over Q(q): whether each T_j satisfies T_j^2 = (q - q^-1) T_j + 1, the
+    Y_j = 2 T_j - (q - q^-1) = (q + q^-1) T'_j and the X~_i = Y_1 Y_{i+1} =
+    (q + q^-1)^2 X_i.  Every entry of the Y_j and the X~_i is a Laurent
+    polynomial."""
+    t_gens = rep.t_matrices()
+    ident = OperatorMatrix.identity(rep.space.dim)
+    qm = RationalFunction.q() - RationalFunction.q(-1)
+    quadratic = [t * t == t.scale(qm) + ident for t in t_gens]
+    ys = [t.scale(2) - ident.scale(qm) for t in t_gens]
+    return quadratic, ys, [ys[0] * y for y in ys[1:]]
+
+
+def _even_generators(x_tilde: list[OperatorMatrix], point) -> list[OperatorMatrix]:
+    """The generators of C: the X~_i over Q(q), and at q = t the X~_i(t) /
+    (t + t^-1)^2, which are the X_i(t) entry for entry."""
+    if point is None:
+        return x_tilde
+    scale = 1 / (point + 1 / point) ** 2
+    return [specialize_matrix(x, point).scale(scale) for x in x_tilde]
+
+
+def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
+                          quadratic: bool, t1: OperatorMatrix,
+                          x_tilde: list[OperatorMatrix], square=None) -> None:
     one = RationalFunction.one() if point is None else Fraction(1)
     dim = space.dim
 
     def mat(matrix):
         return matrix if point is None else specialize_matrix(matrix, point)
 
-    x_gens = [mat(g) for g in rep.x_matrices()]
-    t_gens = [mat(g) for g in rep.t_matrices()]
-    c_alg = _closure_of(x_gens, dim, one)
+    c_alg = _closure_of(_even_generators(x_tilde, point), dim, one)
     report.add("even-image-dimension", len(c_alg) == pred.dimC,
                expected=pred.dimC, actual=len(c_alg))
-    a_alg = _closure_of(t_gens, dim, one)
-    report.add("hecke-image-dimension", len(a_alg) == pred.dimA,
-               expected=pred.dimA, actual=len(a_alg))
+    # given the quadratic, A = C + C T_1 (module docstring): len(A) is len(C)
+    # plus the rank of the residuals of the c T_1 modulo C
+    t1, c_span, residuals = mat(t1), c_alg.span(), LinearSpan()
+    dim_a = len(c_alg) + sum(residuals.add(c_span.reduce((c * t1).flatten()))
+                             for c in c_alg.elements)
+    report.add("hecke-image-dimension", quadratic and dim_a == pred.dimA,
+               expected=pred.dimA, actual=dim_a)
 
     d_alg = commutant_basis(c_alg)
     report.info("even-centralizer-dimension", actual=len(d_alg))
@@ -411,7 +455,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
                actual=f"dims {dim_cd} vs {len(c_alg)}")
 
     if square is not None:   # m = n: generic rho generators, phi, sign of phi^2, (i)-(iv)
-        rho_gens, phi, sign, (squares, anti, involutive, commute) = square
+        rho_gens, phi, sign, ys, (squares, anti, involutive, commute) = square
         phi = mat(phi)
         report.add("flip-squares-to-sign", squares,
                    expected=f"({sign})*identity", actual="equal" if squares else "differs")
@@ -419,7 +463,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
 
         b_alg = _closure_of([mat(g) for g in rho_gens], dim, one)
         report.info("superalgebra-image-dimension", actual=len(b_alg))
-        bd = anticommutant_basis([mat(g) for g in rep.tprime_matrices()])
+        bd = anticommutant_basis([mat(y) for y in ys])   # anti(Y_t) = anti(T'_t)
         report.add("anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
         report.add("flip-maps-commutant-onto-anticommutant", anti and commute)
@@ -440,11 +484,11 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace,
         add_crossed_records(report, squares, f"phi^2 = ({sign})*identity")
 
     if space.n == 0 and space.m * space.m < space.r:
-        # A is closed and unital, so C lies in A once the X generators do
-        collapse = all(a_alg.contains(x) for x in x_gens) and len(a_alg) == len(c_alg)
+        # C lies in A, and given the quadratic A = C + C T_1
+        collapse = quadratic and dim_a == len(c_alg)
         report.add("small-row-collapse", collapse,
                    expected=f"images coincide at dim {pred.dimA}",
-                   actual=f"dims {len(a_alg)} vs {len(c_alg)}" + ("" if collapse else " (differ)"))
+                   actual=f"dims {dim_a} vs {len(c_alg)}" + ("" if collapse else " (differ)"))
 
 
 def suite_specialization(m: int, n: int, r: int, *, points=None,

@@ -9,6 +9,7 @@ import qhecke.alternating as alternating
 import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
+import qhecke.tensor as tensor
 from qhecke.commutant import commutant_basis, draw_points, span_closure, span_equal
 from qhecke.hecke import HeckeAlgebra, SymmetricGroupTable
 from qhecke.partitions import predicted_dimensions
@@ -272,6 +273,12 @@ def _identity_flip(space):
     return OperatorMatrix.identity(space.dim)
 
 
+def _t1_off_its_quadratic(rep, generators=suites._hecke_generators):
+    """The generic generators, with T_1's quadratic reported broken."""
+    quadratic, ys, x_tilde = generators(rep)
+    return [False, *quadratic[1:]], ys, x_tilde
+
+
 class TestSquareBlockFailures:
     """The square records are decided from premises tested over Q(q) and from
     lengths at the point; each mutation must fail exactly the records that
@@ -292,7 +299,9 @@ class TestSquareBlockFailures:
          {"flip-squares-to-sign", "flip-anticommutes-with-involutive-generators",
           "flip-maps-commutant-onto-anticommutant", "centralizer-splits-as-direct-sum",
           "conjugation-has-order-two", "crossed-system-axioms", "crossed-product-law"}),
-    ], ids=["extra-generator", "conjugated", "identity-flip"])
+        # (iii) is T_1's quadratic, which is also the premise of A = C + C T_1
+        ("_hecke_generators", _t1_off_its_quadratic, {"centralizer-splits-as-direct-sum"}),
+    ], ids=["extra-generator", "conjugated", "identity-flip", "t1-off-its-quadratic"])
     @pytest.mark.parametrize("mode", ["exact", "specialized"])
     def test_mutation_fails_exactly_its_records(self, target, mutation, failing, mode,
                                                 monkeypatch):
@@ -333,21 +342,21 @@ class TestAltCentralizerSuite:
         assert checks["hecke-image-dimension"].actual == "5"
         assert "flip-squares-to-sign" not in checks   # only for m == n
 
-    def test_collapse_fails_when_the_even_image_leaves_the_hecke_image(self):
-        # conjugated X's span a conjugate of C: both images keep dimension 42,
-        # so only the membership of the X's in A can fail the collapse
-        space = GradedSpace(2, 0, 5)
-        rep = PiRepresentation(space)
-        x_gens = [_swapped(g) for g in rep.x_matrices()]
-        rep.x_matrices = lambda: x_gens
-        report = Report("core", {})
-        suites._alt_centralizer_core(report, Fraction(2), space, rep,
-                                     predicted_dimensions(2, 0, 5))
+    def test_collapse_fails_when_a_generator_breaks_the_quadratic(self, monkeypatch):
+        # -T_4 generates the same algebra, so every length stays at 42; only
+        # the premise T_j^2 = (q - q^-1) T_j + 1 of A = C + C T_1 can fail
+        pi_T = tensor.pi_T
+        monkeypatch.setattr(tensor, "pi_T",
+                            lambda space, i: -pi_T(space, i) if i == 4 else pi_T(space, i))
+        report = suite_alt_centralizer(2, 0, 5)
+        assert not report.passed
+        for name in ("hecke-image-dimension", "small-row-collapse"):
+            records = [c for c in report.checks if c.name.endswith(": " + name)]
+            assert len(records) == 2 and all(c.status == "fail" for c in records), name
         checks = check_map(report)
-        assert checks["even-image-dimension"].actual == "42"
-        assert checks["hecke-image-dimension"].actual == "42"
-        assert checks["small-row-collapse"].status == "fail"
-        assert checks["small-row-collapse"].actual == "dims 42 vs 42 (differ)"
+        assert checks["q=2: even-image-dimension"].status == "pass"
+        assert checks["q=2: hecke-image-dimension"].actual == "42"
+        assert checks["q=2: small-row-collapse"].actual == "dims 42 vs 42 (differ)"
 
     @staticmethod
     def _count_calls(monkeypatch, name):
@@ -372,15 +381,14 @@ class TestAltCentralizerSuite:
         # the trace form of either image is degenerate, so only the
         # elimination of D's commutant can decide the record
         space = GradedSpace(2, 0, 3)
-        rep = PiRepresentation(space)
         x_gens = [OperatorMatrix(8, {(a * 4 + x, b * 4 + x): Fraction(1)
                                      for (a, b) in units for x in range(4)})
                   for units in gens]
-        rep.x_matrices = lambda: x_gens
+        monkeypatch.setattr(suites, "_even_generators", lambda x_tilde, point: x_gens)
         calls = self._count_calls(monkeypatch, "commutant_basis")
         report = Report("core", {})
-        suites._alt_centralizer_core(report, Fraction(2), space, rep,
-                                     predicted_dimensions(2, 0, 3))
+        suites._alt_centralizer_core(report, Fraction(2), space, predicted_dimensions(2, 0, 3),
+                                     True, PiRepresentation(space).t_matrix(1), [])
         record = check_map(report)["double-commutant-returns-even-image"]
         assert (record.status, record.actual) == (status, actual)
         assert len(calls) == 2      # D, then D's commutant
@@ -434,6 +442,70 @@ class TestAltCentralizerSuite:
         report = suite_schur_weyl(2, 1, 2)   # dim 9 picks specialized mode
         assert report.passed
         assert report.params["mode"] == "specialized"
+
+
+class TestHeckeImageFromEvenImage:
+    """Given T_j^2 = (q - q^-1) T_j + 1 for every j, A = C + C T_1, so the
+    core reads len(A) off C and never closes the T's; the closure of the T's
+    and C built from the X_i = T'_1 T'_{i+1} are the oracles."""
+
+    @staticmethod
+    def _core_checks(m, n, r, point):
+        space = GradedSpace(m, n, r)
+        rep = PiRepresentation(space)
+        quadratic, _, x_tilde = suites._hecke_generators(rep)
+        assert all(quadratic)
+        report = Report("core", {})
+        suites._alt_centralizer_core(report, point, space, predicted_dimensions(m, n, r),
+                                     True, rep.t_matrix(1), x_tilde)
+        return rep, check_map(report)
+
+    @pytest.mark.parametrize("m, n, r, field", [
+        (2, 1, 3, "q=2"), (1, 2, 3, "q=2"), (2, 0, 4, "q=2"), (3, 0, 3, "q=2"),
+        (1, 1, 4, "q=2"), (2, 1, 2, "q=2"), (1, 1, 3, "Q(q)"), (1, 0, 3, "Q(q)"),
+        (1, 1, 3, "q=1"), (2, 0, 4, "q=1")])
+    def test_hecke_image_length_is_the_closure_of_the_ts(self, m, n, r, field):
+        # A = C + C T_1 holds at every rational point, q = 1 included
+        point = {"Q(q)": None, "q=2": Fraction(2), "q=1": Fraction(1)}[field]
+        rep, checks = self._core_checks(m, n, r, point)
+        t_gens = rep.t_matrices()
+        if point is not None:
+            t_gens = [specialize_matrix(g, point) for g in t_gens]
+        record = checks["hecke-image-dimension"]
+        assert record.status == "pass"
+        assert record.actual == str(len(span_closure(t_gens)))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (1, 1, 4), (2, 0, 4)],
+                             ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7)], ids=["q=2", "q=15/7"])
+    def test_scaled_even_generators_are_the_xs_at_a_point(self, shape, point):
+        rep = PiRepresentation(GradedSpace(*shape))
+        x_gens = suites._even_generators(suites._hecke_generators(rep)[2], point)
+        assert x_gens == [specialize_matrix(x, point) for x in rep.x_matrices()]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 0, 3)], ids=["1-1-3", "2-0-3"])
+    def test_even_image_from_laurent_generators_has_the_length_of_c(self, shape):
+        rep = PiRepresentation(GradedSpace(*shape))
+        x_tilde = suites._hecke_generators(rep)[2]
+        assert suites._even_generators(x_tilde, None) == x_tilde
+        assert len(span_closure(x_tilde)) == len(span_closure(rep.x_matrices()))
+
+    @pytest.mark.parametrize("shape, mode", [((2, 1, 3), "specialized"), ((1, 1, 3), "exact"),
+                                             ((2, 0, 4), "specialized")],
+                             ids=["2-1-3-specialized", "1-1-3-exact", "2-0-4-specialized"])
+    def test_the_core_never_closes_the_ts(self, shape, mode, monkeypatch):
+        closed, closure = [], suites.span_closure
+
+        def recording(gens):
+            closed.append(list(gens))
+            return closure(gens)
+
+        monkeypatch.setattr(suites, "span_closure", recording)
+        assert suite_alt_centralizer(*shape, mode=mode).passed
+        t_gens = PiRepresentation(GradedSpace(*shape)).t_matrices()
+        ts = set(t_gens) | {specialize_matrix(g, t) for g in t_gens for t in draw_points(0)}
+        assert closed and not any(g in ts for gens in closed for g in gens)
+        assert sum(len(gens) == shape[2] - 2 for gens in closed) == (1 if mode == "exact" else 2)
 
 
 class TestSpecializationSuite:
