@@ -13,8 +13,9 @@ applied in, which makes every produced basis deterministic.
 `LinearSpan` indexes its rows by pivot column, so reducing a vector touches
 only the rows whose pivots the vector (or its running residual) reaches, not
 every stored row.  A nondegenerate trace form proves the double commutant
-without eliminating a commutant's commutant; see "The double commutant"
-below.
+without eliminating a commutant's commutant, and its Casimir gives the
+commutant's length without eliminating the commutant; see "The double
+commutant" and "The commutant's length" below.
 
 One row builder, `_commutation_rows`, makes the commutation rows for every
 engine below.  It visits only the entries (i, j) whose row can be nonzero,
@@ -52,7 +53,7 @@ The double commutant.  Let C be a unital algebra of matrices over K (Q at
 a point, Q(q) in exact mode) acting on V = K^dim, with basis c_1..c_n,
 closed under products, and let D = C' be its commutant, as `commutant_basis`
 returns it (commuting with the generators is commuting with the algebra they
-generate).  The certificate `trace_form_is_nondegenerate` proves C'' = C,
+generate).  The certificate `trace_form_certificate` proves C'' = C,
 hence dim D' = n, without eliminating D's basis (Curtis-Reiner,
 *Representation Theory of Finite Groups and Associative Algebras*, sections 3
 and 25; Jacobson, *Basic Algebra II*, section 4.3):
@@ -76,6 +77,29 @@ and 25; Jacobson, *Basic Algebra II*, section 4.3):
 A Gram of lower rank proves nothing either way: a non-semisimple algebra
 can be its own double commutant (K[N], N^2 = 0) or not (the upper
 triangular 2 x 2 matrices), so then eliminating D's commutant decides.
+
+The commutant's length.  When the certificate holds, the same Gram G is
+nondegenerate over the algebraic closure, so there C = + M_{d_k} is
+semisimple and V = + S_k^{m_k}, with tr_V = m_k tr on block k.  In block k
+the matrix units E_ab and E_ba / m_k are dual under the trace form, so the
+Casimir Omega = sum_i c_i c^i, with c^i = sum_j (G^-1)_ij c_j, is
+sum_k (d_k / m_k) e_k, and tr_V(Omega^-1) = sum_k m_k^2 = dim C' (the
+dimension of a nullspace does not change with the field).
+`trace_form_certificate` computes it mod p from the same residues and Gram,
+when n <= dim; above that the dual basis costs more than eliminating C':
+
+* G is a unit mod p, so G^-1 and Omega lie over Z_(p) and reduce to the
+  G^-1 and Omega computed mod p;
+* det Omega = prod_k (d_k / m_k)^(d_k m_k), and d_k, m_k <= dim < p, so it
+  is a p-unit, Omega^-1 reduces too, and tr(Omega^-1) mod p is the residue
+  of the integer dim C' in [0, dim^2]; as dim^2 < p, it is that integer;
+* over Q(q), G, its inverse and Omega lie in the local ring at
+  `_GRAM_POINT` (the first step above) and evaluate there to those of the
+  evaluated basis, whose Omega has a unit determinant by the second step:
+  the structure constants G^-1 (tr(c_i c_j c_l))_l lie in the local ring too,
+  so the evaluated basis spans a unital algebra that the certificate makes
+  semisimple.  So Omega^-1 lies in the local ring, and tr(Omega^-1), the
+  constant dim C' over Q(q), is what the point gives: the generic length.
 
 Specialization points come from one seeded stream; `draw_points(seed)` is
 its start.  One policy, `specialization_points`, takes the points: explicit
@@ -102,7 +126,7 @@ from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .qfield import PoleError, RationalFunction
+from .qfield import PoleError, RationalFunction, _axpy
 from .report import FrozenRecord, Record
 from .tensor import OperatorMatrix, specialize_matrix
 
@@ -208,6 +232,15 @@ class LinearSpan:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def _back_eliminate(self) -> None:
+        """Bring the rows to reduced row echelon form in place, largest pivot
+        first: a finished row is 0 at every other pivot, so reducing a row
+        modulo the finished ones clears its entries at their pivots and adds
+        no other."""
+        done = LinearSpan(self._modulus)
+        for pivot in sorted(self._by_pivot, reverse=True):
+            done._by_pivot[pivot] = done._clear(self._by_pivot[pivot])
+
 
 # ---------------------------------------------------------------------------
 # algebra bases and closure
@@ -308,12 +341,7 @@ def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
     by_pivot, clear, insert = span._by_pivot, span._clear, span._insert
     for row in rows:
         insert(clear(row))
-    # back-eliminate to reduced row echelon form, largest pivot first: a
-    # finished row is 0 at every other pivot, so reducing a row modulo the
-    # finished ones clears its entries at their pivots and adds no other
-    reduced = LinearSpan(modulus)
-    for pivot in sorted(by_pivot, reverse=True):
-        reduced._by_pivot[pivot] = reduced._clear(by_pivot[pivot])
+    span._back_eliminate()
     # one basis vector per free column; a reduced row has its non-pivot
     # entries in free columns only
     basis = {free: {free: one} for free in range(ncols) if free not in by_pivot}
@@ -539,33 +567,54 @@ def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
 _GRAM_POINT = Fraction(2)
 
 
-def trace_form_is_nondegenerate(alg: AlgebraBasis) -> bool:
-    """Whether the Gram matrix tr(c_i c_j) of the basis c_1..c_n of ``alg``
-    has rank n mod `_PRIME`; a basis over Q(q) is evaluated at `_GRAM_POINT`
-    first.  False when an entry has a pole there or no residue mod p (a
-    denominator divisible by p).
+def _inverse_mod(rows: list[dict], p: int) -> list[dict] | None:
+    """The rows of M^-1 mod p for the n x n matrix M of the given sparse rows
+    (entries in [0, p), none 0), or None when M is singular mod p.  M | I is
+    reduced by one `LinearSpan`; the rows are extended in place."""
+    n = len(rows)
+    span = LinearSpan(p)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+        res = span._clear(row)
+        if min(res) >= n:           # M's part of the row is cleared: singular
+            return None
+        span._insert(res)
+    span._back_eliminate()
+    return [{col - n: v for col, v in span._by_pivot[i].items() if col >= n}
+            for i in range(n)]
 
-    Over a unital closed ``alg``, True proves that its double commutant is
-    itself, at a point and over Q(q); the module docstring gives the
-    argument.  Element i is indexed by its transposed positions (b, a) as it
-    is read, so the half row tr(c_i c_j), j <= i, pairs c_i[a,b] with
-    c_j[b,a] of the elements read so far; tr(c_i c_j) = tr(c_j c_i) fills
-    the other half.
+
+def trace_form_certificate(alg: AlgebraBasis) -> tuple[bool, int | None]:
+    """Whether the Gram matrix tr(c_i c_j) of the basis c_1..c_n of ``alg``
+    has rank n mod `_PRIME`, and then, when n <= dim, dim C' read off the
+    Casimir; a basis over Q(q) is evaluated at `_GRAM_POINT` first.  The
+    verdict is False when an entry has a pole there or no residue mod p (a
+    denominator divisible by p); the length is None when the verdict is
+    False or n > dim, where the dual basis costs more than eliminating C'.
+
+    Over a unital closed ``alg``, a True verdict proves that its double
+    commutant is itself, and the length is that of its commutant, at a point
+    and over Q(q); the module docstring gives both arguments.  Element i is
+    indexed by its transposed positions (b, a) as it is read, so the half row
+    tr(c_i c_j), j <= i, pairs c_i[a,b] with c_j[b,a] of the elements read so
+    far; tr(c_i c_j) = tr(c_j c_i) fills the other half.
     """
     p = _PRIME
     generic = isinstance(_infer_one(alg.elements), RationalFunction)
     inverses: dict[int, int] = {}
     transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}   # (b, a) -> [(j, c_j[a,b])]
+    residues: list[OperatorMatrix] = []
     half: list[list[int]] = []
     for i, c in enumerate(alg.elements):
         if generic:
             try:
                 c = specialize_matrix(c, _GRAM_POINT)
             except PoleError:
-                return False
+                return False, None
         res = _residues(c, p, inverses)
         if res is None:
-            return False
+            return False, None
+        residues.append(res)
         for (a, b), v in res.entries.items():
             transposed.setdefault((b, a), []).append((i, v))
         row = [0] * (i + 1)
@@ -573,13 +622,30 @@ def trace_form_is_nondegenerate(alg: AlgebraBasis) -> bool:
             for j, y in transposed.get(key, ()):
                 row[j] += x * y
         half.append([v % p for v in row])
-    n = len(half)
-    span = LinearSpan(p)
-    for i in range(n):
-        row = chain(half[i], (half[j][i] for j in range(i + 1, n)))
-        if not span.add({j: v for j, v in enumerate(row) if v}):
-            return False
-    return True
+    n, dim = len(half), alg.dim
+    gram = [{j: v for j, v in enumerate(chain(half[i], (half[j][i] for j in range(i + 1, n))))
+             if v} for i in range(n)]
+    if n > dim:
+        span = LinearSpan(p)
+        return all(span.add(row) for row in gram), None
+    dual = _inverse_mod(gram, p)
+    if dual is None:
+        return False, None
+    # the Casimir: Omega = sum_i c_i c^i with c^i = sum_j (G^-1)_ij c_j
+    omega: dict[tuple[int, int], int] = {}
+    for c, coeffs in zip(residues, dual):
+        c_dual: dict[tuple[int, int], int] = {}
+        for j, h in coeffs.items():
+            _axpy(c_dual, h, residues[j].entries.items())
+        _axpy(omega, None, (c * OperatorMatrix._raw(dim, c_dual)).entries.items())
+    rows: list[dict[int, int]] = [{} for _ in range(dim)]
+    for (a, b), v in omega.items():
+        if r := v % p:
+            rows[a][b] = r
+    inverse = _inverse_mod(rows, p)
+    if inverse is None:     # Omega is a unit mod p once the Gram is (module docstring)
+        return True, None
+    return True, sum(row.get(a, 0) for a, row in enumerate(inverse)) % p
 
 
 # ---------------------------------------------------------------------------

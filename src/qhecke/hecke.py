@@ -111,18 +111,6 @@ def word_to_permutation(word: Word) -> tuple[int, ...]:
     return tuple(v + 1 for v in perm)
 
 
-def _first_factor(word: Word) -> tuple[int, Word]:
-    """Split off the leading generator: word = T_g * rest with length - 1."""
-    for j, c in enumerate(word):
-        if c:
-            rest = list(word)
-            rest[j] = 0
-            if c > 1:
-                rest[j - 1] = c - 1
-            return j + 1, tuple(rest)
-    raise ValueError("identity word has no leading factor")
-
-
 # ---------------------------------------------------------------------------
 # stored vectors: integer Laurent numerators over one denominator d (q+q^-1)^ek p
 # ---------------------------------------------------------------------------
@@ -253,15 +241,34 @@ def _lc_to_rf(num: dict, den: tuple) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# the per-rank table: words, permutations, generator actions, lazy caches
+# the per-rank table: words, generator actions, lazy caches
 # ---------------------------------------------------------------------------
+
+def _right_row(low: SymmetricGroupTable, r: int, g: int) -> list[int]:
+    """right_mult[g-1] of rank r from the rank r-1 table ``low``.  With
+    k = r-1-g, the block M = T_{r-1} ... T_{r-c} of the word (low, c) commutes
+    with s_g when c < k, gains s_g = s_{r-1-c} when c = k, loses its last
+    letter s_g when c = k+1, and turns s_g into s_{g-1} when c > k+1."""
+    k = r - 1 - g
+    n = len(low.length) * r
+    row = [0] * n
+    row[k::r] = range(k + 1, n, r)
+    row[k + 1::r] = range(k, n, r)
+    for cs, h in ((range(k), g), (range(k + 2, r), g - 1)):
+        if cs:
+            scaled = [x * r for x in low.right_mult[h - 1]]
+            for c in cs:
+                row[c::r] = [x + c for x in scaled]
+    return row
+
 
 class SymmetricGroupTable:
     """Tabulated symmetric group with the Hecke normal-form word indexing.
 
-    Words are indexed by position in `normal_form_words(rank)`.  The tables
-    below are built eagerly; the Goldman and T'-expansion caches are filled
-    lazily because they are only needed by a subset of operations.
+    Words are indexed by position in `normal_form_words(rank)`.  The word
+    tables are built eagerly from those of rank - 1, by index arithmetic on
+    the word codes; the Goldman and T'-expansion caches are filled lazily
+    because they are only needed by a subset of operations.
 
     The methods act on canonical stored pairs (see `_canonical`); ``gen_mul``
     alone acts on bare numerators.
@@ -271,32 +278,28 @@ class SymmetricGroupTable:
         self.rank = rank
         self.words = normal_form_words(rank)
         self.index: dict[Word, int] = {w: i for i, w in enumerate(self.words)}
-        self.length = [sum(w) for w in self.words]
-        self.identity = self.index[tuple([0] * (rank - 1))]
-        self.first: list[tuple[int, int] | None] = [None] * len(self.words)
-        for wid, w in enumerate(self.words):
-            if wid != self.identity:
-                g, rest = _first_factor(w)
-                self.first[wid] = (g, self.index[rest])
-        # shortest first; T_w = T_g T_rest swaps the values g, g+1 of rest's permutation
-        self.perms = perms = [tuple(range(1, rank + 1))] * len(self.words)
-        self.seqs: list[tuple[int, ...]] = [()] * len(self.words)
-        by_length = sorted(range(len(self.words)), key=self.length.__getitem__)[1:]
-        for wid in by_length:
-            g, rest = self.first[wid]
-            perms[wid] = tuple(g + 1 if v == g else g if v == g + 1 else v for v in perms[rest])
-            self.seqs[wid] = (g,) + self.seqs[rest]
-        self.perm_index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(perms)}
-        if len(self.perm_index) != len(self.words):
-            raise AssertionError("normal-form words do not biject onto permutations")
-        # right_mult[g-1][wid] = word index of w . s_g (positions g, g+1 swapped);
+        self.identity = 0
+        if rank == 1:
+            self.length, self.seqs, self.first, self.right_mult = [0], [()], [None], []
+        else:
+            # the word (low, c) is low's word times the block M = T_{r-1} ... T_{r-c};
+            # its index is low * r + c, as `normal_form_words` is lexicographic
+            low, r, cs = symmetric_group_table(rank - 1), rank, range(rank)
+            self.length = [n + c for n in low.length for c in cs]
+            blocks = [tuple(range(r - 1, r - 1 - c, -1)) for c in cs]
+            self.seqs: list[tuple[int, ...]] = [s + m for s in low.seqs for m in blocks]
+            # the first factor is low's, or T_{r-1} of M when low is the identity,
+            # which leaves block r-2 of length c - 1
+            self.first: list[tuple[int, int] | None] = [None] + [
+                (r - 1, (c - 1) * r) for c in cs[1:]] + [
+                (g, rest * r + c) for g, rest in low.first[1:] for c in cs]
+            # right_mult[g-1][wid] = word index of w . s_g
+            self.right_mult: list[list[int]] = [_right_row(low, r, g)
+                                                for g in range(1, r)]
         # left_mult[g-1][wid] = word index of s_g . w = (w^-1 . s_g)^-1, read off
         # right_mult through the inverses, w^-1 = rest^-1 . s_g for w = s_g . rest
-        self.right_mult: list[list[int]] = [
-            [self.perm_index[p[:g - 1] + (p[g], p[g - 1]) + p[g + 1:]] for p in perms]
-            for g in range(1, rank)]
-        inv = [self.identity] * len(self.words)
-        for wid in by_length:
+        inv = [0] * len(self.words)
+        for wid in sorted(range(1, len(self.words)), key=self.length.__getitem__):
             g, rest = self.first[wid]
             inv[wid] = self.right_mult[g - 1][inv[rest]]
         self.left_mult: list[list[int]] = [[inv[row[v]] for v in inv] for row in self.right_mult]

@@ -44,12 +44,14 @@ direction only, and which one depends on the kind of check:
   generically: rank_t(B) <= dim B <= dim A' <= nullity_t(A), and a pass
   makes the ends equal (likewise for A in B').  The double commutant (C in
   C'') is a proof at the point when the trace form of C_t is nondegenerate
-  (`commutant.trace_form_is_nondegenerate`): C_t is then semisimple and
+  (`commutant.trace_form_certificate`): C_t is then semisimple and
   C_t'' = C_t, so its length is len(C_t) without eliminating D's commutant;
-  otherwise that elimination decides.  Exact mode decides it the same way
-  over Q(q), where a pass is a proof.  Generically a pass at a point stays
-  evidence, as C''_t may move either way, except at m = n ("One point"
-  below).  The collapse (A = C, read as len(A_t) = len(C_t) given the
+  otherwise that elimination decides.  When the trace form is nondegenerate
+  and len(C_t) <= dim V, its Casimir also gives len(D_t) = dim C_t', and D's
+  basis is not built; otherwise D is eliminated.  Exact mode decides both
+  the same way over Q(q), where a pass is a proof.  Generically a pass at a
+  point stays evidence, as C''_t may move either way, except at m = n ("One
+  point" below).  The collapse (A = C, read as len(A_t) = len(C_t) given the
   quadratic below) stays evidence at the point: both are ranks at t, and
   nothing bounds dim A - dim C from above;
 * the Hecke image rests on one exact premise, tested once over Q(q) before
@@ -116,9 +118,9 @@ over Q(q).  Info records then report generic values too.
     involutive-generators
   flip-maps-commutant-onto-        (ii) and (iv)
     anticommutant
-  centralizer-splits-as-direct-    2 len(B_t) <= 2 dim B <= dim D <= len(D_t)
-    sum, centralizer-dimension-
-    doubles
+  centralizer-splits-as-direct-    2 len(B_t) <= 2 dim B <= dim D <= len(D_t),
+    sum, centralizer-dimension-    len(D_t) from the Casimir of C_t or the
+    doubles                        elimination of D_t (the same number)
   anticommutant-dimension-matches  len(B_t) <= dim B <= dim anti <= len(anti_t)
   double-commutant-returns-even-   C <= C'' <= {rho, phi}', and
     image, even-image-dimension    dim {rho, phi}' <= len(C_t) <= dim C   [a]
@@ -129,7 +131,9 @@ over Q(q).  Info records then report generic values too.
     (rho and phi lie in D) lie in {rho, phi}'.  At t the split makes D_t =
     B_t + phi B_t, the algebra that rho_t and phi_t generate, so {rho_t,
     phi_t}' = D_t' = C_t'', of length len(C_t) when the double-commutant
-    record passes, and the nullity of {rho, phi} only grows at t.
+    record passes, and the nullity of {rho, phi} only grows at t.  The split
+    reads only len(D_t): the Casimir of C_t gives it where the trace form is
+    nondegenerate and len(C_t) <= dim V, and D_t is eliminated elsewhere.
 [b] A = C + C T'_1 by the quadratic (the Hecke image above), the record's
     premise, so dim A <= 2 dim C; 2 dim C = 2 len(C_t) is the predicted
     dim A by [a] and the prediction, which holds at every m = n (each hook
@@ -162,7 +166,7 @@ from .commutant import (
     commutant_basis,
     span_closure,
     specialization_points,
-    trace_form_is_nondegenerate,
+    trace_form_certificate,
 )
 from .hecke import U_SQUARED, HeckeAlgebra, relation_failures
 from .partitions import predicted_dimensions
@@ -444,12 +448,15 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
     report.add("hecke-image-dimension", quadratic and dim_a == pred.dimA,
                expected=pred.dimA, actual=dim_a)
 
-    d_alg = commutant_basis(c_alg)
-    report.info("even-centralizer-dimension", actual=len(d_alg))
     # C lies in its double commutant in any field; a nondegenerate trace form
-    # makes C semisimple, and then C'' = C (see `commutant`)
-    dim_cd = (len(c_alg) if trace_form_is_nondegenerate(c_alg)
-              else len(commutant_basis(d_alg)))
+    # makes C semisimple, and then C'' = C and the Casimir gives len(D) (see
+    # `commutant`); D's basis is built only where that length is not given
+    semisimple, dim_d = trace_form_certificate(c_alg)
+    if dim_d is None:
+        d_alg = commutant_basis(c_alg)
+        dim_d = len(d_alg)
+    report.info("even-centralizer-dimension", actual=dim_d)
+    dim_cd = len(c_alg) if semisimple else len(commutant_basis(d_alg))
     report.add("double-commutant-returns-even-image", dim_cd == len(c_alg),
                expected=f"span equality at dim {len(c_alg)}",
                actual=f"dims {dim_cd} vs {len(c_alg)}")
@@ -469,11 +476,11 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
         report.add("flip-maps-commutant-onto-anticommutant", anti and commute)
         report.add("centralizer-splits-as-direct-sum",
                    squares and anti and involutive and commute
-                   and len(d_alg) == 2 * len(b_alg),
-                   expected=f"{len(d_alg)} = {len(b_alg)} + {len(b_alg)}",
-                   actual=f"dims ({len(d_alg)}; {len(b_alg)}, {len(b_alg)})")
-        report.add("centralizer-dimension-doubles", len(d_alg) == 2 * len(b_alg),
-                   expected=2 * len(b_alg), actual=len(d_alg))
+                   and dim_d == 2 * len(b_alg),
+                   expected=f"{dim_d} = {len(b_alg)} + {len(b_alg)}",
+                   actual=f"dims ({dim_d}; {len(b_alg)}, {len(b_alg)})")
+        report.add("centralizer-dimension-doubles", dim_d == 2 * len(b_alg),
+                   expected=2 * len(b_alg), actual=dim_d)
 
         # the weak action omega(f) = sign phi f phi is conjugation by phi given
         # (i), an automorphism, so its generator images decide closure

@@ -215,14 +215,15 @@ class TestGoldenOutput:
     ])
     def test_alt_centralizer_pins_hold_without_the_trace_certificate(
             self, args, digest, tmp_path, monkeypatch):
-        # the eliminated double commutant gives every report the certificate gives
+        # the eliminated D and double commutant give every report the
+        # certificate and the Casimir give
         declined = []
 
         def decline(alg):
             declined.append(alg)
-            return False
+            return False, None
 
-        monkeypatch.setattr(suites, "trace_form_is_nondegenerate", decline)
+        monkeypatch.setattr(suites, "trace_form_certificate", decline)
         path = tmp_path / "r.json"
         code = cli.main(["verify", "alt-centralizer", *args, "--out", str(path)])
         assert code == 0 and declined

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
 from qhecke.commutant import (
@@ -320,24 +321,62 @@ def _times_identity(m, k):
                                       for (a, b), v in m.entries.items() for x in range(k)})
 
 
+def _even_image(m, n, r, t=None):
+    """C, the algebra the X_i generate: over Q(q), or at q = t."""
+    gens = PiRepresentation(GradedSpace(m, n, r)).x_matrices()
+    return span_closure(gens if t is None else [specialize_matrix(g, t) for g in gens])
+
+
+def _sqrt2(k):
+    """x (x) I_k for x = [[0, 2], [1, 0]], x^2 = 2: Q(sqrt 2) on k copies of Q^2."""
+    return _times_identity(OperatorMatrix(2, {(0, 1): Fraction(2), (1, 0): Fraction(1)}), k)
+
+
 class TestTraceFormCertificate:
-    """`trace_form_is_nondegenerate` decides the Gram tr(c_i c_j) mod p, over
-    Q(q) at `_GRAM_POINT`; it must hold on semisimple algebras only, and only
-    on entries with residues there."""
+    """`trace_form_certificate` decides the Gram tr(c_i c_j) mod p, over Q(q)
+    at `_GRAM_POINT`; it must hold on semisimple algebras only, and only on
+    entries with residues there.  Where it holds and len(C) <= dim, the
+    Casimir gives len(C'), which must be the length of the eliminated
+    commutant."""
 
-    @pytest.mark.parametrize("alg", [
-        lambda: AlgebraBasis(3, [_units(3, (a, b)) for a in range(3) for b in range(3)]),
-        lambda: span_closure([_diag(1, 2, 3)]),
+    @pytest.mark.parametrize("alg, length", [
+        # 9 elements on Q^3: no length, as len(C) > dim
+        (lambda: AlgebraBasis(3, [_units(3, (a, b)) for a in range(3) for b in range(3)]), None),
+        (lambda: span_closure([_diag(1, 2, 3)]), 3),
     ], ids=["full-matrix-algebra", "diagonal-algebra"])
-    def test_semisimple_algebras(self, alg):
-        assert commutant.trace_form_is_nondegenerate(alg())
+    def test_semisimple_algebras(self, alg, length):
+        assert commutant.trace_form_certificate(alg()) == (True, length)
 
-    @pytest.mark.parametrize("m, n, r", [(2, 1, 3), (2, 0, 4), (1, 1, 4)])
-    def test_even_image_at_a_point(self, m, n, r):
-        rep = PiRepresentation(GradedSpace(m, n, r))
-        c_alg = span_closure([specialize_matrix(g, Fraction(2)) for g in rep.x_matrices()])
-        assert commutant.trace_form_is_nondegenerate(c_alg)
-        assert len(commutant_basis(commutant_basis(c_alg))) == len(c_alg)
+    @pytest.mark.parametrize("m, n, r", [(2, 1, 3), (1, 2, 3), (3, 0, 3), (1, 1, 4),
+                                         (2, 0, 4), (2, 2, 3), (2, 1, 4)])
+    def test_casimir_length_at_a_point(self, m, n, r):
+        c_alg = _even_image(m, n, r, Fraction(7, 3))
+        d_alg = commutant_basis(c_alg)
+        assert len(c_alg) <= c_alg.dim
+        assert commutant.trace_form_certificate(c_alg) == (True, len(d_alg))
+        if c_alg.dim <= 27:
+            assert len(commutant_basis(d_alg)) == len(c_alg)
+
+    @pytest.mark.parametrize("m, n, r", [(1, 1, 3), (1, 0, 3)])
+    def test_casimir_length_over_q_of_q(self, m, n, r):
+        c_alg = _even_image(m, n, r)
+        assert commutant.trace_form_certificate(c_alg) == (True, len(commutant_basis(c_alg)))
+
+    @pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 0, 3), (1, 1, 4)])
+    def test_even_image_over_q_of_q(self, m, n, r):
+        assert commutant.trace_form_certificate(_even_image(m, n, r))[0]
+
+    @pytest.mark.parametrize("gens, length", [
+        ([_sqrt2(1)], 2),
+        ([_sqrt2(2)], 8),
+        # Q(sqrt 2) on two copies of Q^2 and Q on Q^1: 2^2 + 2^2 + 1^2
+        ([OperatorMatrix(5, _sqrt2(2).entries), _units(5, (4, 4))], 9),
+    ], ids=["once", "twice", "with-a-rational-block"])
+    def test_non_split_field(self, gens, length):
+        # over Q(sqrt 2) the algebra splits into two blocks of multiplicity k
+        alg = span_closure(gens)
+        assert len(commutant_basis(alg)) == length
+        assert commutant.trace_form_certificate(alg) == (True, length)
 
     @pytest.mark.parametrize("gens, double_dim", [
         # upper triangular (x) I_4: the unit E_01 spans its radical, and the
@@ -348,26 +387,21 @@ class TestTraceFormCertificate:
     ], ids=["upper-triangular", "dual-numbers"])
     def test_algebras_with_a_radical(self, gens, double_dim):
         alg = span_closure([_times_identity(g, 4) for g in gens])
-        assert not commutant.trace_form_is_nondegenerate(alg)
+        assert commutant.trace_form_certificate(alg) == (False, None)
         assert len(commutant_basis(commutant_basis(alg))) == double_dim
         # the same algebra over Q(q) is declined at the Gram point too
         generic = span_closure([OperatorMatrix(8, {key: RationalFunction.constant(v)
                                                    for key, v in m.entries.items()})
                                 for m in alg.generators])
-        assert not commutant.trace_form_is_nondegenerate(generic)
-
-    @pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 0, 3), (1, 1, 4)])
-    def test_even_image_over_q_of_q(self, m, n, r):
-        c_alg = span_closure(PiRepresentation(GradedSpace(m, n, r)).x_matrices())
-        assert commutant.trace_form_is_nondegenerate(c_alg)
+        assert commutant.trace_form_certificate(generic) == (False, None)
 
     def test_entries_outside_q(self):
         # the Gram of the identity alone is (2), over Q and, evaluated at
-        # the Gram point, over Q(q)
-        assert commutant.trace_form_is_nondegenerate(
-            AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))]))
-        assert commutant.trace_form_is_nondegenerate(
-            AlgebraBasis(2, [OperatorMatrix.identity(2, ONE)]))
+        # the Gram point, over Q(q); its commutant is all of M_2
+        assert commutant.trace_form_certificate(
+            AlgebraBasis(2, [OperatorMatrix.identity(2, Fraction(1))])) == (True, 4)
+        assert commutant.trace_form_certificate(
+            AlgebraBasis(2, [OperatorMatrix.identity(2, ONE)])) == (True, 4)
 
     def test_pole_at_the_gram_point(self):
         # 1/(q - 2) has no value at q = 2; 1/(q - 3) has one
@@ -377,12 +411,12 @@ class TestTraceFormCertificate:
             return AlgebraBasis(1, [OperatorMatrix(1, {(0, 0): RationalFunction(
                 LaurentPolynomial.one(), LaurentPolynomial({1: 1, 0: -root}))})])
 
-        assert not commutant.trace_form_is_nondegenerate(inverse_of(2))
-        assert commutant.trace_form_is_nondegenerate(inverse_of(3))
+        assert commutant.trace_form_certificate(inverse_of(2)) == (False, None)
+        assert commutant.trace_form_certificate(inverse_of(3)) == (True, 1)
 
     def test_exact_suite_eliminates_no_double_commutant(self, monkeypatch):
-        # exact (1,1,3): the certificate holds over Q(q), so D is the one
-        # commutant the suite computes
+        # exact (1,1,3): the certificate holds over Q(q) and gives len(D), so
+        # neither D nor its commutant is eliminated
         calls = []
 
         def counting(*args, **kwargs):
@@ -392,15 +426,40 @@ class TestTraceFormCertificate:
         monkeypatch.setattr(suites, "commutant_basis", counting)
         report = suites.suite_alt_centralizer(1, 1, 3, mode="exact")
         assert report.passed and report.params["mode"] == "exact"
-        assert len(calls) == 1
+        assert calls == []
 
     def test_denominator_divisible_by_p(self, monkeypatch):
         # the Gram is diag(1, 1/9); mod 3 the second element has no residue
         alg = AlgebraBasis(2, [_diag(1, 0), _diag(0, Fraction(1, 3))])
         monkeypatch.setattr(commutant, "_PRIME", 5)
-        assert commutant.trace_form_is_nondegenerate(alg)
+        assert commutant.trace_form_certificate(alg) == (True, 2)
         monkeypatch.setattr(commutant, "_PRIME", 3)
-        assert not commutant.trace_form_is_nondegenerate(alg)
+        assert commutant.trace_form_certificate(alg) == (False, None)
+
+    def test_degenerate_gram_mod_a_small_prime_keeps_the_report(self, monkeypatch, tmp_path):
+        # 11 divides the Gram determinant of C at both points of (2,1,3) and
+        # no denominator there, so the certificate fails and the suite
+        # eliminates D and D's commutant at each point: the same report
+        def report_bytes(path):
+            assert cli.main(["verify", "alt-centralizer", "--m", "2", "--n", "1", "--r", "3",
+                             "--out", str(path)]) == 0
+            return path.read_bytes()
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return commutant_basis(*args, **kwargs)
+
+        expected = report_bytes(tmp_path / "certified.json")
+        monkeypatch.setattr(commutant, "_PRIME", 11)
+        for t in draw_points(0):
+            c_alg = _even_image(2, 1, 3, t)
+            assert all(commutant._residues(c, 11, {}) for c in c_alg.elements)
+            assert commutant.trace_form_certificate(c_alg) == (False, None)
+        monkeypatch.setattr(suites, "commutant_basis", counting)
+        assert report_bytes(tmp_path / "eliminated.json") == expected
+        assert len(calls) == 4
 
 
 def _q_path(mats, sign, dim):

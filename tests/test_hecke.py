@@ -516,14 +516,13 @@ def test_tprime_left_multiplication_columns_match_products():
         assert rebuilt == direct
 
 
-@pytest.mark.parametrize("rank", range(1, 8))
+@pytest.mark.parametrize("rank", range(1, 9))
 def test_table_build_matches_the_word_functions(rank):
     table = SymmetricGroupTable(rank)
     perms = [word_to_permutation(w) for w in table.words]
     seqs = [generator_sequence(w) for w in table.words]
     by_perm = {p: i for i, p in enumerate(perms)}
     by_seq = {seq: i for i, seq in enumerate(seqs)}
-    assert table.perms == perms
     assert table.seqs == seqs
     assert table.first == [(seq[0], by_seq[seq[1:]]) if seq else None for seq in seqs]
     for g in range(1, rank):

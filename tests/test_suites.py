@@ -393,14 +393,15 @@ class TestAltCentralizerSuite:
         assert (record.status, record.actual) == (status, actual)
         assert len(calls) == 2      # D, then D's commutant
 
-    @pytest.mark.parametrize("certified, calls", [(True, 2), (False, 4)],
+    @pytest.mark.parametrize("certified, calls", [(True, 0), (False, 4)],
                              ids=["certificate", "forced-fallback"])
     def test_double_commutant_is_eliminated_only_without_the_certificate(
             self, certified, calls, monkeypatch):
-        # serial (2,1,3): one commutant per point where the trace form is
-        # nondegenerate, two where the fallback runs
+        # serial (2,1,3): no commutant where the trace form is nondegenerate
+        # (the Casimir gives len(D)), D and its commutant at each point where
+        # the fallback runs
         if not certified:
-            monkeypatch.setattr(suites, "trace_form_is_nondegenerate", lambda alg: False)
+            monkeypatch.setattr(suites, "trace_form_certificate", lambda alg: (False, None))
         counted = self._count_calls(monkeypatch, "commutant_basis")
         report = suite_alt_centralizer(2, 1, 3)
         assert report.passed
