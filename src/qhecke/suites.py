@@ -61,13 +61,17 @@ direction only, and which one depends on the kind of check:
   finite-dimensional algebra holds the inverse of each invertible element).
   So C + C T'_1 is closed under products; it holds 1, T'_1 and T'_{i+1} =
   T'_1 X_i, hence every T_j, and lies in A: A = C + C T'_1 = C + C T_1.
-  That holds over Q(q) and at every rational t != 0, where t + t^-1 != 0,
-  so the T's are never closed: len(A_t) is len(C_t) plus the rank of the
-  residuals of the c T_1 modulo C_t, and ``hecke-image-dimension`` is the
-  premise and that length against the prediction.  C is closed from the
-  X~_i = Y_1 Y_{i+1} = (q + q^-1)^2 X_i, whose entries are Laurent
-  polynomials; at t they are scaled by (t + t^-1)^-2, so the closure
-  multiplies exactly the X_i(t);
+  That holds over Q(q) and at every rational t != 0, where t + t^-1 != 0
+  (it is +-2 at q = +-1), so the T's are never closed: len(A_t) is len(C_t)
+  plus the rank of the residuals of the c T_1 modulo C_t (`_images`), and
+  ``hecke-image-dimension`` is the premise and that length against the
+  prediction.  C is closed from the X~_i = Y_1 Y_{i+1} = (q + q^-1)^2 X_i,
+  whose entries are Laurent polynomials; at t they are scaled by
+  (t + t^-1)^-2, so the closure multiplies exactly the X_i(t).  `verify
+  specialize` reads both ranks the same way, at its points and at q = 1:
+  ``hecke-image-rank-agreement`` is the premise and the ranks, and
+  ``classical-point-involutions`` is the premise alone, since at q = 1 it
+  reads T_i(1)^2 = 1 and specialization is a ring map;
 * the square split (m = n) rests on four generator identities, tested once
   over Q(q) before the points split: (i) phi^2 = +-1; (ii) phi T'_i =
   -T'_i phi; (iii) T'_1^2 = 1; (iv) every superalgebra generator commutes
@@ -424,8 +428,20 @@ def _even_generators(x_tilde: list[OperatorMatrix], point) -> list[OperatorMatri
     (t + t^-1)^2, which are the X_i(t) entry for entry."""
     if point is None:
         return x_tilde
-    scale = 1 / (point + 1 / point) ** 2
-    return [specialize_matrix(x, point).scale(scale) for x in x_tilde]
+    t = Fraction(point)
+    return [specialize_matrix(x, t).scale(1 / (t + 1 / t) ** 2) for x in x_tilde]
+
+
+def _images(x_tilde: list[OperatorMatrix], t1: OperatorMatrix, dim: int, point):
+    """(C, len(A)) over Q(q), or at q = t: C closed from the X~_i, and, given
+    the quadratic, A = C + C T_1 (module docstring), so len(A) is len(C) plus
+    the rank of the residuals of the c T_1 modulo C."""
+    one = RationalFunction.one() if point is None else Fraction(1)
+    c_alg = _closure_of(_even_generators(x_tilde, point), dim, one)
+    t1 = t1 if point is None else specialize_matrix(t1, point)
+    c_span, residuals = c_alg.span(), LinearSpan()
+    return c_alg, len(c_alg) + sum(residuals.add(c_span.reduce((c * t1).flatten()))
+                                   for c in c_alg.elements)
 
 
 def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
@@ -437,14 +453,9 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
     def mat(matrix):
         return matrix if point is None else specialize_matrix(matrix, point)
 
-    c_alg = _closure_of(_even_generators(x_tilde, point), dim, one)
+    c_alg, dim_a = _images(x_tilde, t1, dim, point)
     report.add("even-image-dimension", len(c_alg) == pred.dimC,
                expected=pred.dimC, actual=len(c_alg))
-    # given the quadratic, A = C + C T_1 (module docstring): len(A) is len(C)
-    # plus the rank of the residuals of the c T_1 modulo C
-    t1, c_span, residuals = mat(t1), c_alg.span(), LinearSpan()
-    dim_a = len(c_alg) + sum(residuals.add(c_span.reduce((c * t1).flatten()))
-                             for c in c_alg.elements)
     report.add("hecke-image-dimension", quadratic and dim_a == pred.dimA,
                expected=pred.dimA, actual=dim_a)
 
@@ -504,13 +515,12 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
     rep = PiRepresentation(space)
-    images = (rep.t_matrices(), rep.x_matrices())   # built before the points split
+    quadratic, _, x_tilde = _hecke_generators(rep)   # built before the points split
 
     def image_ranks(t):
-        """Ranks of the T- and X-generated images at q = t."""
-        return tuple(len(_closure_of([specialize_matrix(g, t) for g in gens],
-                                     space.dim, Fraction(1)))
-                     for gens in images)
+        """len(A) and len(C) at q = t, read off C given the quadratic."""
+        c_alg, dim_a = _images(x_tilde, rep.t_matrix(1), space.dim, t)
+        return dim_a, len(c_alg)
 
     points, ranks = zip(*specialization_points(points, seed, image_ranks))
     dims_a, dims_c = (list(d) for d in zip(*ranks))
@@ -519,7 +529,8 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
                      "points": ",".join(str(p) for p in points)})
     pred = predicted_dimensions(m, n, r)
 
-    report.add("hecke-image-rank-agreement", len(set(dims_a)) == 1 and dims_a[0] == pred.dimA,
+    report.add("hecke-image-rank-agreement",
+               all(quadratic) and len(set(dims_a)) == 1 and dims_a[0] == pred.dimA,
                expected=f"rank {pred.dimA} at all points",
                actual=f"ranks {dims_a} at points {[str(p) for p in points]}")
     report.add("even-image-rank-agreement", len(set(dims_c)) == 1 and dims_c[0] == pred.dimC,
@@ -527,22 +538,13 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
                actual=f"ranks {dims_c} at points {[str(p) for p in points]}")
 
     # classical point: the sign-permutation action, built independently
-    classical_ok = True
-    involutive_ok = True
-    ident = OperatorMatrix.identity(space.dim, Fraction(1))
-    for i in range(1, r):
-        spec = specialize_matrix(rep.t_matrix(i), 1)
-        if spec != sign_permutation_matrix(space, i):
-            classical_ok = False
-        if spec * spec != ident:
-            involutive_ok = False
+    classical_ok = all(specialize_matrix(rep.t_matrix(i), 1) == sign_permutation_matrix(space, i)
+                       for i in range(1, r))
     report.add("classical-point-matches-sign-permutation", classical_ok,
                expected="entrywise equality for every generator",
                actual="equal" if classical_ok else "differs")
-    report.add("classical-point-involutions", involutive_ok)
-
-    st1 = [specialize_matrix(g, 1) for g in rep.t_matrices()]
-    rank_at_1 = len(_closure_of(st1, space.dim, Fraction(1)))
-    report.info("hecke-image-rank-at-classical-point", actual=rank_at_1,
+    # the quadratic at q = 1 reads T_i(1)^2 = 1, as specialization is a ring map
+    report.add("classical-point-involutions", all(quadratic))
+    report.info("hecke-image-rank-at-classical-point", actual=image_ranks(Fraction(1))[0],
                 expected=f"generic {pred.dimA}; a drop here is allowed")
     return report

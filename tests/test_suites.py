@@ -447,8 +447,9 @@ class TestAltCentralizerSuite:
 
 class TestHeckeImageFromEvenImage:
     """Given T_j^2 = (q - q^-1) T_j + 1 for every j, A = C + C T_1, so the
-    core reads len(A) off C and never closes the T's; the closure of the T's
-    and C built from the X_i = T'_1 T'_{i+1} are the oracles."""
+    alt-centralizer core and `verify specialize` read len(A) off C and never
+    close the T's; the closure of the T's and C built from the X_i = T'_1
+    T'_{i+1} are the oracles."""
 
     @staticmethod
     def _core_checks(m, n, r, point):
@@ -464,10 +465,13 @@ class TestHeckeImageFromEvenImage:
     @pytest.mark.parametrize("m, n, r, field", [
         (2, 1, 3, "q=2"), (1, 2, 3, "q=2"), (2, 0, 4, "q=2"), (3, 0, 3, "q=2"),
         (1, 1, 4, "q=2"), (2, 1, 2, "q=2"), (1, 1, 3, "Q(q)"), (1, 0, 3, "Q(q)"),
-        (1, 1, 3, "q=1"), (2, 0, 4, "q=1")])
+        (1, 1, 3, "q=1"), (2, 0, 4, "q=1"), (1, 1, 3, "q=-1"), (2, 0, 4, "q=-1"),
+        (2, 1, 3, "q=-1")])
     def test_hecke_image_length_is_the_closure_of_the_ts(self, m, n, r, field):
-        # A = C + C T_1 holds at every rational point, q = 1 included
-        point = {"Q(q)": None, "q=2": Fraction(2), "q=1": Fraction(1)}[field]
+        # A = C + C T_1 holds at every rational point, q = +-1 included, where
+        # t + t^-1 = +-2; the seeded stream never draws +-1
+        point = {"Q(q)": None, "q=2": Fraction(2), "q=1": Fraction(1),
+                 "q=-1": Fraction(-1)}[field]
         rep, checks = self._core_checks(m, n, r, point)
         t_gens = rep.t_matrices()
         if point is not None:
@@ -478,11 +482,14 @@ class TestHeckeImageFromEvenImage:
 
     @pytest.mark.parametrize("shape", [(2, 1, 3), (1, 1, 4), (2, 0, 4)],
                              ids=lambda s: "-".join(map(str, s)))
-    @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7)], ids=["q=2", "q=15/7"])
+    @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7), 1, 2],
+                             ids=["q=2", "q=15/7", "int-1", "int-2"])
     def test_scaled_even_generators_are_the_xs_at_a_point(self, shape, point):
+        # an int point is taken as a Fraction: its scale must not be a float
         rep = PiRepresentation(GradedSpace(*shape))
         x_gens = suites._even_generators(suites._hecke_generators(rep)[2], point)
         assert x_gens == [specialize_matrix(x, point) for x in rep.x_matrices()]
+        assert all(type(v) is Fraction for x in x_gens for v in x.entries.values())
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 0, 3)], ids=["1-1-3", "2-0-3"])
     def test_even_image_from_laurent_generators_has_the_length_of_c(self, shape):
@@ -491,10 +498,10 @@ class TestHeckeImageFromEvenImage:
         assert suites._even_generators(x_tilde, None) == x_tilde
         assert len(span_closure(x_tilde)) == len(span_closure(rep.x_matrices()))
 
-    @pytest.mark.parametrize("shape, mode", [((2, 1, 3), "specialized"), ((1, 1, 3), "exact"),
-                                             ((2, 0, 4), "specialized")],
-                             ids=["2-1-3-specialized", "1-1-3-exact", "2-0-4-specialized"])
-    def test_the_core_never_closes_the_ts(self, shape, mode, monkeypatch):
+    @staticmethod
+    def _recorded_closures(monkeypatch):
+        """The generator lists of every closure the suites run, and the T's:
+        generic, at the drawn points and at q = 1."""
         closed, closure = [], suites.span_closure
 
         def recording(gens):
@@ -502,11 +509,33 @@ class TestHeckeImageFromEvenImage:
             return closure(gens)
 
         monkeypatch.setattr(suites, "span_closure", recording)
+        return closed, lambda shape: {
+            g if t is None else specialize_matrix(g, t)
+            for g in PiRepresentation(GradedSpace(*shape)).t_matrices()
+            for t in [None, Fraction(1), *draw_points(0)]}
+
+    @pytest.mark.parametrize("shape, mode", [((2, 1, 3), "specialized"), ((1, 1, 3), "exact"),
+                                             ((2, 0, 4), "specialized")],
+                             ids=["2-1-3-specialized", "1-1-3-exact", "2-0-4-specialized"])
+    def test_the_core_never_closes_the_ts(self, shape, mode, monkeypatch):
+        closed, ts = self._recorded_closures(monkeypatch)
         assert suite_alt_centralizer(*shape, mode=mode).passed
-        t_gens = PiRepresentation(GradedSpace(*shape)).t_matrices()
-        ts = set(t_gens) | {specialize_matrix(g, t) for g in t_gens for t in draw_points(0)}
-        assert closed and not any(g in ts for gens in closed for g in gens)
+        assert closed and not any(g in ts(shape) for gens in closed for g in gens)
         assert sum(len(gens) == shape[2] - 2 for gens in closed) == (1 if mode == "exact" else 2)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 3), (2, 0, 4)],
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_specialize_never_closes_the_ts_nor_reads_the_xs(self, shape, monkeypatch):
+        # both ranks are read off C, at the two drawn points and at q = 1
+        closed, ts = self._recorded_closures(monkeypatch)
+
+        def refuse(rep):
+            raise AssertionError("PiRepresentation.x_matrices called")
+
+        monkeypatch.setattr(PiRepresentation, "x_matrices", refuse)
+        assert suite_specialization(*shape).passed
+        assert len(closed) == 3 and all(len(gens) == shape[2] - 2 for gens in closed)
+        assert not any(g in ts(shape) for gens in closed for g in gens)
 
 
 class TestSpecializationSuite:
@@ -529,6 +558,23 @@ class TestSpecializationSuite:
         assert report.params["points"] == "2,3/2"
         named = {c.name: c for c in report.checks}
         assert named["even-image-rank-agreement"].status == "pass"
+
+    @pytest.mark.parametrize("shape, j", [((1, 1, 3), 2), ((2, 1, 3), 1)], ids=["1-1-3", "2-1-3"])
+    def test_rank_records_fail_when_a_generator_breaks_the_quadratic(self, shape, j,
+                                                                       monkeypatch):
+        # -T_j generates the same image, and the ranks read off C stay at the
+        # prediction; only the premise T_j^2 = (q - q^-1) T_j + 1 of A = C + C T_1
+        # and of T_j(1)^2 = 1 can fail the two records
+        ranks = check_map(suite_specialization(*shape))["hecke-image-rank-agreement"].actual
+        pi_T = tensor.pi_T
+        monkeypatch.setattr(tensor, "pi_T",
+                            lambda space, i: -pi_T(space, i) if i == j else pi_T(space, i))
+        report = suite_specialization(*shape)
+        assert not report.passed
+        checks = check_map(report)
+        assert checks["hecke-image-rank-agreement"].status == "fail"
+        assert checks["hecke-image-rank-agreement"].actual == ranks
+        assert checks["classical-point-involutions"].status == "fail"
 
     def test_rejects_zero_point(self):
         with pytest.raises(ValueError):
