@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--n", type=int, required=True)
     spec.add_argument("--r", type=int, required=True)
     spec.add_argument("--points", type=str, default=None,
-                      help="comma-separated rational points, e.g. 2,3/2")
+                      help="comma-separated rational points, e.g. 2,3/2; a list "
+                           "that starts with a negative point takes the = form, "
+                           "--points=-1,1/2")
     spec.add_argument("--bound", type=int, default=None)
 
     dims = sub.add_parser("dims", parents=[stamped],

@@ -154,15 +154,12 @@ def _cancel_poly(nums: dict, p: dict) -> tuple[dict, dict | None]:
     The gcd is primitive, so by Gauss's lemma the quotients keep integer
     coefficients and p stays primitive with positive leading coefficient.
     """
-    def dense(num):
-        return _dense({e: Fraction(c) for e, c in num.items()})
-
-    g = reduce(_dense_gcd, (dense(num)[0] for num in nums.values()), dense(p)[0])
+    g = reduce(_dense_gcd, (_dense(num)[0] for num in nums.values()), _dense(p)[0])
     if len(g) == 1:
         return nums, p
 
     def divide(num):
-        coeffs, lo = dense(num)
+        coeffs, lo = _dense(num)
         return {e: int(c) for e, c in _from_dense(_dense_exact_div(coeffs, g), lo).items()}
 
     p = divide(p)

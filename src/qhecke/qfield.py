@@ -1,9 +1,16 @@
 """Exact scalars: Laurent polynomials over Q and the rational-function field Q(q).
 
-A Laurent polynomial is stored as a sparse map ``exponent -> Fraction`` with no
-zero coefficients (the zero polynomial is the empty map).  A rational function
-is a pair ``num / den`` of Laurent polynomials kept in a canonical reduced
-form, so that structural equality (``==``) decides equality in the field:
+A Laurent polynomial is stored as a sparse map ``exponent -> coefficient``
+with no zero coefficients (the zero polynomial is the empty map).  A
+coefficient is an `int` while the arithmetic keeps it integral (integer
+polynomials add and multiply without a `Fraction`) and a `Fraction` once a
+division makes it one; an integral `Fraction` and its `int` compare, hash and
+print alike, so the form of a coefficient never shows.  No division has
+two int operands: the kernels divide by a `Fraction` (``_F1 / c``, the
+content factor) or divide ints exactly (``//`` in `_dense_primitive`), so
+no float is made.  A rational function is a pair ``num / den`` of Laurent
+polynomials kept in a canonical reduced form, so that structural equality
+(``==``) decides equality in the field:
 
 * ``den`` is an ordinary polynomial (valuation 0) with integer coefficients,
   content 1 and positive leading coefficient;
@@ -23,7 +30,7 @@ Hecke layer's integer numerators and the (q^2 + 1)^k fast path of `_reduce`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Mapping, Union
 
 from .report import FrozenRecord
@@ -84,10 +91,12 @@ def _mul_terms(a: dict, b: dict, out: dict | None = None) -> dict:
     return out
 
 
-def _scale_terms(a: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
+def _div_terms(a: dict, c: Scalar) -> dict:
+    """a / c for a nonzero c; a itself, its coefficients untouched, when c is 1."""
+    if c == 1:
+        return a
+    inv = _F1 / c
+    return {e: v * inv for e, v in a.items()}
 
 
 def _shift_terms(a: dict, k: int) -> dict:
@@ -100,33 +109,33 @@ def _eval_terms(a: dict, t: Fraction) -> Fraction:
     return sum((c * t ** e for e, c in a.items()), _F0)
 
 
-def _dense(a: dict) -> tuple[list[Fraction], int]:
+def _dense(a: dict) -> tuple[list[Scalar], int]:
     """Return (coefficient list from valuation upward, valuation)."""
     if not a:
         return [], 0
     lo, hi = min(a), max(a)
-    return [a.get(e, _F0) for e in range(lo, hi + 1)], lo
+    return [a.get(e, 0) for e in range(lo, hi + 1)], lo
 
 
-def _from_dense(coeffs: list[Fraction], val: int) -> dict:
+def _from_dense(coeffs: list[Scalar], val: int) -> dict:
     return {val + i: c for i, c in enumerate(coeffs) if c}
 
 
-def _dense_trim(c: list[Fraction]) -> list[Fraction]:
+def _dense_trim(c: list[Scalar]) -> list[Scalar]:
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _dense_divmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Fraction], list[Scalar]]:
     """Polynomial division with remainder over Q (dense, low-to-high lists)."""
     a = list(a)
     _dense_trim(a)
-    db, lb = len(b) - 1, b[-1]
+    db, inv = len(b) - 1, _F1 / b[-1]
     quot = [_F0] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         k = len(a) - 1 - db
-        f = a[-1] / lb
+        f = a[-1] * inv
         quot[k] = f
         for i, bc in enumerate(b):
             a[k + i] -= f * bc
@@ -134,33 +143,28 @@ def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction],
     return quot, a
 
 
-def _dense_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction] | None:
+def _dense_exact_div(a: list[Scalar], b: list[Scalar]) -> list[Fraction] | None:
     quot, rem = _dense_divmod(a, b)
     return None if rem else quot
 
 
-def _dense_primitive(a: list[Fraction]) -> tuple[list[Fraction], Fraction]:
+def _dense_primitive(a: list[Scalar]) -> tuple[list[int], Fraction]:
     """Scale to integer coefficients, content 1, positive leading coefficient.
 
-    Returns (primitive, factor) with a == factor * primitive.
+    Returns (primitive, factor) with a == factor * primitive; the primitive
+    coefficients are ints.
     """
-    den_lcm = 1
-    for c in a:
-        if c:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    ints = [c * den_lcm for c in a]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, int(c))
+    den_lcm = _int_lcm(*(c.denominator for c in a))
+    ints = [int(c * den_lcm) for c in a]
+    g = _int_gcd(*ints)
     if g == 0:
         return list(a), _F1
     if ints[-1] < 0:
         g = -g
-    prim = [c / g for c in ints]
-    return prim, Fraction(g, den_lcm)
+    return [c // g for c in ints], Fraction(g, den_lcm)
 
 
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _dense_gcd(a: list[Scalar], b: list[Scalar]) -> list[int]:
     """Monic Euclid over Q, returned primitive with positive leading coefficient."""
     a, b = list(a), list(b)
     _dense_trim(a)
@@ -230,14 +234,14 @@ def _qp_pow(n: int) -> dict[int, int]:
 
 def _qsq_den(k: int) -> dict:
     """(q^2 + 1)^k = q^k (q + q^-1)^k, the canonical denominator for k factors."""
-    return {e + k: Fraction(c) for e, c in _qp_pow(k).items()}
+    return _shift_terms(_qp_pow(k), k)
 
 
-def _coerce_coeff(c) -> Fraction:
+def _coerce_coeff(c) -> Scalar:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)                 # a bool becomes its int
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -273,7 +277,7 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for e, c in terms.items():
                 c = _coerce_coeff(c)
@@ -293,11 +297,11 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls._raw({0: _F1})
+        return cls._raw({0: 1})
 
     @classmethod
     def q(cls, exponent: int = 1) -> "LaurentPolynomial":
-        return cls._raw({exponent: _F1})
+        return cls._raw({exponent: 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPolynomial":
@@ -412,18 +416,18 @@ def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: _F1}
+        return {}, {0: 1}
     dv = min(den)
     den0 = _shift_terms(den, -dv)
     num = _shift_terms(num, -dv)
     if len(den0) == 1:
         c = den0[0]
-        return _scale_terms(num, _F1 / c), {0: _F1}
+        return _div_terms(num, c), {0: 1}
     rest, k = _strip_qp(den0, max(den0))
     if len(rest) == 1:
         # den0 = c*(q^2+1)^k = c*q^k*(q+q^-1)^k; cancel without a general gcd
         num, s = _strip_qp(num, k)
-        return _scale_terms(_shift_terms(num, -s), _F1 / rest[k]), _qsq_den(k - s)
+        return _div_terms(_shift_terms(num, -s), rest[k]), _qsq_den(k - s)
     nv = min(num)
     ndense, _ = _dense(_shift_terms(num, -nv))
     ddense, _ = _dense(den0)

@@ -17,13 +17,15 @@ Three families of operators are built here, all with entries in Q(q):
 
 Matrices are sparse maps (row, col) -> coefficient with no stored zeros; the
 arithmetic is generic in the coefficient field, so the same class carries
-exact Q(q) entries and their rational specializations.
+exact Q(q) entries, their rational specializations and the integer multiples
+of those that `integral_specialization` makes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
@@ -446,6 +448,33 @@ class PiRepresentation:
 
 def represent(x: HeckeElement, space: GradedSpace) -> OperatorMatrix:
     return PiRepresentation(space).represent(x)
+
+
+def integral_specialization(matrix: OperatorMatrix, point) -> OperatorMatrix:
+    """A primitive integer matrix (its entries have gcd 1) that is a nonzero
+    rational multiple of the value at q = t; raises PoleError as
+    `specialize_matrix` does.
+
+    With every entry a Laurent polynomial over Z and t = a/b, entry p is
+    b^hi a^-lo p(a/b) = sum_e c_e a^(e-lo) b^(hi-e), lo and hi the least and
+    greatest exponent in the matrix, so no `Fraction` is made.  Other entries
+    are specialized and their denominators cleared.
+    """
+    t = _as_point_value(point)
+    values = set(matrix.entries.values())
+    if all(isinstance(v, RationalFunction) and len(v.den.terms) == 1 for v in values):
+        a, b = t.numerator, t.denominator
+        exps = [e for v in values for e in v.num.terms]
+        lo, hi = min(exps, default=0), max(exps, default=0)
+        at = {v: sum(c * a ** (e - lo) * b ** (hi - e) for e, c in v.num.terms.items())
+              for v in values}
+        entries = {k: at[v] for k, v in matrix.entries.items()}
+    else:
+        entries = specialize_matrix(matrix, t).entries
+    scale = lcm(*(v.denominator for v in entries.values()))
+    entries = {k: int(v * scale) for k, v in entries.items()}
+    g = gcd(*entries.values())
+    return OperatorMatrix._raw(matrix.dim, {k: v // g for k, v in entries.items() if v})
 
 
 def specialize_matrix(matrix: OperatorMatrix, point) -> OperatorMatrix:

@@ -86,6 +86,20 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["config"]["bound"] == "100"
 
+    def test_a_negative_first_point_takes_the_equals_form(self, capsys):
+        code, out, _ = run(["verify", "specialize", "--m", "1", "--n", "1",
+                            "--r", "2", "--points=-1,1/2"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["points"] == "-1,1/2"
+
+    def test_a_negative_first_point_is_read_as_an_option_without_it(self, capsys):
+        # argparse takes "-1,1/2" for an option, as the --points help says
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "specialize", "--m", "1", "--n", "1", "--r", "2",
+                      "--points", "-1,1/2"])
+        assert exc.value.code == 2
+        assert "--points: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["1/0", "0", "x", ",", "", "2,2", "2,4/2", "3/2,5,6/4"])
     def test_bad_points_exit_two(self, points, capsys):
         code, _, err = run(["verify", "specialize", "--m", "1", "--n", "1",

@@ -11,6 +11,9 @@ from qhecke.qfield import (
     Q_PLUS_QINV,
     RationalFunction,
     SpecializationPoint,
+    _dense_exact_div,
+    _dense_gcd,
+    _dense_primitive,
     _idiv_qp,
     _mul_terms,
     _qp_pow,
@@ -54,6 +57,33 @@ def term_dict_strategy(draw):
     else:
         coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
     return {e: draw(coeffs) for e in exps}
+
+
+@st.composite
+def twin_strategy(draw, rational=True):
+    """One value built twice, from int coefficients and from the same
+    coefficients as Fractions.  A denominator is a random polynomial times a
+    power of q + q^-1, so `_reduce` takes its monomial, (q^2 + 1)^k and
+    general gcd paths."""
+    ints = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9).filter(bool), max_size=4)
+    num = draw(ints)
+    den = _mul_terms(draw(ints), _qp_pow(draw(st.integers(0, 2)))) if rational else {}
+    if not den:
+        den = {0: draw(st.sampled_from([1, -1, 3]))}
+
+    def build(cast):
+        value = LaurentPolynomial({e: cast(c) for e, c in num.items()})
+        if not rational:
+            return value
+        return RationalFunction(value, LaurentPolynomial({e: cast(c) for e, c in den.items()}))
+
+    return build(int), build(Fraction)
+
+
+def _coefficients(x) -> list:
+    if isinstance(x, RationalFunction):
+        return [*x.num.terms.values(), *x.den.terms.values()]
+    return list(x.terms.values())
 
 
 def _vanishes_at_i(terms: dict) -> bool:
@@ -233,6 +263,71 @@ class TestSpecialize:
             return
         assert (a + b).specialize(t) == va + vb
         assert (a * b).specialize(t) == va * vb
+
+
+class TestIntCoefficients:
+    """Laurent coefficients stay int while integral: a value built from int
+    coefficients is the value built from the same Fractions, and no operation
+    makes a float coefficient."""
+
+    @staticmethod
+    def _assert_twins(results):
+        for x, y in results:
+            assert x == y and hash(x) == hash(y) and str(x) == str(y)
+            assert not any(isinstance(c, float) for v in (x, y) for c in _coefficients(v))
+            for t in (Fraction(5, 3), Fraction(-2)):
+                try:
+                    value = x.specialize(t) if isinstance(x, RationalFunction) else x.evaluate(t)
+                except PoleError:
+                    with pytest.raises(PoleError):
+                        y.specialize(t)
+                    continue
+                assert type(value) is Fraction
+                assert value == (y.specialize(t) if isinstance(y, RationalFunction)
+                                 else y.evaluate(t))
+
+    @given(a=twin_strategy(), b=twin_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_rational_functions_agree(self, a, b):
+        def ops(x, y):
+            out = [x, x + y, x - y, x * y, -x, x + 3, 2 * x]
+            return out + ([x / y, y.inverse()] if y else [])
+
+        self._assert_twins(zip(ops(a[0], b[0]), ops(a[1], b[1])))
+
+    @given(a=twin_strategy(rational=False), b=twin_strategy(rational=False))
+    @settings(max_examples=100, deadline=None)
+    def test_laurent_polynomials_agree_and_stay_int(self, a, b):
+        def ops(x, y):
+            rx, ry = RationalFunction(x), RationalFunction(y)
+            return [x + y, x - y, x * y, -x, x ** 2, x.bar(), x + 3,
+                    rx, rx + ry, rx - ry, rx * ry]
+
+        ints = ops(a[0], b[0])
+        self._assert_twins(zip(ints, ops(a[1], b[1])))
+        assert all(type(c) is int for x in ints for c in _coefficients(x))
+
+    def test_generators_have_int_coefficients(self):
+        for x in (LaurentPolynomial.one(), LaurentPolynomial.q(-2),
+                  LaurentPolynomial.constant(3), LaurentPolynomial({1: True}),
+                  Q_MINUS_QINV, Q_PLUS_QINV.inverse()):
+            assert all(type(c) is int for c in _coefficients(x))
+
+    @given(a=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+           b=st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_euclid_kernels_take_int_lists(self, a, b):
+        # `_dense` hands the kernels ints: no int / int may make a float
+        prim, factor = _dense_primitive(a)
+        if any(a):
+            assert all(type(c) is int for c in prim)
+            assert [factor * c for c in prim] == a
+        g = _dense_gcd(a, b)
+        assert all(type(c) is int for c in g)
+        for x in (a, b):
+            if any(x) and g:
+                quot = _dense_exact_div(x, g)
+                assert quot is not None and not any(isinstance(c, float) for c in quot)
 
 
 def test_dump_string_format():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,14 @@ import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
 import qhecke.tensor as tensor
-from qhecke.commutant import commutant_basis, draw_points, span_closure, span_equal
+from qhecke.commutant import (
+    anticommutant_basis,
+    commutant_basis,
+    draw_points,
+    span_closure,
+    span_equal,
+    trace_form_certificate,
+)
 from qhecke.hecke import HeckeAlgebra, SymmetricGroupTable
 from qhecke.partitions import predicted_dimensions
 from qhecke.qfield import RationalFunction
@@ -484,12 +492,16 @@ class TestHeckeImageFromEvenImage:
                              ids=lambda s: "-".join(map(str, s)))
     @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7), 1, 2],
                              ids=["q=2", "q=15/7", "int-1", "int-2"])
-    def test_scaled_even_generators_are_the_xs_at_a_point(self, shape, point):
-        # an int point is taken as a Fraction: its scale must not be a float
+    def test_even_generators_at_a_point_are_proportional_to_the_xs(self, shape, point):
+        # integer matrices of content 1, each a nonzero multiple of X_i(t)
         rep = PiRepresentation(GradedSpace(*shape))
         x_gens = suites._even_generators(suites._hecke_generators(rep)[2], point)
-        assert x_gens == [specialize_matrix(x, point) for x in rep.x_matrices()]
-        assert all(type(v) is Fraction for x in x_gens for v in x.entries.values())
+        for scaled, x in zip(x_gens, rep.x_matrices(), strict=True):
+            value = specialize_matrix(x, point)
+            assert all(type(v) is int for v in scaled.entries.values())
+            assert gcd(*scaled.entries.values()) == 1
+            key = next(iter(value.entries))
+            assert value.scale(Fraction(scaled.entries[key]) / value.entries[key]) == scaled
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 0, 3)], ids=["1-1-3", "2-0-3"])
     def test_even_image_from_laurent_generators_has_the_length_of_c(self, shape):
@@ -501,7 +513,8 @@ class TestHeckeImageFromEvenImage:
     @staticmethod
     def _recorded_closures(monkeypatch):
         """The generator lists of every closure the suites run, and the T's:
-        generic, at the drawn points and at q = 1."""
+        generic, and at the drawn points and at q = 1 both as values and as
+        the integer multiples the suites evaluate."""
         closed, closure = [], suites.span_closure
 
         def recording(gens):
@@ -510,9 +523,10 @@ class TestHeckeImageFromEvenImage:
 
         monkeypatch.setattr(suites, "span_closure", recording)
         return closed, lambda shape: {
-            g if t is None else specialize_matrix(g, t)
+            g if t is None else evaluate(g, t)
             for g in PiRepresentation(GradedSpace(*shape)).t_matrices()
-            for t in [None, Fraction(1), *draw_points(0)]}
+            for t in [None, Fraction(1), *draw_points(0)]
+            for evaluate in (specialize_matrix, tensor.integral_specialization)}
 
     @pytest.mark.parametrize("shape, mode", [((2, 1, 3), "specialized"), ((1, 1, 3), "exact"),
                                              ((2, 0, 4), "specialized")],
@@ -536,6 +550,47 @@ class TestHeckeImageFromEvenImage:
         assert suite_specialization(*shape).passed
         assert len(closed) == 3 and all(len(gens) == shape[2] - 2 for gens in closed)
         assert not any(g in ts(shape) for gens in closed for g in gens)
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((1, 1, 3), "6682e1c25ce59366899ce8e857bf039fd9fa6417e0f63f17a19f6d3fbef11df8"),
+        ((2, 1, 3), "25b52c40549ecce23eff3ab38ca2469a7e13ee1ff19ef1f52806fa1d062c15cd"),
+    ], ids=["1-1-3", "2-1-3"])
+    def test_specialize_closes_c_once_per_distinct_point(self, shape, digest, monkeypatch):
+        # q = 1 among the points: its ranks serve the classical-point record too
+        closed, _ = self._recorded_closures(monkeypatch)
+        report = suite_specialization(*shape, points=[1, -1])
+        assert len(closed) == 2
+        text = json.dumps(report.as_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestIntegerGeneratorsAtAPoint:
+    """At a point the suites evaluate each generator as an integer multiple
+    of its value (`integral_specialization`).  Spans, and so the lengths of
+    closures, commutants and anticommutants and the trace form's (verdict,
+    length), do not move: the `specialize_matrix` generators are the
+    oracle."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (1, 1, 4), (2, 0, 4), (2, 2, 2)],
+                             ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("point", [Fraction(15, 7), Fraction(-3, 2)],
+                             ids=["q=15/7", "q=-3/2"])
+    def test_lengths_equal_those_of_the_values(self, shape, point):
+        space = GradedSpace(*shape)
+        rep = PiRepresentation(space)
+        _, ys, x_tilde = suites._hecke_generators(rep)
+        families = {"T": rep.t_matrices(), "rho": [g for _, g in rho_generators(space)],
+                    "Y": ys, "X~": x_tilde}
+        for name, gens in families.items():
+            if not gens:
+                continue
+            lengths = []
+            for evaluate in (tensor.integral_specialization, specialize_matrix):
+                at = [evaluate(g, point) for g in gens]
+                alg = span_closure(at)
+                lengths.append((len(alg), len(commutant_basis(at)),
+                                len(anticommutant_basis(at)), trace_form_certificate(alg)))
+            assert lengths[0] == lengths[1], name
 
 
 class TestSpecializationSuite:

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhecke.hecke import HeckeAlgebra, generator_sequence, goldman_eigenproject
 from qhecke.qfield import (
@@ -26,6 +28,7 @@ from qhecke.tensor import (
     rho_generators,
     rho_sigma,
     rho_weight,
+    integral_specialization,
     sign_permutation_matrix,
     specialize_matrix,
 )
@@ -328,6 +331,52 @@ class TestSpecialize:
         mat = OperatorMatrix(3, {(0, 0): root, (0, 1): Q, (1, 2): root, (2, 2): root})
         spec = specialize_matrix(mat, 2)
         assert spec.entries == {(0, 1): Fraction(2)}
+
+
+@st.composite
+def laurent_matrix_strategy(draw):
+    """A 3 x 3 matrix of Laurent entries with int or Fraction coefficients;
+    some entries may vanish at the sampled points."""
+    coeffs = draw(st.sampled_from([
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5)]))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.dictionaries(st.integers(-3, 3), coeffs, max_size=3), max_size=9))
+    return OperatorMatrix(3, {k: RationalFunction(LaurentPolynomial(v))
+                              for k, v in entries.items()})
+
+
+class TestIntegralSpecialization:
+    """An integer matrix of content 1 proportional to the value at q = t."""
+
+    @staticmethod
+    def _assert_proportional(scaled, value):
+        assert all(type(v) is int for v in scaled.entries.values())
+        assert scaled.entries.keys() == value.entries.keys()
+        if value.entries:
+            assert gcd(*scaled.entries.values()) == 1
+            key = next(iter(value.entries))
+            lam = Fraction(scaled.entries[key]) / value.entries[key]
+            assert value.scale(lam) == scaled
+
+    @given(mat=laurent_matrix_strategy(),
+           t=st.sampled_from([1, -1, 2, Fraction(15, 7), Fraction(-3, 2)]))
+    @settings(max_examples=120, deadline=None)
+    def test_is_a_primitive_multiple_of_the_value(self, mat, t):
+        self._assert_proportional(integral_specialization(mat, t),
+                                  specialize_matrix(mat, t))
+
+    @pytest.mark.parametrize("t", [Fraction(7, 3), Fraction(-2)])
+    def test_non_laurent_entries_are_specialized_and_cleared(self, t):
+        mat = pi_Tprime(GradedSpace(1, 1, 2), 1)
+        self._assert_proportional(integral_specialization(mat, t),
+                                  specialize_matrix(mat, t))
+
+    def test_pole_names_entry(self):
+        bad = RationalFunction(LaurentPolynomial.one(), LaurentPolynomial({1: 1, 0: -1}))
+        with pytest.raises(PoleError, match="entry 0,1"):
+            integral_specialization(OperatorMatrix(2, {(0, 1): bad, (1, 1): Q}), 1)
 
 
 def test_dump_lines_format_and_truncation():
