@@ -2,13 +2,13 @@
 
 Vectors are sparse maps column -> coefficient; matrices enter flattened
 row-major.  One elimination engine, `LinearSpan` and `_echelon_nullspace`,
-serves every field.  It only needs ``+ - * /``, truthiness for zero tests
-and ``1 / c`` for inverses, so it runs over Q(q) (exact mode) and over Q at a
-specialization point; given a prime modulus p it runs over F_p on plain
-ints, takes every entry it writes mod p and inverts with ``pow(c, -1, p)``.
-Pivots are chosen at the first nonzero column in lexicographic position, and
-a vector's residual modulo a span does not depend on the order its rows are
-applied in, which makes every produced basis deterministic.
+serves every field: over Q(q) (exact mode) with ``+ - * /``; over Q at a
+specialization point fraction-free, on ints (`LinearSpan`); given a prime
+modulus p over F_p on plain ints, taking every entry it writes mod p and
+inverting with ``pow(c, -1, p)``.  Pivots are chosen at the first nonzero
+column in lexicographic position, and a vector's residual modulo a span does
+not depend on the order its rows are applied in, which makes every produced
+basis deterministic.
 
 `LinearSpan` indexes its rows by pivot column, so reducing a vector touches
 only the rows whose pivots the vector (or its running residual) reaches, not
@@ -149,16 +149,26 @@ class ClosureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class LinearSpan:
-    """Row space with incremental insertion; rows are pivot-normalized.
+    """Row space with incremental insertion.
 
-    Each stored row has coefficient 1 at its pivot, its smallest column, and 0
-    at the pivots of the rows stored before it.  Hence a vector's residual
-    modulo the span -- the vector minus the combination of rows that clears
-    every pivot column -- is unique, whatever order the rows are applied in.
+    Each stored row is nonzero at its pivot, its smallest column, and 0 at the
+    pivots of the rows stored before it.  Hence a vector's residual modulo the
+    span -- the vector minus the combination of rows that clears every pivot
+    column -- is unique, whatever order the rows are applied in.
+
+    Over Q(q) rows are 1 at their pivot.  Over Q (no ``modulus``) they are
+    primitive int vectors with a positive pivot entry, and a `Fraction`
+    vector is scaled to ints as it enters; `_clear` takes integer
+    combinations only and gives the vector times a nonzero integer minus a
+    combination of rows that clears every pivot: a nonzero multiple of the
+    unique residual, 0 exactly when it is and spanning its line, so rank and
+    membership are exact without a `Fraction`.  `reduce` divides that
+    multiplier out; `rows` divides each row by its pivot entry.
 
     With a prime ``modulus`` p the span lies over F_p: entries are ints, every
-    entry it writes is taken mod p, and pivots are inverted by ``pow(c, -1,
-    p)``.  Vectors given to it must hold no entry that is 0 mod p.
+    entry it writes is taken mod p, rows are 1 at their pivot, and pivots are
+    inverted by ``pow(c, -1, p)``.  Vectors given to it must hold no entry
+    that is 0 mod p.
     """
 
     __slots__ = ("_by_pivot", "_modulus")
@@ -169,36 +179,57 @@ class LinearSpan:
 
     @property
     def rows(self) -> list[tuple[int, dict]]:
-        """(pivot column, row vector) pairs in insertion order."""
-        return list(self._by_pivot.items())
+        """(pivot column, row vector) pairs in insertion order, each row 1 at
+        its pivot."""
+        return [(pivot, row if type(d := row[pivot]) is not int or d == 1
+                 else {col: Fraction(v, d) for col, v in row.items()})
+                for pivot, row in self._by_pivot.items()]
 
     @property
     def rank(self) -> int:
         return len(self._by_pivot)
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec modulo the span (vec is not modified).
+        """Residual of vec modulo the span (vec is not modified): over Q the
+        residual up to scale of `_clear`, divided by its multiplier."""
+        res = dict(vec)
+        scale = self._clear(res)
+        return res if scale == 1 else {col: Fraction(v, scale) for col, v in res.items()}
+
+    def _clear(self, vec: dict) -> int:
+        """`reduce` in place up to scale: vec becomes m times its residual, for
+        the returned multiplier m (1 except over Q).
 
         The pivot columns present in the residual wait in a heap and are
         cleared smallest first.  A row with pivot k only adds columns > k, so
         a cleared pivot never returns and rows the residual never reaches are
-        not visited.
+        not visited.  Over Q, vec is scaled to ints first.
         """
-        return self._clear(dict(vec))
-
-    def _clear(self, vec: dict) -> dict:
-        """`reduce` in place: vec becomes its residual."""
         by_pivot, p = self._by_pivot, self._modulus
+        scale = 1
+        if p is None and Fraction in map(type, vec.values()):
+            scale, ints = _integer_form(vec)
+            vec.update(ints)
         heap = [col for col in vec if col in by_pivot]
         heapq.heapify(heap)
         while heap:
             pivot = heapq.heappop(heap)
-            c = vec.pop(pivot, None)     # the row's 1 there clears it
+            c = vec.pop(pivot, None)
             if not c:                    # cancelled after it was queued
                 continue
+            row = by_pivot[pivot]
+            d = row[pivot]
+            if type(d) is int and d != 1:    # over Q: vec <- (d/g) vec - (c/g) row
+                g = gcd(c, d)
+                if g != d:
+                    f = d // g
+                    scale *= f
+                    for col, v in vec.items():
+                        vec[col] = v * f
+                c //= g
             c = -c                       # negated once per row, not per entry
             # hand-written: a new pivot key is pushed onto the heap (an _axpy form is ~2% slower)
-            for col, v in by_pivot[pivot].items():
+            for col, v in row.items():
                 if col == pivot:
                     continue
                 s = vec.get(col)
@@ -212,37 +243,50 @@ class LinearSpan:
                         vec[col] = s
                     else:
                         del vec[col]
-        return vec
+        return scale
 
     def add(self, vec: dict) -> bool:
         """Insert vec if independent; returns True when the rank grew."""
-        return self._insert(self._clear(dict(vec)))
+        res = dict(vec)
+        self._clear(res)
+        return self._insert(res)
 
     def _insert(self, res: dict) -> bool:
-        """Store a residual as a new row, normalized at its pivot, if nonzero."""
+        """Store a residual as a new row, if nonzero: over Q primitive with a
+        positive pivot entry, else normalized to 1 at its pivot."""
         if not res:
             return False
         pivot = min(res)
         c, p = res[pivot], self._modulus
-        if p is None:
-            inv = Fraction(1, c) if isinstance(c, int) else 1 / c
-            self._by_pivot[pivot] = {col: v * inv for col, v in res.items()}
-        else:
+        if p is not None:
             inv = pow(c, -1, p)
-            self._by_pivot[pivot] = {col: v * inv % p for col, v in res.items()}
+            res = {col: v * inv % p for col, v in res.items()}
+        elif type(c) is int:
+            g = gcd(*res.values()) if c > 0 else -gcd(*res.values())
+            if g != 1:
+                res = {col: v // g for col, v in res.items()}
+        else:
+            inv = 1 / c
+            res = {col: v * inv for col, v in res.items()}
+        self._by_pivot[pivot] = res
         return True
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def _back_eliminate(self) -> None:
-        """Bring the rows to reduced row echelon form in place, largest pivot
-        first: a finished row is 0 at every other pivot, so reducing a row
-        modulo the finished ones clears its entries at their pivots and adds
-        no other."""
+        """Bring the rows to reduced row echelon form, largest pivot first: a
+        finished row is 0 at every other pivot, so reducing a row modulo the
+        finished ones clears its entries at their pivots and adds no other.
+        A Q row that was scaled is made primitive again."""
         done = LinearSpan(self._modulus)
         for pivot in sorted(self._by_pivot, reverse=True):
-            done._by_pivot[pivot] = done._clear(self._by_pivot[pivot])
+            row = self._by_pivot[pivot]
+            if done._clear(row) == 1:
+                done._by_pivot[pivot] = row
+            else:
+                done._insert(row)
+        self._by_pivot.update(done._by_pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +334,7 @@ def _infer_one(matrices: Iterable[OperatorMatrix]):
     for m in matrices:
         for v in m.entries.values():
             if isinstance(v, (Fraction, int)):
-                return Fraction(1)
+                return 1
             return RationalFunction.one()
     return RationalFunction.one()
 
@@ -343,12 +387,13 @@ def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
     span = LinearSpan(modulus)
     by_pivot, clear, insert = span._by_pivot, span._clear, span._insert
     for row in rows:
-        insert(clear(row))
+        clear(row)
+        insert(row)
     span._back_eliminate()
     # one basis vector per free column; a reduced row has its non-pivot
     # entries in free columns only
     basis = {free: {free: one} for free in range(ncols) if free not in by_pivot}
-    for pivot, row in by_pivot.items():
+    for pivot, row in span.rows:
         for col, v in row.items():
             if col != pivot:
                 basis[col][pivot] = -v
@@ -463,10 +508,10 @@ def _reconstruct(a: int, p: int) -> Fraction | None:
     return Fraction(r1 if s1 > 0 else -r1, abs(s1))
 
 
-def _integer_form(entries: dict) -> dict:
-    """The entries (in Q) times the lcm of their denominators, as ints."""
+def _integer_form(entries: dict) -> tuple[int, dict]:
+    """The lcm of the entries' denominators (in Q) and the entries times it."""
     den = lcm(*(v.denominator for v in entries.values()))
-    return {key: v.numerator * (den // v.denominator) for key, v in entries.items()}
+    return den, {key: v.numerator * (den // v.denominator) for key, v in entries.items()}
 
 
 def _commutator_test(g: OperatorMatrix, sign: int):
@@ -475,7 +520,7 @@ def _commutator_test(g: OperatorMatrix, sign: int):
     homogeneous equation allows."""
     g_rows: dict[int, list] = {}
     g_cols: dict[int, list] = {}
-    for (a, b), w in _integer_form(g.entries).items():
+    for (a, b), w in _integer_form(g.entries)[1].items():
         g_rows.setdefault(a, []).append((b, w))
         g_cols.setdefault(b, []).append((a, w))
 
@@ -515,7 +560,7 @@ def _nullspace_at_point(mats: list[OperatorMatrix], sign: int,
             vec[col] = lifted[v]
     tests = [_commutator_test(g, sign) for g in mats]
     for vec in vecs:
-        x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
+        _, x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
         if not all(solves(x) for solves in tests):
             return None
     return vecs
@@ -525,7 +570,7 @@ def _nullspace(mats: list[OperatorMatrix], sign: int, dim: int) -> list[dict]:
     """Reduced-echelon basis of {X : X*G = sign*G*X for every G in mats}:
     certified mod p at a point, else eliminated over the entries' field."""
     one = _infer_one(mats)
-    if isinstance(one, Fraction):
+    if type(one) is int:
         vecs = _nullspace_at_point(mats, sign, dim)
         if vecs is not None:
             return vecs
@@ -581,10 +626,10 @@ def _inverse_mod(rows: list[dict], p: int, invert: bool = True) -> list[dict] | 
     for i, row in enumerate(rows):
         if invert:
             row[n + i] = 1
-        res = span._clear(row)
-        if not res or min(res) >= n:    # M's part of the row is cleared: singular
+        span._clear(row)
+        if not row or min(row) >= n:    # M's part of the row is cleared: singular
             return None
-        span._insert(res)
+        span._insert(row)
     if not invert:
         return []
     span._back_eliminate()

@@ -157,7 +157,9 @@ B.  The trace form's verdict and the Casimir's tr(Omega^-1) belong to the
 algebra C, not to its basis: a rescaled basis has the Gram M G M, M diagonal
 and invertible; where M is not a unit mod p = 2^127 - 1 the certificate may
 decline, and then the eliminations give the same lengths.  So every record
-at t is that of the values g(t).  The exact values stay where they
+at t is that of the values g(t).  The unit of a closure at t is the int 1
+and `LinearSpan` eliminates over Q fraction-free, so the closures, their
+spans and the residuals of C T_1 hold ints.  The exact values stay where they
 are read: the classical-point comparison of `verify specialize`,
 `commutant.certified_rank` and `dump`.
 
@@ -368,7 +370,7 @@ def _schur_weyl_core(report: Report, point, space: GradedSpace,
     if point is None:
         one = RationalFunction.one()
     else:
-        one = Fraction(1)
+        one = 1
         t_gens = [integral_specialization(g, point) for g in t_gens]
         rho_gens = [integral_specialization(g, point) for g in rho_gens]
     a_alg = _closure_of(t_gens, space.dim, one)
@@ -451,19 +453,24 @@ def _even_generators(x_tilde: list[OperatorMatrix], point) -> list[OperatorMatri
 def _images(x_tilde: list[OperatorMatrix], t1: OperatorMatrix, dim: int, point):
     """(C, len(A)) over Q(q), or at q = t: C closed from the X~_i, and, given
     the quadratic, A = C + C T_1 (module docstring), so len(A) is len(C) plus
-    the rank of the residuals of the c T_1 modulo C."""
-    one = RationalFunction.one() if point is None else Fraction(1)
+    the rank of the residuals of the c T_1 modulo C, which a residual up to
+    scale (`LinearSpan._clear`) gives."""
+    one = RationalFunction.one() if point is None else 1
     c_alg = _closure_of(_even_generators(x_tilde, point), dim, one)
     t1 = t1 if point is None else integral_specialization(t1, point)
     c_span, residuals = c_alg.span(), LinearSpan()
-    return c_alg, len(c_alg) + sum(residuals.add(c_span.reduce((c * t1).flatten()))
-                                   for c in c_alg.elements)
+    rank = 0
+    for c in c_alg.elements:
+        vec = (c * t1).flatten()
+        c_span._clear(vec)
+        rank += residuals.add(vec)
+    return c_alg, len(c_alg) + rank
 
 
 def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
                           quadratic: bool, t1: OperatorMatrix,
                           x_tilde: list[OperatorMatrix], square=None) -> None:
-    one = RationalFunction.one() if point is None else Fraction(1)
+    one = RationalFunction.one() if point is None else 1
     dim = space.dim
 
     def mat(matrix):

@@ -28,6 +28,9 @@ ALT_CENTRALIZER_PINS = [
                  "b47a56f36e0d5e48baabcb84263b511ef70fad2806d1d6a498d2d6a046379573", id="2-0-4"),
     pytest.param(["--m", "1", "--n", "1", "--r", "4"],
                  "98f60ad013660fe0e292f7698fb8f63cea18f454afa91d8d20897ac0a2f65895", id="1-1-4"),
+    # the square block at dimension 81, where closing C and B dominates
+    pytest.param(["--m", "2", "--n", "2", "--r", "3"],
+                 "183053b1e8bea6a28189a4a8782d86bc0d05ca7686d35dc1830e6ccc2d144bf0", id="2-2-3"),
 ]
 ALT_CENTRALIZER_SEED_7 = (["--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
                           "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38")
@@ -254,7 +257,10 @@ class TestGoldenOutput:
          "74d05b6a85a2dd62110173cf8698f5e258e36399aeb1bf858787f6146b172848"),
         (["--m", "2", "--n", "1", "--r", "2"],
          "307484b02fe299dbea3e01dc8d8007e64d0989ab314e6492900452089d39a921"),
-    ], ids=["1-1-3", "1-1-3-specialized", "2-0-4", "1-1-4-exact", "2-1-2"])
+        # closures of 42 and 56 elements at dimension 32, where the closure dominates
+        (["--m", "2", "--n", "0", "--r", "5"],
+         "84eccba4cef0667ac1099e1382620511e178a85f054d0b88b3170df7f11d2730"),
+    ], ids=["1-1-3", "1-1-3-specialized", "2-0-4", "1-1-4-exact", "2-1-2", "2-0-5"])
     def test_schur_weyl_report_bytes_are_pinned(self, args, digest, tmp_path):
         path = tmp_path / "r.json"
         code = cli.main(["verify", "schur-weyl", *args, "--seed", "0", "--out", str(path)])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +214,47 @@ class TestLinearSpan:
         for vec in rows + probes:
             expected = dense_residual_mod(vec, rref, NCOLS, modulus)
             assert canonical(span.reduce(vec)) == expected
+            assert span.contains(vec) == (not expected)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fraction_free_rows_match_elimination_over_fractions(self, data):
+        # int vectors with multi-limb entries mixed with Fraction vectors: the
+        # stored rows are primitive ints with a positive pivot entry, and rank,
+        # rows and residuals are those of elimination over Fraction
+        big = st.integers(-2**90, 2**90).filter(bool)
+        vectors = st.one_of(
+            st.dictionaries(st.integers(0, NCOLS - 1), big, min_size=1, max_size=5), _sparse)
+        base = data.draw(st.lists(vectors, min_size=1, max_size=7))
+        rows = list(base)
+        for i, j, a, b in data.draw(st.lists(
+                st.tuples(st.integers(0, len(base) - 1), st.integers(0, len(base) - 1),
+                          st.one_of(big, _coeffs), _coeffs), max_size=4)):
+            comb = {col: a * base[i].get(col, 0) + b * base[j].get(col, 0)
+                    for col in base[i].keys() | base[j].keys()}
+            rows.append({col: v for col, v in comb.items() if v})
+        rows = [row for row in data.draw(st.permutations(rows)) if row]
+        probes = data.draw(st.lists(vectors, max_size=4))
+
+        span = LinearSpan()
+        for k, row in enumerate(rows):
+            rref = dense_rref(rows[:k], NCOLS)
+            new = dense_residual(row, rref, NCOLS)
+            assert span.add(row) == bool(new)
+            assert span.rank == len(rref) + bool(new)
+            if new:   # the new row is the residual, divided by its pivot entry
+                pivot, stored = span.rows[-1]
+                assert pivot == min(new)
+                assert stored == {col: v / new[pivot] for col, v in new.items()}
+        for pivot, row in span._by_pivot.items():
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1 and row[pivot] > 0 and min(row) == pivot
+        for pivot, row in span.rows:
+            assert row[pivot] == 1
+        rref = dense_rref(rows, NCOLS)
+        for vec in rows + probes:
+            expected = dense_residual(vec, rref, NCOLS)
+            assert span.reduce(vec) == expected
             assert span.contains(vec) == (not expected)
 
 

@@ -592,6 +592,49 @@ class TestIntegerGeneratorsAtAPoint:
                                 len(anticommutant_basis(at)), trace_form_certificate(alg)))
             assert lengths[0] == lengths[1], name
 
+    @staticmethod
+    def _all_ints(span):
+        return all(type(v) is int for row in span._by_pivot.values() for v in row.values())
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (2, 1, 2)], ids=["2-1-3", "2-1-2"])
+    def test_even_image_and_its_residuals_hold_no_fraction(self, shape, monkeypatch):
+        # integer generators, the int unit and fraction-free elimination keep
+        # C, its span and the span of the residuals of the c T_1 on ints; at
+        # r = 2 C is the unit alone
+        residual_spans = []
+
+        class Recording(commutant.LinearSpan):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                residual_spans.append(self)
+
+        monkeypatch.setattr(suites, "LinearSpan", Recording)
+        space = GradedSpace(*shape)
+        rep = PiRepresentation(space)
+        c_alg, dim_a = suites._images(suites._hecke_generators(rep)[2], rep.t_matrix(1),
+                                      space.dim, draw_points(0)[0])
+        (residuals,) = residual_spans
+        assert dim_a == len(c_alg) + residuals.rank > len(c_alg)
+        assert all(type(v) is int for m in c_alg.elements for v in m.entries.values())
+        assert self._all_ints(c_alg.span()) and self._all_ints(residuals)
+
+    def test_square_block_closures_hold_no_fraction(self, monkeypatch):
+        # every closure of the (2,2,3) run, B's in the square block included
+        closures, closure_of = [], suites._closure_of
+
+        def recording(gens, dim, one):
+            closures.append(closure_of(gens, dim, one))
+            return closures[-1]
+
+        monkeypatch.setattr(suites, "_closure_of", recording)
+        assert suite_alt_centralizer(2, 2, 3, seed=0).passed
+        assert len(closures) == 2    # C, then B; all records pass at the first point
+        for alg in closures:
+            assert all(type(v) is int for m in alg.elements for v in m.entries.values())
+            assert self._all_ints(alg.span())
+
 
 class TestSpecializationSuite:
     def test_defaults(self):
