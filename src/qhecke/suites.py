@@ -4,7 +4,10 @@ Each suite runs a deterministic list of exact checks (seeded where sampling
 is involved) and returns a `Report`.  One routine, `hecke.relation_failures`,
 checks t_i^2 = a t_i + 1, the braids with correction c (t_i - t_{i+1}) and far
 commutation: (a, c) = (q - q^-1, 0) for the T_i and the Goldman images G_i,
-(0, -u^2) for the T'_i; the X_i have theirs in `x_relation_failures`.  In
+(0, -u^2) for the T'_i.  The T'_i relations imply the cubic presentation of
+the X_i = T'_1 T'_{i+1} (the `alternating` docstring), so both Hecke suites
+decide ``even-generator-relations`` from that one test and multiply no X_i;
+a failed T' relation fails the record and is named in it.  In
 `suite_alt`, ``even-basis-closure`` is a proof at every rank from generator
 relations only (`check_even_closure`): the G_i = (q - q^-1) - T_i satisfy the
 Hecke relations, so the Goldman map is an algebra map by Matsumoto's theorem,
@@ -175,7 +178,7 @@ from fractions import Fraction
 from math import factorial
 
 from .alternating import add_crossed_records, check_even_closure, enumerate_even_basis, \
-    verify_crossed_product_H, x_relation_failures
+    verify_crossed_product_H
 from .commutant import (
     EXACT_DIM_BOUND,
     AlgebraBasis,
@@ -234,6 +237,19 @@ def _add_relations(report: Report, name: str, failures: list[str]) -> None:
                actual="; ".join(failures) or "all hold")
 
 
+def _tprime_failures(algebra: HeckeAlgebra) -> list[str]:
+    """The failed relations of the T'_i: (a, c) = (0, -u^2)."""
+    return relation_failures({i: algebra.tprime(i) for i in range(1, algebra.rank)},
+                             a=0, c=-U_SQUARED)
+
+
+def _add_even_relations(report: Report, r: int, tprime_failures: list[str]) -> None:
+    """``even-generator-relations`` (r >= 3), implied by the T'_i relations."""
+    if r >= 3:
+        _add_relations(report, "even-generator-relations",
+                       [f"T' {f}" for f in tprime_failures])
+
+
 def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     """Relations, even-basis counting, and the crossed-product presentation."""
     if not 2 <= r <= bound:
@@ -242,11 +258,9 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
     algebra = HeckeAlgebra(r)
     _add_relations(report, "generator-relations",
                    relation_failures({i: algebra.generator(i) for i in range(1, r)}))
-    _add_relations(report, "involutive-generator-relations",
-                   relation_failures({i: algebra.tprime(i) for i in range(1, r)},
-                                     a=0, c=-U_SQUARED))
-    if r >= 3:
-        _add_relations(report, "even-generator-relations", x_relation_failures(r))
+    tprime_failures = _tprime_failures(algebra)
+    _add_relations(report, "involutive-generator-relations", tprime_failures)
+    _add_even_relations(report, r, tprime_failures)
     report.checks += verify_crossed_product_H(r, seed=seed).checks
     return report
 
@@ -266,8 +280,7 @@ def suite_alt(r: int, *, bound: int = 6) -> Report:
                actual="closed" if not failures else f"{len(failures)} relations fail",
                witness="; ".join(failures) or None)
 
-    if r >= 3:
-        _add_relations(report, "even-generator-relations", x_relation_failures(r))
+    _add_even_relations(report, r, _tprime_failures(HeckeAlgebra(r)))
     # the closure premises give gamma(T'_w) = (-1)^l(w) T'_w for every w
     report.add("membership-matches-even-support", not failures)
     return report

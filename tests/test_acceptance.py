@@ -16,7 +16,6 @@ from qhecke.alternating import (
     enumerate_even_basis,
     odd_word_count,
     verify_crossed_product_H,
-    x_relation_failures,
 )
 from qhecke.commutant import (
     certified_rank,
@@ -39,7 +38,7 @@ from qhecke.tensor import (
     sign_permutation_matrix,
     specialize_matrix,
 )
-from test_alternating import column_violations
+from test_alternating import column_violations, x_relation_failures
 from test_crossed import hecke_crossed_failures
 
 COMMUTATION_CASES = [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2), (2, 2, 2), (2, 0, 3)]

@@ -12,8 +12,9 @@ from qhecke.alternating import (
     verify_crossed_product_H,
     x_generator,
 )
-from qhecke import hecke
+from qhecke import alternating, hecke
 from qhecke.hecke import (
+    U_SQUARED,
     HeckeAlgebra,
     SymmetricGroupTable,
     _lc_to_rf,
@@ -81,7 +82,49 @@ class TestMembership:
             assert is_in_alt(x) == goldman_eigenproject(x, -1).is_zero
 
 
+def x_relation_failures(rank):
+    """The oracle for ``even-generator-relations``, which the suites decide from
+    the T'_i relations: the relations of the X_i that fail, by multiplying them
+    (none below rank 3).  The cubic y^3 = -u^2 (y^2 - y) + 1 at X_1 and each
+    X_{i-1} X_i, X_i^2 = 1 for i >= 2, and (X_i X_j)^2 = 1 for |i - j| > 1, in
+    both orders."""
+    xs = {i: alternating.x_generator(rank, i) for i in range(1, rank - 1)}
+    one = HeckeAlgebra(rank).one()
+
+    def involution_fails(y):
+        return y * y != one
+
+    def cubic_fails(y):
+        y2 = y * y
+        return y2 * y != -U_SQUARED * (y2 - y) + one
+
+    failures = ["cubic at X_1"] if xs and cubic_fails(xs[1]) else []
+    for i in range(2, rank - 1):
+        if involution_fails(xs[i]):
+            failures.append(f"involution at X_{i}")
+        if cubic_fails(xs[i - 1] * xs[i]):
+            failures.append(f"pair cubic at X_{i-1}X_{i}")
+    failures += [f"far involution at X_{i}X_{j}" for i in xs for j in xs
+                 if abs(i - j) > 1 and involution_fails(xs[i] * xs[j])]
+    return failures
+
+
 class TestXGenerators:
+    @pytest.mark.parametrize("rank", [3, 4, 5, 6])
+    def test_suites_agree_with_the_oracle(self, rank):
+        verdict = "fail" if x_relation_failures(rank) else "pass"
+        for suite in (suite_hecke, suite_alt):
+            checks = {c.name: c for c in suite(rank).checks}
+            assert checks["even-generator-relations"].status == verdict, suite
+
+    def test_oracle_names_the_relations_of_a_scaled_x1(self, monkeypatch):
+        build = alternating.x_generator
+        monkeypatch.setattr(alternating, "x_generator",
+                            lambda rank, i: build(rank, i) * 2 if i == 1 else build(rank, i))
+        assert x_relation_failures(5) == [
+            "cubic at X_1", "pair cubic at X_1X_2", "far involution at X_1X_3",
+            "far involution at X_3X_1"]
+
     def test_square_one_beyond_first(self):
         one = HeckeAlgebra(5).one()
         for i in (2, 3):

@@ -6,7 +6,6 @@ from math import gcd
 
 import pytest
 
-import qhecke.alternating as alternating
 import qhecke.cli as cli
 import qhecke.commutant as commutant
 import qhecke.suites as suites
@@ -62,10 +61,11 @@ class TestHeckeSuite:
         assert check_map(report)["decomposition-dims"].actual == "(1, 1)"
 
     def test_rank6_product_count_is_bounded(self, monkeypatch):
-        # the products are the relation checks and the premises T'_1^2 = 1 and
-        # `check_even_closure`, from which the crossed-product records are
-        # decided; a sampled or repeated product that creeps back shows here
-        # without timing
+        # the products are the T and T' relation checks and the premises
+        # T'_1^2 = 1 and `check_even_closure`, from which the crossed-product
+        # records are decided; the X_i relations are read off the T' ones.  A
+        # sampled, repeated or X product that creeps back shows here without
+        # timing
         calls, units = [], []
         elem_mul = SymmetricGroupTable.elem_mul
 
@@ -75,7 +75,7 @@ class TestHeckeSuite:
 
         monkeypatch.setattr(SymmetricGroupTable, "elem_mul", counted)
         assert suite_hecke(6, seed=0).passed
-        assert len(calls) <= 130 and len(calls) + len(units) <= 130
+        assert len(calls) <= 100 and len(calls) + len(units) <= 100
 
     @staticmethod
     def scale_second(monkeypatch, owner, name):
@@ -96,18 +96,18 @@ class TestHeckeSuite:
         assert (record.status, record.actual) == ("fail", "quadratic at i=2; braid at i=1")
         assert checks["generator-relations"].status == "pass"
 
-    @pytest.mark.parametrize("suite", [suite_hecke, suite_alt])
-    def test_scaled_x1_fails_the_even_relations(self, suite, monkeypatch):
-        build = alternating.x_generator
-        monkeypatch.setattr(alternating, "x_generator",
-                            lambda rank, i: build(rank, i) * 2 if i == 1 else build(rank, i))
+    @pytest.mark.parametrize("suite, failed", [
+        (suite_hecke, ["involutive-generator-relations", "even-generator-relations"]),
+        (suite_alt, ["even-generator-relations"]),
+    ], ids=["suite_hecke", "suite_alt"])
+    def test_scaled_tprime_fails_the_even_relations(self, suite, failed, monkeypatch):
+        # the X_i relations are decided from the T'_i ones, so a broken T'_2
+        # fails them and the record names the T' relations that fail
+        self.scale_second(monkeypatch, HeckeAlgebra, "tprime")
         checks = check_map(suite(5))
-        record = checks["even-generator-relations"]
-        assert (record.status, record.actual) == (
-            "fail", "cubic at X_1; pair cubic at X_1X_2; far involution at X_1X_3; "
-                    "far involution at X_3X_1")
-        assert [c.name for c in checks.values() if c.status == "fail"] == [
-            "even-generator-relations"]
+        assert [c.name for c in checks.values() if c.status == "fail"] == failed
+        assert checks["even-generator-relations"].actual == (
+            "T' quadratic at i=2; T' braid at i=1; T' braid at i=2")
 
     def test_out_of_range(self):
         with pytest.raises(SizeBoundError):
