@@ -2,13 +2,14 @@
 
 Vectors are sparse maps column -> coefficient; matrices enter flattened
 row-major.  One elimination engine, `LinearSpan` and `_echelon_nullspace`,
-serves every field: over Q(q) (exact mode) with ``+ - * /``; over Q at a
-specialization point fraction-free, on ints (`LinearSpan`); given a prime
-modulus p over F_p on plain ints, taking every entry it writes mod p and
-inverting with ``pow(c, -1, p)``.  Pivots are chosen at the first nonzero
-column in lexicographic position, and a vector's residual modulo a span does
-not depend on the order its rows are applied in, which makes every produced
-basis deterministic.
+serves both fields a span or nullspace lies over: Q(q) (exact mode) with
+``+ - * /``, and Q at a specialization point, fraction-free on ints.  Given a
+prime modulus p, `LinearSpan` runs over F_p on plain ints, taking every entry
+it writes mod p and inverting with ``pow(c, -1, p)``; that serves only the
+trace form and its Casimir (`_inverse_mod`).  Pivots are chosen at the first
+nonzero column in lexicographic position, and a vector's residual modulo a
+span does not depend on the order its rows are applied in, which makes every
+produced basis deterministic.
 
 `LinearSpan` indexes its rows by pivot column, so reducing a vector touches
 only the rows whose pivots the vector (or its running residual) reaches, not
@@ -17,37 +18,9 @@ without eliminating a commutant's commutant, and its Casimir gives the
 commutant's length without eliminating the commutant; see "The double
 commutant" and "The commutant's length" below.
 
-One row builder, `_commutation_rows`, makes the commutation rows for every
-engine below.  It visits only the entries (i, j) whose row can be nonzero,
+One row builder, `_commutation_rows`, makes the commutation rows over both
+fields.  It visits only the entries (i, j) whose row can be nonzero,
 those where G has an entry in row i or in column j.
-
-Nullspaces at a point.  When the constraint entries of `commutant_basis` or
-`anticommutant_basis` lie in Q (their first one a `Fraction` or an `int`),
-the reduced echelon nullspace at the point t is first computed over F_p for
-the prime p = 2^127 - 1, by the `_echelon_nullspace` that runs over Q: the
-same rows of `_commutation_rows`, pivot rule, back-elimination and basis
-builder.  The constraint entries enter as balanced residues in (-p/2, p/2],
-so a row entry, a sum of at most two of them, is 0 exactly when it is 0 mod p
-and the rows need no second reduction.  Each entry is lifted to Q by rational
-reconstruction (|numerator|, denominator <= isqrt(p // 2)), and each lifted
-matrix is checked exactly, in integer-scaled form, against the constraint
-matrices.  A pass proves that the lifted basis is the one the Q path
-returns:
-
-* every denominator is a unit mod p, so the rows reduce mod p and
-  rank_p <= rank_t, hence nullity_p >= nullity_t;
-* there are nullity_p lifted vectors and each passes the exact check, so they
-  lie in the nullspace W at t.  Each is 1 at its own free column, 0 at the
-  other free columns and nonzero only at smaller pivot columns otherwise, so
-  the largest columns are distinct: the vectors are independent, span W, and
-  nullity_p = nullity_t.  The largest columns of the nonzero vectors of W are
-  exactly the free columns of the reduced echelon form at t, so the two sets
-  of free columns agree, and W has one basis that is the unit vector on them
-  there: the Q path's, element for element.
-
-A denominator divisible by p, an entry that does not lift or a failed check
-falls back to `_echelon_nullspace` over Q, which also remains the only engine
-over Q(q).  Either way the result, and every report built on it, is the same.
 
 The double commutant.  Let C be a unital algebra of matrices over K (Q at
 a point, Q(q) in exact mode) acting on V = K^dim, with basis c_1..c_n,
@@ -126,7 +99,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .qfield import PoleError, RationalFunction, _axpy
@@ -289,6 +262,12 @@ class LinearSpan:
         self._by_pivot.update(done._by_pivot)
 
 
+def _integer_form(entries: dict) -> tuple[int, dict]:
+    """The lcm of the entries' denominators (in Q) and the entries times it."""
+    den = lcm(*(v.denominator for v in entries.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in entries.items()}
+
+
 # ---------------------------------------------------------------------------
 # algebra bases and closure
 # ---------------------------------------------------------------------------
@@ -377,14 +356,12 @@ def span_closure(generators: Sequence[OperatorMatrix]) -> AlgebraBasis:
 # commutant / anticommutant as exact nullspaces
 # ---------------------------------------------------------------------------
 
-def _echelon_nullspace(rows: Iterable[dict], ncols: int, one,
-                       modulus: int | None = None) -> list[dict]:
-    """Basis of the solution space of the homogeneous system (sparse rows),
-    over F_p for a prime ``modulus`` p (then ``one`` is 1, and the other
-    entries are ints in (-p, 0)).  The rows are reduced in place, without a
-    copy, so callers pass rows they do not keep.
+def _echelon_nullspace(rows: Iterable[dict], ncols: int, one) -> list[dict]:
+    """Basis of the solution space of the homogeneous system (sparse rows).
+    The rows are reduced in place, without a copy, so callers pass rows they
+    do not keep.
     """
-    span = LinearSpan(modulus)
+    span = LinearSpan()
     by_pivot, clear, insert = span._by_pivot, span._clear, span._insert
     for row in rows:
         clear(row)
@@ -407,9 +384,7 @@ def _commutation_rows(constraint: OperatorMatrix, sign: int) -> Iterable[dict]:
     row i of G at columns k*dim + j; the two parts meet only at i*dim + j,
     where G[j,j] and -sign*G[i,i] add up.  So the row of (i, j) is empty
     unless G has an entry in row i or in column j, and only those pairs are
-    visited, in (i, j) order; the empty rows are not yielded.  G stores no
-    zeros; with ints (balanced residues mod p, as `_residues` gives) every
-    entry of a row then lies in (-p, p) and is 0 exactly when it is 0 mod p.
+    visited, in (i, j) order; the empty rows are not yielded.
     """
     dim = constraint.dim
     by_row: dict[int, list[tuple[int, object]]] = {}   # i -> (k*dim, -sign * G[i,k])
@@ -454,128 +429,11 @@ def _constraint_matrices(source, dim: int | None) -> tuple[int, list[OperatorMat
     return dim, []
 
 
-# ---------------------------------------------------------------------------
-# nullspaces at a point: eliminate mod p, lift to Q, verify exactly
-# ---------------------------------------------------------------------------
-
-# A Mersenne prime.  Lifts reach 63-bit numerators and denominators; with
-# 2^61 - 1 they would stop at 30 bits, which entries of the even centralizer
-# already exceed at (2,0,5) and t = 15 (40 bits).
-_PRIME = 2**127 - 1
-
-
-def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | None:
-    """g with every entry reduced mod p to its balanced residue in
-    (-p/2, p/2]; None when an entry is not in Q or its denominator is
-    divisible by p.  ``inverses`` caches denominator inverses.
-
-    Balanced, a sum of two residues lies in (-p, p), so the rows that
-    `_commutation_rows` builds from them hold no entry that is 0 mod p; from
-    [0, p), G[j,j] - sign*G[i,i] could reach p and become a pivot that has no
-    inverse."""
-    half = p // 2
-    out = {}
-    for key, v in g.entries.items():
-        if isinstance(v, Fraction):
-            num, den = v.numerator, v.denominator
-        elif isinstance(v, int):
-            num, den = v, 1
-        else:
-            return None
-        inv = inverses.get(den)
-        if inv is None:
-            if not den % p:
-                return None
-            inv = inverses[den] = pow(den, -1, p)
-        if residue := num * inv % p:
-            out[key] = residue - p if residue > half else residue
-    return OperatorMatrix._raw(g.dim, out)
-
-
-def _reconstruct(a: int, p: int) -> Fraction | None:
-    """The fraction n/d with |n|, d <= isqrt(p // 2) and n = a*d mod p, if any.
-
-    Extended Euclid on (p, a), stopped at the first remainder within the
-    bound (Wang).  Since 2 * bound^2 < p, at most one such fraction exists.
-    """
-    bound = isqrt(p // 2)
-    r0, r1, s0, s1 = p, a % p, 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
-    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1 if s1 > 0 else -r1, abs(s1))
-
-
-def _integer_form(entries: dict) -> tuple[int, dict]:
-    """The lcm of the entries' denominators (in Q) and the entries times it."""
-    den = lcm(*(v.denominator for v in entries.values()))
-    return den, {key: v.numerator * (den // v.denominator) for key, v in entries.items()}
-
-
-def _commutator_test(g: OperatorMatrix, sign: int):
-    """The exact test whether an integer matrix X ((i, k) -> int) solves
-    X*G = sign*G*X; G (entries in Q) is scaled to integers, which the
-    homogeneous equation allows."""
-    g_rows: dict[int, list] = {}
-    g_cols: dict[int, list] = {}
-    for (a, b), w in _integer_form(g.entries)[1].items():
-        g_rows.setdefault(a, []).append((b, w))
-        g_cols.setdefault(b, []).append((a, w))
-
-    def solves(x: dict) -> bool:
-        out: dict[tuple[int, int], int] = {}
-        for (i, k), v in x.items():
-            for j, w in g_rows.get(k, ()):      # X[i,k] G[k,j] -> (i, j)
-                out[i, j] = out.get((i, j), 0) + v * w
-            for a, w in g_cols.get(i, ()):      # G[a,i] X[i,k] -> (a, k)
-                out[a, k] = out.get((a, k), 0) - sign * w * v
-        return not any(out.values())
-
-    return solves
-
-
-def _nullspace_at_point(mats: list[OperatorMatrix], sign: int,
-                        dim: int) -> list[dict] | None:
-    """`_echelon_nullspace` of the commutation system, computed mod `_PRIME`.
-
-    Returns the lifted basis once it is verified over Q, else None; the module
-    docstring says why a returned basis is the one the Q path gives.
-    """
-    p = _PRIME
-    inverses: dict[int, int] = {}
-    residues = [_residues(g, p, inverses) for g in mats]
-    if any(res is None for res in residues):
-        return None
-    rows = (row for g in residues for row in _commutation_rows(g, sign))
-    vecs = _echelon_nullspace(rows, dim * dim, 1, p)
-    lifted: dict[int, Fraction | None] = {}
-    for vec in vecs:
-        for col, v in vec.items():
-            if v not in lifted:
-                lifted[v] = _reconstruct(v, p)
-            if lifted[v] is None:
-                return None
-            vec[col] = lifted[v]
-    tests = [_commutator_test(g, sign) for g in mats]
-    for vec in vecs:
-        _, x = _integer_form({divmod(col, dim): v for col, v in vec.items()})
-        if not all(solves(x) for solves in tests):
-            return None
-    return vecs
-
-
 def _nullspace(mats: list[OperatorMatrix], sign: int, dim: int) -> list[dict]:
-    """Reduced-echelon basis of {X : X*G = sign*G*X for every G in mats}:
-    certified mod p at a point, else eliminated over the entries' field."""
-    one = _infer_one(mats)
-    if type(one) is int:
-        vecs = _nullspace_at_point(mats, sign, dim)
-        if vecs is not None:
-            return vecs
+    """Reduced-echelon basis of {X : X*G = sign*G*X for every G in mats},
+    eliminated over the entries' field."""
     rows = (row for g in mats for row in _commutation_rows(g, sign))
-    return _echelon_nullspace(rows, dim * dim, one)
+    return _echelon_nullspace(rows, dim * dim, _infer_one(mats))
 
 
 def commutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
@@ -613,6 +471,33 @@ def anticommutant_basis(source, *, dim: int | None = None) -> AlgebraBasis:
 
 # where the certificate evaluates a basis over Q(q)
 _GRAM_POINT = Fraction(2)
+
+# A Mersenne prime.  The Casimir gives dim C' mod p, which is dim C' itself
+# as dim^2 < p (module docstring, "The commutant's length").
+_PRIME = 2**127 - 1
+
+
+def _residues(g: OperatorMatrix, p: int, inverses: dict) -> OperatorMatrix | None:
+    """g with every entry reduced mod p to its balanced residue in
+    (-p/2, p/2]; None when an entry is not in Q or its denominator is
+    divisible by p.  ``inverses`` caches denominator inverses."""
+    half = p // 2
+    out = {}
+    for key, v in g.entries.items():
+        if isinstance(v, Fraction):
+            num, den = v.numerator, v.denominator
+        elif isinstance(v, int):
+            num, den = v, 1
+        else:
+            return None
+        inv = inverses.get(den)
+        if inv is None:
+            if not den % p:
+                return None
+            inv = inverses[den] = pow(den, -1, p)
+        if residue := num * inv % p:
+            out[key] = residue - p if residue > half else residue
+    return OperatorMatrix._raw(g.dim, out)
 
 
 def _inverse_mod(rows: list[dict], p: int, invert: bool = True) -> list[dict] | None:

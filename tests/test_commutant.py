@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,20 +310,15 @@ class TestCommutant:
             for g in a_alg.generators:
                 assert mat.commutes_with(g)
 
-    @pytest.mark.parametrize("case, prime", [
-        ("1-1-2-hecke-image", None),
-        ("1-1-3-hecke-image", None),
-        ("exact-1-1-3-even-image", None),
-        ("point-2-1-2-hecke-image", None),
-        ("point-2-1-2-scalars", None),
-        # t = 5/2 puts 2 in the denominators, so every nullspace falls back to Q
-        ("point-2-1-2-hecke-image", 2),
+    @pytest.mark.parametrize("case", [
+        "1-1-2-hecke-image", "1-1-3-hecke-image", "exact-1-1-3-even-image",
+        "point-2-1-2-hecke-image", "point-2-1-2-scalars",
     ], ids=["2", "3", "exact-1-1-3-even-image", "point-2-1-2-hecke-image",
-            "point-2-1-2-scalars", "point-2-1-2-hecke-image-over-Q"])
-    def test_double_commutant_returns_hecke_image(self, case, prime, monkeypatch):
+            "point-2-1-2-scalars"])
+    def test_double_commutant_returns_hecke_image(self, case):
         # the commutant of a commutant is the algebra again: Hecke images of
         # (1,1,r) over Q(q), the even image of (1,1,3) over Q(q), and at a
-        # point the F_p engine, or the Q engine when every lift is refused
+        # point over Q
         t = Fraction(5, 2)
         point_space = GradedSpace(2, 1, 2)
         alg = {
@@ -339,16 +334,7 @@ class TestCommutant:
             "point-2-1-2-scalars":
                 lambda: span_closure([OperatorMatrix.identity(point_space.dim, Fraction(1))]),
         }[case]()
-        if prime is not None:
-            monkeypatch.setattr(commutant, "_PRIME", prime)
-        answers = TestNullspaceAtAPoint._record_answers(monkeypatch)
-        double = commutant_basis(commutant_basis(alg))
-        assert span_equal(double, alg)
-        if case.startswith("point"):
-            assert len(answers) == 2
-            assert all((a is None) == (prime is not None) for a in answers)
-        else:
-            assert answers == []    # entries in Q(q) go to the Q(q) engine directly
+        assert span_equal(commutant_basis(commutant_basis(alg)), alg)
 
 
 def _units(dim, *positions):
@@ -506,13 +492,6 @@ class TestTraceFormCertificate:
         assert len(calls) == 4
 
 
-def _q_path(mats, sign, dim):
-    """The nullspace basis `_echelon_nullspace` gives over Q."""
-    rows = (row for g in mats for row in commutant._commutation_rows(g, sign))
-    vecs = commutant._echelon_nullspace(rows, dim * dim, Fraction(1))
-    return [OperatorMatrix.from_flat(dim, v) for v in vecs]
-
-
 def _diag(*values):
     return OperatorMatrix(len(values), {(i, i): Fraction(v) for i, v in enumerate(values)})
 
@@ -533,88 +512,7 @@ def _constraint_sets(draw):
     elif extra == "scalar":
         mats.append(OperatorMatrix.identity(dim, draw(_coeffs)))
     mats = [m for m in mats if m.entries] or [OperatorMatrix.identity(dim, Fraction(1))]
-    return dim, mats
-
-
-class TestNullspaceAtAPoint:
-    """Nullspaces with entries in Q are eliminated mod p, lifted and verified;
-    they must be the Q path's bases element for element."""
-
-    @given(case=_constraint_sets())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_elimination_over_q(self, case):
-        dim, mats = case
-        for sign, build in ((1, commutant_basis), (-1, anticommutant_basis)):
-            expected = _q_path(mats, sign, dim)
-            vecs = commutant._nullspace_at_point(mats, sign, dim)
-            assert vecs is not None     # the F_p path itself answered
-            assert [OperatorMatrix.from_flat(dim, v) for v in vecs] == expected
-            assert build(mats).elements == expected
-
-    @staticmethod
-    def _record_answers(monkeypatch):
-        answers = []
-        original = commutant._nullspace_at_point
-
-        def recording(*args):
-            answers.append(original(*args))
-            return answers[-1]
-
-        monkeypatch.setattr(commutant, "_nullspace_at_point", recording)
-        return answers
-
-    @pytest.mark.parametrize("build, sign, mats, expected_len", [
-        # diag(1, 8) is the identity mod 7: every matrix commutes with it there
-        (commutant_basis, 1, [_diag(1, 8)], 2),
-        # diag(1, 6) is diag(1, -1) mod 7: the off-diagonal units anticommute there
-        (anticommutant_basis, -1, [_diag(1, 6)], 0),
-    ], ids=["commutant", "anticommutant"])
-    def test_rank_drop_mod_p_falls_back(self, build, sign, mats, expected_len, monkeypatch):
-        # the mod-7 basis lifts without trouble and only the exact check rejects it
-        monkeypatch.setattr(commutant, "_PRIME", 7)
-        answers = self._record_answers(monkeypatch)
-        result = build(mats)
-        assert answers == [None]
-        assert result.elements == _q_path(mats, sign, 2)
-        assert len(result) == expected_len
-
-    @pytest.mark.parametrize("prime, t", [(7, Fraction(5, 2)), (3, Fraction(5, 3))],
-                             ids=["lifts-rejected-mod-7", "denominator-divisible-by-3"])
-    def test_suite_systems_fall_back_to_the_same_bases(self, prime, t, monkeypatch):
-        # mod 7 the lifted bases are wrong or do not lift; mod 3 the T
-        # matrices at 5/3 have denominators 3 and 15
-        sp = GradedSpace(2, 1, 2)
-        rep = PiRepresentation(sp)
-        a_alg = span_closure([specialize_matrix(g, t) for g in rep.t_matrices()])
-        tp_gens = [specialize_matrix(g, t) for g in rep.tprime_matrices()]
-        d_alg = commutant_basis(a_alg)
-        expected = [d_alg, commutant_basis(d_alg), anticommutant_basis(tp_gens)]
-        monkeypatch.setattr(commutant, "_PRIME", prime)
-        answers = self._record_answers(monkeypatch)
-        d_small = commutant_basis(a_alg)
-        got = [d_small, commutant_basis(d_small), anticommutant_basis(tp_gens)]
-        assert answers == [None, None, None]
-        assert [b.elements for b in got] == [b.elements for b in expected]
-
-    def test_denominator_divisible_by_p_is_never_inverted(self, monkeypatch):
-        monkeypatch.setattr(commutant, "_PRIME", 3)
-        assert commutant._nullspace_at_point([_diag(1, Fraction(1, 3))], 1, 2) is None
-
-    def test_reconstruction_bound(self):
-        p = commutant._PRIME
-        bound = isqrt(p // 2)
-        assert 2 * bound * bound < p < 2 * (bound + 1) ** 2
-
-        def residue(x):
-            return x.numerator * pow(x.denominator, -1, p) % p
-
-        inside = [Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(bound),
-                  Fraction(-bound), Fraction(1, bound), Fraction(-bound, bound - 1)]
-        for x in inside:
-            assert commutant._reconstruct(residue(x), p) == x
-        for x in [Fraction(bound + 1), Fraction(-(bound + 1)), Fraction(1, bound + 1),
-                  Fraction(bound, bound + 1)]:
-            assert commutant._reconstruct(residue(x), p) is None
+    return mats
 
 
 def _dense_rows(g, sign):
@@ -636,54 +534,77 @@ def _dense_rows(g, sign):
     return rows
 
 
+class TestNullspaceOracle:
+    """`commutant_basis` and `anticommutant_basis` against the system itself:
+    every element X solves X*G = sign*G*X for every constraint G, is 1 at its
+    own free column (its largest) and 0 at the other elements' free columns,
+    and there are as many elements as dim^2 minus the rank of the dense rows,
+    eliminated over `Fraction`.  Solutions, independent and as many as the
+    nullity, they are a basis of the solution space."""
+
+    @staticmethod
+    def check(build, sign, mats):
+        basis = build(mats)
+        for x in basis.elements:
+            for g in mats:
+                assert x * g == (g * x if sign == 1 else -(g * x))
+        free = [max(x.flatten()) for x in basis.elements]
+        for x, col in zip(basis.elements, free):
+            flat = x.flatten()
+            assert flat[col] == 1
+            assert not flat.keys() & (set(free) - {col})
+        dim = mats[0].dim
+        rows = [row for g in mats for row in _dense_rows(g, sign)]
+        assert len(basis) == dim * dim - len(dense_rref(rows, dim * dim))
+        return basis
+
+    @given(mats=_constraint_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_bases_solve_the_system_and_span_its_nullspace(self, mats):
+        self.check(commutant_basis, 1, mats)
+        self.check(anticommutant_basis, -1, mats)
+
+    @pytest.mark.parametrize("build, sign, mats, expected_len", [
+        (commutant_basis, 1, [_diag(1, 8)], 2),
+        # the diagonal sum G[j,j] + G[i,i] cancels at (0, 1) and (1, 0)
+        (anticommutant_basis, -1, [_diag(1, -1)], 2),
+        (anticommutant_basis, -1, [_diag(1, 6)], 0),
+    ], ids=["commutant-diag-1-8", "anticommutant-diag-1-minus-1", "anticommutant-diag-1-6"])
+    def test_diagonal_constraints(self, build, sign, mats, expected_len):
+        assert len(self.check(build, sign, mats)) == expected_len
+
+
 @st.composite
 def _row_cases(draw):
-    """A small sparse matrix with Fraction, RationalFunction or balanced
-    residue entries, often diagonal ones that cancel, and a sign."""
+    """A small sparse matrix with Fraction, int or RationalFunction entries,
+    often diagonal ones that cancel, and a sign."""
     dim = draw(st.integers(1, 4))
     entry = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
     g = OperatorMatrix(dim, draw(st.dictionaries(entry, _coeffs, min_size=1,
                                                  max_size=dim * dim)))
     if draw(st.booleans()):
         g = g + OperatorMatrix.identity(dim, draw(_coeffs))
-    kind = draw(st.sampled_from(["fraction", "rational-function", "residue"]))
-    p = None
-    if kind == "rational-function":
+    kind = draw(st.sampled_from(["fraction", "integer", "rational-function"]))
+    if kind == "integer":       # as the suites' generators enter a point
+        g = OperatorMatrix(dim, commutant._integer_form(g.entries)[1])
+    elif kind == "rational-function":
         g = OperatorMatrix(dim, {key: RationalFunction.constant(v) * RationalFunction.q(
             draw(st.integers(-1, 1))) for key, v in g.entries.items()})
-    elif kind == "residue":
-        p = draw(st.sampled_from([5, 7, commutant._PRIME]))
-        g = commutant._residues(g, p, {})
-    return g, draw(st.sampled_from([1, -1])), p
+    return g, draw(st.sampled_from([1, -1]))
 
 
 class TestCommutationRows:
     @given(case=_row_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_rows(self, case):
-        g, sign, p = case
-        rows = list(commutant._commutation_rows(g, sign))
-        assert rows == _dense_rows(g, sign)
-        if p is not None:
-            assert all(-p // 2 < v <= p // 2 for v in g.entries.values())
-            assert all(-p < v < p and v % p for row in rows for v in row.values())
+        g, sign = case
+        assert list(commutant._commutation_rows(g, sign)) == _dense_rows(g, sign)
 
     def test_residues_are_balanced(self):
         g = OperatorMatrix(2, {(0, 0): Fraction(1), (0, 1): Fraction(3),
                                (1, 0): Fraction(1, 2), (1, 1): Fraction(-1)})
         assert commutant._residues(g, 7, {}).entries == {
             (0, 0): 1, (0, 1): 3, (1, 0): -3, (1, 1): -1}
-
-    def test_diagonal_residues_cancel_mod_p(self):
-        # diag(1, -1) reduces to 1 and p - 1 in [0, p), whose sum p would
-        # enter the anticommutant rows as a nonzero entry that is 0 mod p
-        mats = [_diag(1, -1)]
-        expected = _q_path(mats, -1, 2)
-        vecs = commutant._nullspace_at_point(mats, -1, 2)
-        assert vecs is not None
-        assert [OperatorMatrix.from_flat(2, v) for v in vecs] == expected
-        assert anticommutant_basis(mats).elements == expected
-        assert len(expected) == 2
 
 
 _INT_CASES = {
