@@ -312,14 +312,14 @@ class TestCommutant:
 
     @pytest.mark.parametrize("case", [
         "1-1-2-hecke-image", "1-1-3-hecke-image", "exact-1-1-3-even-image",
-        "point-2-1-2-hecke-image", "point-2-1-2-scalars",
+        "point-2-1-2-hecke-image", "point-2-1-2-hecke-image-at-5-3", "point-2-1-2-scalars",
     ], ids=["2", "3", "exact-1-1-3-even-image", "point-2-1-2-hecke-image",
-            "point-2-1-2-scalars"])
+            "point-2-1-2-hecke-image-at-5-3", "point-2-1-2-scalars"])
     def test_double_commutant_returns_hecke_image(self, case):
         # the commutant of a commutant is the algebra again: Hecke images of
         # (1,1,r) over Q(q), the even image of (1,1,3) over Q(q), and at a
-        # point over Q
-        t = Fraction(5, 2)
+        # point over Q, where q = 5/3 puts 3 and 15 in the denominators
+        t = Fraction(5, 3) if case.endswith("5-3") else Fraction(5, 2)
         point_space = GradedSpace(2, 1, 2)
         alg = {
             "1-1-2-hecke-image":
@@ -329,6 +329,9 @@ class TestCommutant:
             "exact-1-1-3-even-image":
                 lambda: span_closure(PiRepresentation(GradedSpace(1, 1, 3)).x_matrices()),
             "point-2-1-2-hecke-image":
+                lambda: span_closure([specialize_matrix(g, t)
+                                      for g in PiRepresentation(point_space).t_matrices()]),
+            "point-2-1-2-hecke-image-at-5-3":
                 lambda: span_closure([specialize_matrix(g, t)
                                       for g in PiRepresentation(point_space).t_matrices()]),
             "point-2-1-2-scalars":
@@ -569,9 +572,24 @@ class TestNullspaceOracle:
         # the diagonal sum G[j,j] + G[i,i] cancels at (0, 1) and (1, 0)
         (anticommutant_basis, -1, [_diag(1, -1)], 2),
         (anticommutant_basis, -1, [_diag(1, 6)], 0),
-    ], ids=["commutant-diag-1-8", "anticommutant-diag-1-minus-1", "anticommutant-diag-1-6"])
+        # entries with denominators: pivots are inverted over Q, never cleared
+        (commutant_basis, 1, [_diag(1, Fraction(1, 3))], 2),
+        (anticommutant_basis, -1, [_diag(Fraction(1, 3), Fraction(-1, 3))], 2),
+    ], ids=["commutant-diag-1-8", "anticommutant-diag-1-minus-1", "anticommutant-diag-1-6",
+            "commutant-diag-1-third", "anticommutant-diag-third-minus-third"])
     def test_diagonal_constraints(self, build, sign, mats, expected_len):
         assert len(self.check(build, sign, mats)) == expected_len
+
+    @pytest.mark.parametrize("t", [Fraction(5, 2), Fraction(5, 3)], ids=["5-2", "5-3"])
+    def test_suite_systems_at_a_point(self, t):
+        # the commutant of the Hecke image and the anticommutant of the T'
+        # generators of (2,1,2) at q = t, as the point suites build them
+        rep = PiRepresentation(GradedSpace(2, 1, 2))
+        t_gens = [specialize_matrix(g, t) for g in rep.t_matrices()]
+        tp_gens = [specialize_matrix(g, t) for g in rep.tprime_matrices()]
+        d_alg = self.check(commutant_basis, 1, t_gens)
+        assert d_alg.elements == commutant_basis(span_closure(t_gens)).elements
+        self.check(anticommutant_basis, -1, tp_gens)
 
 
 @st.composite
