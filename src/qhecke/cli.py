@@ -34,39 +34,45 @@ from .tensor import (
 DUMP_TRUNCATE = 50
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv`` (default ``sys.argv[1:]``).  Every subcommand is
+    created, so help listings and choice errors are complete, but only a leaf
+    whose name appears in ``argv`` gets its arguments, ``--help`` included."""
+    named = set(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="qhecke",
         description="Exact verification suites for the type-A Hecke algebra, "
                     "its even subalgebra, and their centralizers on graded tensor space.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--out", type=str, default=None,
-                      help="write the report to this path instead of stdout")
-    stamped = argparse.ArgumentParser(add_help=False, parents=[base])
-    stamped.add_argument("--timestamps", action="store_true",
-                         help="include a generation timestamp in the report")
-    common = argparse.ArgumentParser(add_help=False, parents=[stamped])
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed of the sampled even words and the specialization "
-                             "points (default 0, reproducible)")
-
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    def add_rank_suite(name, helptext, parent):
-        p = vsub.add_parser(name, parents=[parent], help=helptext)
+    def base(p):
+        p.add_argument("--out", type=str, default=None,
+                       help="write the report to this path instead of stdout")
+
+    def stamped(p):
+        base(p)
+        p.add_argument("--timestamps", action="store_true",
+                       help="include a generation timestamp in the report")
+
+    def common(p):
+        stamped(p)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the sampled even words and the specialization "
+                            "points (default 0, reproducible)")
+
+    def rank(p):
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--bound", type=int, default=6,
                        help="largest admissible rank (default 6)")
-        return p
 
-    def add_tensor_suite(name, helptext):
-        p = vsub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
+    def shape(p):
+        for name in ("--m", "--n", "--r"):
+            p.add_argument(name, type=int, required=True)
+
+    def tensor(p):
+        shape(p)
         p.add_argument("--mode", choices=["exact", "specialized"], default=None,
                        help="exact Q(q) linear algebra or two-point specialization "
                             "(default: exact up to tensor dimension 8)")
@@ -74,38 +80,39 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the tensor-space dimension bound")
         p.add_argument("--dump", action="store_true",
                        help="include truncated matrix dumps in the report")
-        return p
 
-    add_rank_suite("hecke", "relations, counting, crossed-product presentation", common)
-    add_rank_suite("alt", "even subalgebra: counts, closure, generator relations", stamped)
-    add_tensor_suite("schur-weyl", "double-commutant checks for the full action")
-    add_tensor_suite("alt-centralizer", "centralizer structure of the even image")
-    spec = vsub.add_parser("specialize", parents=[common],
-                           help="rank agreement at rational points and q=1 sanity")
-    spec.add_argument("--m", type=int, required=True)
-    spec.add_argument("--n", type=int, required=True)
-    spec.add_argument("--r", type=int, required=True)
-    spec.add_argument("--points", type=str, default=None,
-                      help="comma-separated rational points, e.g. 2,3/2; a list "
-                           "that starts with a negative point takes the = form, "
-                           "--points=-1,1/2")
-    spec.add_argument("--bound", type=int, default=None)
+    def points(p):
+        shape(p)
+        p.add_argument("--points", type=str, default=None,
+                       help="comma-separated rational points, e.g. 2,3/2; a list "
+                            "that starts with a negative point takes the = form, "
+                            "--points=-1,1/2")
+        p.add_argument("--bound", type=int, default=None)
 
-    dims = sub.add_parser("dims", parents=[stamped],
-                          help="predicted dimension table over hook partitions")
-    dims.add_argument("--m", type=int, required=True)
-    dims.add_argument("--n", type=int, required=True)
-    dims.add_argument("--r", type=int, required=True)
+    def gen(p):
+        shape(p)
+        p.add_argument("--gen", type=str, required=True,
+                       help="one of T<i>, Tp<i>, X<i>, sigma, qh<b>, e<i>, f<i>, phi")
+        p.add_argument("--limit", type=int, default=None,
+                       help="truncate to this many entries")
 
-    dump = sub.add_parser("dump", parents=[base],
-                          help="sparse dump of one generator matrix")
-    dump.add_argument("--m", type=int, required=True)
-    dump.add_argument("--n", type=int, required=True)
-    dump.add_argument("--r", type=int, required=True)
-    dump.add_argument("--gen", type=str, required=True,
-                      help="one of T<i>, Tp<i>, X<i>, sigma, qh<b>, e<i>, f<i>, phi")
-    dump.add_argument("--limit", type=int, default=None,
-                      help="truncate to this many entries")
+    for group, name, helptext, adders in (
+            (vsub, "hecke", "relations, counting, crossed-product presentation",
+             (common, rank)),
+            (vsub, "alt", "even subalgebra: counts, closure, generator relations",
+             (stamped, rank)),
+            (vsub, "schur-weyl", "double-commutant checks for the full action",
+             (common, tensor)),
+            (vsub, "alt-centralizer", "centralizer structure of the even image",
+             (common, tensor)),
+            (vsub, "specialize", "rank agreement at rational points and q=1 sanity",
+             (common, points)),
+            (sub, "dims", "predicted dimension table over hook partitions", (stamped, shape)),
+            (sub, "dump", "sparse dump of one generator matrix", (base, gen))):
+        leaf = group.add_parser(name, help=helptext, add_help=name in named)
+        if name in named:
+            for add in adders:
+                add(leaf)
     return parser
 
 
@@ -178,8 +185,7 @@ def _suite_dumps(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "verify":
             if args.suite == "hecke":

@@ -1,13 +1,15 @@
 """End-to-end verification suites over the Hecke algebra and tensor space.
 
 Each suite runs a deterministic list of exact checks (seeded where sampling
-is involved) and returns a `Report`.  One routine, `hecke.relation_failures`,
-checks t_i^2 = a t_i + 1, the braids with correction c (t_i - t_{i+1}) and far
-commutation: (a, c) = (q - q^-1, 0) for the T_i and the Goldman images G_i,
-(0, -u^2) for the T'_i.  The T'_i relations imply the cubic presentation of
-the X_i = T'_1 T'_{i+1} (the `alternating` docstring), so both Hecke suites
-decide ``even-generator-relations`` from that one test and multiply no X_i;
-a failed T' relation fails the record and is named in it.  In
+is involved) and returns a `Report`.  One relation test, two derivations:
+both Hecke suites run `hecke.relation_failures` (t_i^2 = a t_i + 1, braids
+with correction c (t_i - t_{i+1}), far commutation) once, on the T_i with
+(a, c) = (q - q^-1, 0).  The relations of the T'_i, (0, -u^2), and of the
+Goldman images G_i follow once each is checked to be its linear expression
+in T_i; otherwise they are multiplied out, so failing reports keep their
+bytes (the `alternating` docstring).  The T'_i relations imply the cubic
+presentation of the X_i = T'_1 T'_{i+1}, so ``even-generator-relations`` is
+decided from them, multiplies no X_i and names a failed T' relation.  In
 `suite_alt`, ``even-basis-closure`` is a proof at every rank from generator
 relations only (`check_even_closure`): the G_i = (q - q^-1) - T_i satisfy the
 Hecke relations, so the Goldman map is an algebra map by Matsumoto's theorem,
@@ -194,7 +196,7 @@ from .commutant import (
 )
 from .hecke import U_SQUARED, HeckeAlgebra, relation_failures
 from .partitions import predicted_dimensions
-from .qfield import RationalFunction
+from .qfield import Q_MINUS_QINV, Q_PLUS_QINV, RationalFunction
 from .report import Report
 from .tensor import (
     GradedSpace,
@@ -237,10 +239,21 @@ def _add_relations(report: Report, name: str, failures: list[str]) -> None:
                actual="; ".join(failures) or "all hold")
 
 
-def _tprime_failures(algebra: HeckeAlgebra) -> list[str]:
-    """The failed relations of the T'_i: (a, c) = (0, -u^2)."""
-    return relation_failures({i: algebra.tprime(i) for i in range(1, algebra.rank)},
-                             a=0, c=-U_SQUARED)
+def _t_failures(algebra: HeckeAlgebra) -> list[str]:
+    """The failed relations of the T_i: (a, c) = (q - q^-1, 0)."""
+    return relation_failures({i: algebra.generator(i) for i in range(1, algebra.rank)})
+
+
+def _tprime_failures(algebra: HeckeAlgebra, t_failures: list[str]) -> list[str]:
+    """The failed relations of the T'_i, (a, c) = (0, -u^2): none when
+    ``t_failures``, those of the T_i, is [] and each T'_i is (2 T_i -
+    (q - q^-1)) / (q + q^-1) (the `alternating` docstring); else multiplied out."""
+    tps = {i: algebra.tprime(i) for i in range(1, algebra.rank)}
+    scale, shift = 2 / Q_PLUS_QINV, Q_MINUS_QINV / Q_PLUS_QINV
+    if t_failures == [] and all(tp == scale * algebra.generator(i) - shift
+                                for i, tp in tps.items()):
+        return []
+    return relation_failures(tps, a=0, c=-U_SQUARED)
 
 
 def _add_even_relations(report: Report, r: int, tprime_failures: list[str]) -> None:
@@ -256,12 +269,12 @@ def suite_hecke(r: int, *, seed: int = 0, bound: int = 6) -> Report:
         raise SizeBoundError(f"rank {r} outside the supported range 2..{bound}")
     report = Report("hecke", {"r": r, "seed": seed})
     algebra = HeckeAlgebra(r)
-    _add_relations(report, "generator-relations",
-                   relation_failures({i: algebra.generator(i) for i in range(1, r)}))
-    tprime_failures = _tprime_failures(algebra)
+    t_failures = _t_failures(algebra)
+    _add_relations(report, "generator-relations", t_failures)
+    tprime_failures = _tprime_failures(algebra, t_failures)
     _add_relations(report, "involutive-generator-relations", tprime_failures)
     _add_even_relations(report, r, tprime_failures)
-    report.checks += verify_crossed_product_H(r, seed=seed).checks
+    report.checks += verify_crossed_product_H(r, seed=seed, t_failures=t_failures).checks
     return report
 
 
@@ -274,13 +287,15 @@ def suite_alt(r: int, *, bound: int = 6) -> Report:
     n_even = len(enumerate_even_basis(r))
     report.add("even-basis-count", n_even == half, expected=half, actual=n_even)
 
-    failures = check_even_closure(r)
+    algebra = HeckeAlgebra(r)
+    t_failures = _t_failures(algebra)
+    failures = check_even_closure(r, t_failures)
     report.add("even-basis-closure", not failures,
                expected="Goldman images of T_i satisfy the Hecke relations and negate each T'_i",
                actual="closed" if not failures else f"{len(failures)} relations fail",
                witness="; ".join(failures) or None)
 
-    _add_even_relations(report, r, _tprime_failures(HeckeAlgebra(r)))
+    _add_even_relations(report, r, _tprime_failures(algebra, t_failures))
     # the closure premises give gamma(T'_w) = (-1)^l(w) T'_w for every w
     report.add("membership-matches-even-support", not failures)
     return report

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -34,6 +35,67 @@ ALT_CENTRALIZER_PINS = [
 ]
 ALT_CENTRALIZER_SEED_7 = (["--m", "2", "--n", "1", "--r", "3", "--seed", "7"],
                           "5d9cbdd90d53e21d073ef2ff1da4ba7b0007aa7f7177f33db43f7f9a6f4fdf38")
+
+# `--help` pages and usage errors: sha256 of the JSON list [exit code, stdout,
+# stderr] at 80 columns.  argparse words them differently from one Python
+# version to another, so the pins hold on the version they were taken with
+CLI_TEXT_PYTHON = (3, 11)
+CLI_TEXT_PINS = [
+    pytest.param(["--help"],
+                 "bc794281150f52b0b5232a085749f4b461969fbbb81cfa81c6a7a013fa75a371", id="help"),
+    pytest.param(["verify", "--help"],
+                 "088c8764cc1a9956614e2245e12890f1e27554bd13817cd5c40859224569d34c",
+                 id="verify-help"),
+    pytest.param(["verify", "hecke", "--help"],
+                 "50a766769c285b6c86a7fef1cd2d774b84c3e57986bd11be5f50825c25dbf614",
+                 id="hecke-help"),
+    pytest.param(["verify", "alt", "--help"],
+                 "fd756b714598d57befa2da64d4f7ae9cb3ed2913825c87c2507a94c65da20133",
+                 id="alt-help"),
+    pytest.param(["verify", "schur-weyl", "--help"],
+                 "0d16493100e09da9771bf01b8a7ed5031a32572404f4fd5258e99e12f6d6a53b",
+                 id="schur-weyl-help"),
+    pytest.param(["verify", "alt-centralizer", "--help"],
+                 "545b49107eb9d7ea78c721ed33d9737fdb7d75fec3fc6c38c6a6ae218ef52dff",
+                 id="alt-centralizer-help"),
+    pytest.param(["verify", "specialize", "--help"],
+                 "553db0c92d67f7b9b9eb81cf13695108d46f44d3ff18f6a9378ff53256034211",
+                 id="specialize-help"),
+    pytest.param(["dims", "--help"],
+                 "d6d724065595be00715a176f8dfa44c05649a31953b8ade5fbdbe9235db78014",
+                 id="dims-help"),
+    pytest.param(["dump", "--help"],
+                 "6f06ddf9d0633b9c73390703e16731180fd8e624b6586b888f05c61f651fa3be",
+                 id="dump-help"),
+    pytest.param([], "c7529c491a1e4b6fcc292ac5307c95b33ea604fbb729574fd5bd9de4af319470",
+                 id="no-command"),
+    pytest.param(["frobnicate"],
+                 "57d319762b005320639d886bca6d11fb4d14c9630043815ef29d45c77efe2a07",
+                 id="unknown-command"),
+    pytest.param(["verify"],
+                 "fb40b15a8e0e8984398c6823a436a325c297eaaaff769107841072ce3e96f8ff",
+                 id="no-suite"),
+    pytest.param(["verify", "frobnicate", "--r", "3"],
+                 "7835378a64b4fff9414d49f6c1d81302e5961ec84b9678650e2c23466cbe2e14",
+                 id="unknown-suite"),
+    pytest.param(["verify", "hecke"],
+                 "c545a040aeb2972ecc8d70a88416c0ebbb02d48884b729dd6e5dfcaad8b18619",
+                 id="missing-r"),
+    pytest.param(["verify", "schur-weyl", "--m", "1", "--n", "1"],
+                 "98b07b61e0b94ecb0d8edb5d2c11d9f465d621515e3d74faeff76b0f06a4a39a",
+                 id="missing-r-tensor"),
+    pytest.param(["verify", "alt-centralizer", "--m", "1", "--n", "1", "--r", "2",
+                  "--mode", "fast"],
+                 "457f01577ad12cbcbdd6e85be0e5ca3c42bbd302a03e47eb0a4633e6072fb258",
+                 id="bad-mode"),
+    pytest.param(["verify", "hecke", "--r", "3", "--frobnicate"],
+                 "b85aa65152fdd45c2a3c494e5f409d9b00b59a6cdfc2f192a72a15c6fdc9d9f0",
+                 id="unknown-option"),
+    pytest.param(["verify", "specialize", "--m", "1", "--n", "1", "--r", "3",
+                  "--points", "-1,2"],
+                 "8bb545c6b981e342517e6302afe880dc940b3a2e735b7b5ff6d89eae6350e039",
+                 id="negative-points"),
+]
 
 
 def run(args, capsys):
@@ -123,6 +185,20 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert "T1" in doc["dumps"]
         assert re.fullmatch(r"\d+ \d+ \(.*\)/\(.*\)", doc["dumps"]["T1"][0])
+
+
+@pytest.mark.skipif(sys.version_info[:2] != CLI_TEXT_PYTHON,
+                    reason="the pins hold the argparse wording of Python 3.11")
+@pytest.mark.parametrize("args, digest", CLI_TEXT_PINS)
+def test_help_and_usage_error_bytes_are_pinned(args, digest, capsys, monkeypatch):
+    # the parser builds only the leaf that argv names; every page and error
+    # must read as when the whole tree was built
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    out = capsys.readouterr()
+    text = json.dumps([exc.value.code, out.out, out.err])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDimsCommand:

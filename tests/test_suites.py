@@ -18,7 +18,7 @@ from qhecke.commutant import (
     span_equal,
     trace_form_certificate,
 )
-from qhecke.hecke import HeckeAlgebra, SymmetricGroupTable
+from qhecke.hecke import U_SQUARED, HeckeAlgebra, SymmetricGroupTable, relation_failures
 from qhecke.partitions import predicted_dimensions
 from qhecke.qfield import RationalFunction
 from qhecke.report import Report
@@ -43,6 +43,55 @@ def check_map(report):
     return {c.name: c for c in report.checks}
 
 
+def count_products(monkeypatch):
+    """Record each `SymmetricGroupTable.elem_mul` call, split into the products
+    with a unit factor and the others."""
+    calls, units = [], []
+    elem_mul = SymmetricGroupTable.elem_mul
+
+    def counted(self, x, y):
+        (units if self.one in (x, y) else calls).append(1)
+        return elem_mul(self, x, y)
+
+    monkeypatch.setattr(SymmetricGroupTable, "elem_mul", counted)
+    return calls, units
+
+
+def break_t2(monkeypatch):
+    """Make T_2 act in products as the transposition s_2, dropping the (q - q^-1)
+    term of the length rule, so T_2^2 = 1 fails the quadratic.  Only the T
+    action of `elem_mul` (m = 1, s = 0) changes: the T'_i and the Goldman
+    images are built as before, so each linear identity still holds."""
+    gen_mul = SymmetricGroupTable.gen_mul
+
+    def broken(self, row, nums, m=1, s=0):
+        if (m, s) == (1, 0) and (row is self.left_mult[1] or row is self.right_mult[1]):
+            return {row[w]: a for w, a in nums.items()}
+        return gen_mul(self, row, nums, m, s)
+
+    monkeypatch.setattr(SymmetricGroupTable, "gen_mul", broken)
+
+
+def assert_records_match_the_multiplied_relations(rank):
+    """The records that the suites read off the T_i relations name exactly the
+    relations that `relation_failures` finds by multiplying out the T'_i and
+    the Goldman images G_i (the oracle)."""
+    algebra = HeckeAlgebra(rank)
+    gens = range(1, rank)
+    tprime = relation_failures({i: algebra.tprime(i) for i in gens}, a=0, c=-U_SQUARED)
+    goldman = [f"Goldman {f}" for f in relation_failures(
+        {i: algebra.generator(i).goldman() for i in gens})]
+    hecke = check_map(suite_hecke(rank, bound=rank))
+    alt = check_map(suite_alt(rank, bound=rank))
+    assert hecke["involutive-generator-relations"].actual == ("; ".join(tprime) or "all hold")
+    assert (hecke["weak-action-preserves-even-part"].status == "pass") == (not goldman)
+    assert alt["even-basis-closure"].witness == ("; ".join(goldman) or None)
+    for checks in (hecke, alt):
+        if rank >= 3:
+            assert checks["even-generator-relations"].actual == (
+                "; ".join(f"T' {f}" for f in tprime) or "all hold")
+
+
 class TestHeckeSuite:
     def test_rank3_passes_with_counts(self):
         report = suite_hecke(3)
@@ -61,21 +110,14 @@ class TestHeckeSuite:
         assert check_map(report)["decomposition-dims"].actual == "(1, 1)"
 
     def test_rank6_product_count_is_bounded(self, monkeypatch):
-        # the products are the T and T' relation checks and the premises
-        # T'_1^2 = 1 and `check_even_closure`, from which the crossed-product
-        # records are decided; the X_i relations are read off the T' ones.  A
-        # sampled, repeated or X product that creeps back shows here without
-        # timing
-        calls, units = [], []
-        elem_mul = SymmetricGroupTable.elem_mul
-
-        def counted(self, x, y):
-            (units if self.one in (x, y) else calls).append(1)
-            return elem_mul(self, x, y)
-
-        monkeypatch.setattr(SymmetricGroupTable, "elem_mul", counted)
+        # the products are the 33 of the T relation check and the premise
+        # T'_1^2 = 1; the T' and Goldman relations, and from them the X_i
+        # relations and `check_even_closure`, are read off the T ones.  A
+        # sampled, repeated, T', G or X product that creeps back shows here
+        # without timing
+        calls, units = count_products(monkeypatch)
         assert suite_hecke(6, seed=0).passed
-        assert len(calls) <= 100 and len(calls) + len(units) <= 100
+        assert len(calls) <= 34 and len(calls) + len(units) <= 34
 
     @staticmethod
     def scale_second(monkeypatch, owner, name):
@@ -109,6 +151,35 @@ class TestHeckeSuite:
         assert checks["even-generator-relations"].actual == (
             "T' quadratic at i=2; T' braid at i=1; T' braid at i=2")
 
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_records_agree_with_the_multiplied_relations(self, rank):
+        assert_records_match_the_multiplied_relations(rank)
+
+    @pytest.mark.parametrize("rank", [3, 5])
+    def test_a_broken_t_relation_multiplies_the_others_out(self, rank, monkeypatch):
+        # with a T relation failing nothing is derived, so the T' and Goldman
+        # records name what the multiplied relations name
+        break_t2(monkeypatch)
+        assert_records_match_the_multiplied_relations(rank)
+
+    @pytest.mark.parametrize("args, digest", [
+        (["hecke", "--r", "3", "--seed", "0"],
+         "0290d2e02828c6bdf02f1195d49d1a2db31b40810a9b3677d1085762b4797236"),
+        (["hecke", "--r", "5", "--seed", "0"],
+         "f889b53d64aab676c48735e58a8cca0c4e8aacdad24c109cf59947e02c110f3f"),
+        (["alt", "--r", "3"],
+         "22224d5a3251c0cb8f09196b09293e31e7902a6aa0d87cc4115b178b22b1504c"),
+        (["alt", "--r", "5"],
+         "6eb3b1f6e4dca3ba8ccf3b347594683401ca92304657b4ff403383f725089317"),
+    ], ids=["hecke-3", "hecke-5", "alt-3", "alt-5"])
+    def test_a_broken_t_relation_keeps_the_failing_report_bytes(self, args, digest,
+                                                                 tmp_path, monkeypatch):
+        # the failing reports as they were when every relation was multiplied out
+        break_t2(monkeypatch)
+        path = tmp_path / "r.json"
+        assert cli.main(["verify", *args, "--out", str(path)]) == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_out_of_range(self):
         with pytest.raises(SizeBoundError):
             suite_hecke(7)
@@ -134,6 +205,13 @@ class TestAltSuite:
         report = suite_alt(6)
         assert report.passed
         assert check_map(report)["membership-matches-even-support"].status == "pass"
+
+    def test_rank6_product_count_is_bounded(self, monkeypatch):
+        # only the T relations are multiplied; the Goldman and T' relations
+        # are read off them
+        calls, units = count_products(monkeypatch)
+        assert suite_alt(6).passed
+        assert len(calls) <= 33 and len(calls) + len(units) <= 33
 
     def test_rank5_full_closure(self):
         report = suite_alt(5)
