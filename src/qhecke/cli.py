@@ -1,5 +1,13 @@
 """Command-line driver: verification suites, dimension tables, matrix dumps.
 
+Each leaf's options are declared once, in the option table below.  A plain
+command line -- a command (and suite), then that leaf's options under their
+full names, each at most once, as ``--name value``, ``--name=value`` or a bare
+flag -- is read from the table by `read_plain` without argparse.  Every other
+line (``--help``, abbreviations, repeats, errors) goes to the argparse parser
+that `build_parser` makes from the same table; it renders help and usage
+errors, exit code 2.
+
 Reports are emitted as a single JSON document with exact strings only (no
 floats, no timestamps unless requested), so identical configurations produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 a verification
@@ -9,11 +17,11 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .partitions import predicted_dimensions
 from .suites import (
@@ -34,85 +42,126 @@ from .tensor import (
 DUMP_TRUNCATE = 50
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of ``argv`` (default ``sys.argv[1:]``).  Every subcommand is
-    created, so help listings and choice errors are complete, but only a leaf
-    whose name appears in ``argv`` gets its arguments, ``--help`` included."""
-    named = set(sys.argv[1:] if argv is None else argv)
+# The option table: each leaf's options in the order of its help page, as
+# (name, type or choices, default, required, help).  A leaf of `verify` is
+# keyed by its suite, `dims` and `dump` by their command.  The type is the
+# callable argparse converts a value with; a tuple lists the choices of a
+# string option, and `bool` marks a flag.
+_OUT = ("out", str, None, False, "write the report to this path instead of stdout")
+_STAMPED = (_OUT, ("timestamps", bool, False, False,
+                   "include a generation timestamp in the report"))
+_COMMON = (*_STAMPED, ("seed", int, 0, False,
+                       "seed of the sampled even words and the specialization "
+                       "points (default 0, reproducible)"))
+_RANK = (("r", int, None, True, None),
+         ("bound", int, 6, False, "largest admissible rank (default 6)"))
+_SHAPE = tuple((name, int, None, True, None) for name in ("m", "n", "r"))
+_TENSOR = (*_COMMON, *_SHAPE,
+           ("mode", ("exact", "specialized"), None, False,
+            "exact Q(q) linear algebra or two-point specialization "
+            "(default: exact up to tensor dimension 8)"),
+           ("bound", int, None, False, "override the tensor-space dimension bound"),
+           ("dump", bool, False, False, "include truncated matrix dumps in the report"))
+
+SUITES = {
+    "hecke": ("relations, counting, crossed-product presentation", (*_COMMON, *_RANK)),
+    "alt": ("even subalgebra: counts, closure, generator relations", (*_STAMPED, *_RANK)),
+    "schur-weyl": ("double-commutant checks for the full action", _TENSOR),
+    "alt-centralizer": ("centralizer structure of the even image", _TENSOR),
+    "specialize": ("rank agreement at rational points and q=1 sanity", (
+        *_COMMON, *_SHAPE,
+        ("points", str, None, False,
+         "comma-separated rational points, e.g. 2,3/2; a list that starts "
+         "with a negative point takes the = form, --points=-1,1/2"),
+        ("bound", int, None, False, None))),
+}
+COMMANDS = {
+    "verify": ("run a verification suite", SUITES),
+    "dims": ("predicted dimension table over hook partitions", (*_STAMPED, *_SHAPE)),
+    "dump": ("sparse dump of one generator matrix", (
+        _OUT, *_SHAPE,
+        ("gen", str, None, True, "one of T<i>, Tp<i>, X<i>, sigma, qh<b>, e<i>, f<i>, phi"),
+        ("limit", int, None, False, "truncate to this many entries"))),
+}
+
+
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv``, when ``argv`` is plain.
+
+    Plain is a command (and suite) of the table, then that leaf's options
+    under their full names, each at most once: ``--name value`` with a value
+    that does not start with ``-``, ``--name=value``, or a bare flag.  Values
+    convert and choices and required options check as in argparse.  Anything
+    else -- abbreviations, repeats, ``-h``, ``--``, stray words, a bad value or
+    a missing option -- gives None, and argparse reads it instead.
+    """
+    rest = iter(argv)
+    names = {"command": next(rest, None)}
+    leaf = COMMANDS.get(names["command"], (None, None))[1]
+    if leaf is SUITES:
+        names["suite"] = next(rest, None)
+        leaf = SUITES.get(names["suite"], (None, None))[1]
+    if leaf is None:
+        return None
+    options = {opt[0]: opt for opt in leaf}
+    values = {}
+    for token in rest:
+        name, eq, value = token[2:].partition("=")
+        opt = options.get(name) if token.startswith("--") else None
+        if opt is None or name in values:
+            return None
+        kind = opt[1]
+        if kind is bool:
+            if eq:
+                return None
+            values[name] = True
+            continue
+        if not eq:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        values[name] = value
+    if any(required and name not in values for name, _, _, required, _ in leaf):
+        return None
+    return SimpleNamespace(**names, **{name: values.get(name, default)
+                                       for name, _, default, _, _ in leaf})
+
+
+def build_parser():
+    """The argparse parser of the whole table; it renders help and usage errors."""
+    import argparse
+
+    def add_leaf(group, name, helptext, options):
+        leaf = group.add_parser(name, help=helptext)
+        for opt, kind, default, required, opthelp in options:
+            if kind is bool:
+                leaf.add_argument(f"--{opt}", action="store_true", help=opthelp)
+            else:
+                choices = kind if isinstance(kind, tuple) else None
+                leaf.add_argument(f"--{opt}", type=None if choices else kind, choices=choices,
+                                  default=default, required=required, help=opthelp)
+
     parser = argparse.ArgumentParser(
         prog="qhecke",
         description="Exact verification suites for the type-A Hecke algebra, "
                     "its even subalgebra, and their centralizers on graded tensor space.")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-
-    def base(p):
-        p.add_argument("--out", type=str, default=None,
-                       help="write the report to this path instead of stdout")
-
-    def stamped(p):
-        base(p)
-        p.add_argument("--timestamps", action="store_true",
-                       help="include a generation timestamp in the report")
-
-    def common(p):
-        stamped(p)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of the sampled even words and the specialization "
-                            "points (default 0, reproducible)")
-
-    def rank(p):
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--bound", type=int, default=6,
-                       help="largest admissible rank (default 6)")
-
-    def shape(p):
-        for name in ("--m", "--n", "--r"):
-            p.add_argument(name, type=int, required=True)
-
-    def tensor(p):
-        shape(p)
-        p.add_argument("--mode", choices=["exact", "specialized"], default=None,
-                       help="exact Q(q) linear algebra or two-point specialization "
-                            "(default: exact up to tensor dimension 8)")
-        p.add_argument("--bound", type=int, default=None,
-                       help="override the tensor-space dimension bound")
-        p.add_argument("--dump", action="store_true",
-                       help="include truncated matrix dumps in the report")
-
-    def points(p):
-        shape(p)
-        p.add_argument("--points", type=str, default=None,
-                       help="comma-separated rational points, e.g. 2,3/2; a list "
-                            "that starts with a negative point takes the = form, "
-                            "--points=-1,1/2")
-        p.add_argument("--bound", type=int, default=None)
-
-    def gen(p):
-        shape(p)
-        p.add_argument("--gen", type=str, required=True,
-                       help="one of T<i>, Tp<i>, X<i>, sigma, qh<b>, e<i>, f<i>, phi")
-        p.add_argument("--limit", type=int, default=None,
-                       help="truncate to this many entries")
-
-    for group, name, helptext, adders in (
-            (vsub, "hecke", "relations, counting, crossed-product presentation",
-             (common, rank)),
-            (vsub, "alt", "even subalgebra: counts, closure, generator relations",
-             (stamped, rank)),
-            (vsub, "schur-weyl", "double-commutant checks for the full action",
-             (common, tensor)),
-            (vsub, "alt-centralizer", "centralizer structure of the even image",
-             (common, tensor)),
-            (vsub, "specialize", "rank agreement at rational points and q=1 sanity",
-             (common, points)),
-            (sub, "dims", "predicted dimension table over hook partitions", (stamped, shape)),
-            (sub, "dump", "sparse dump of one generator matrix", (base, gen))):
-        leaf = group.add_parser(name, help=helptext, add_help=name in named)
-        if name in named:
-            for add in adders:
-                add(leaf)
+    for command, (helptext, leaf) in COMMANDS.items():
+        if leaf is SUITES:
+            vsub = sub.add_parser(command, help=helptext).add_subparsers(
+                dest="suite", required=True)
+            for suite, (suitehelp, options) in SUITES.items():
+                add_leaf(vsub, suite, suitehelp, options)
+        else:
+            add_leaf(sub, command, helptext, leaf)
     return parser
 
 
@@ -185,7 +234,10 @@ def _suite_dumps(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser(argv).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             if args.suite == "hecke":

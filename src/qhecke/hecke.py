@@ -213,20 +213,23 @@ def _linear(vec: tuple, image) -> tuple:
     return _canonical(_accumulate(terms), (d * cd, ek + cek, _pmul(p, cp)))
 
 
+def _field_pair(key, value: RationalFunction) -> tuple:
+    """The stored pair of the nonzero ``value`` at ``key``.  d clears the
+    numerator's coefficients, so it is prime to their content; the other
+    factors are canonical when ``value`` is."""
+    num, den = value.num.terms, value.den.terms
+    # a canonical denominator (q^2+1)^j r leaves q^j r after j divisions by q + q^-1
+    rest, j = _strip_qp(den, max(den))
+    r = {e - j: int(c) for e, c in rest.items()}
+    d = lcm(*(c.denominator for c in num.values()))
+    return {key: {e - j: int(c * d) for e, c in num.items()}}, (d, j, None if r == {0: 1} else r)
+
+
 def _from_field(pairs) -> tuple:
     """The stored pair of the sum of (key, `RationalFunction`) pairs, each
     coefficient brought in as a one-key pair."""
     vec = _axpy({}, None, pairs)
-
-    def entry(k):
-        num, den = vec[k].num.terms, vec[k].den.terms
-        # a canonical denominator (q^2+1)^j r leaves q^j r after j divisions by q + q^-1
-        rest, j = _strip_qp(den, max(den))
-        r = {e - j: int(c) for e, c in rest.items()}
-        d = lcm(*(c.denominator for c in num.values()))
-        return {k: {e - j: int(c * d) for e, c in num.items()}}, (d, j, None if r == {0: 1} else r)
-
-    return _linear(({k: {0: 1} for k in vec}, _UNIT), entry)
+    return _linear(({k: {0: 1} for k in vec}, _UNIT), lambda k: _field_pair(k, vec[k]))
 
 
 def _lc_to_rf(num: dict, den: tuple) -> RationalFunction:
@@ -607,8 +610,13 @@ class HeckeElement(_WordVector):
 
 
 def _scalar_elem(rank: int, value) -> HeckeElement:
-    return HeckeElement(rank, _c=_from_field([(symmetric_group_table(rank).identity,
-                                               _as_field(value))]))
+    """``value`` at the identity word: its `_field_pair`, put through `_canonical`
+    only when the denominator has a factor besides d."""
+    value = _as_field(value)
+    if not value:
+        return HeckeElement(rank, _c=({}, _UNIT))
+    nums, den = _field_pair(symmetric_group_table(rank).identity, value)
+    return HeckeElement(rank, _c=(nums, den) if den[1:] == (0, None) else _canonical(nums, den))
 
 
 class TPrimeExpansion(_WordVector):

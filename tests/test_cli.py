@@ -1,10 +1,14 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhecke.cli as cli
 import qhecke.suites as suites
@@ -191,14 +195,152 @@ class TestVerifyCommand:
                     reason="the pins hold the argparse wording of Python 3.11")
 @pytest.mark.parametrize("args, digest", CLI_TEXT_PINS)
 def test_help_and_usage_error_bytes_are_pinned(args, digest, capsys, monkeypatch):
-    # the parser builds only the leaf that argv names; every page and error
-    # must read as when the whole tree was built
+    # argparse renders every page and error, from the tree that the option
+    # table builds; plain lines never reach it
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     out = capsys.readouterr()
     text = json.dumps([exc.value.code, out.out, out.err])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the seven leaves of the option table: command words and options
+LEAVES = [(["verify", suite], options) for suite, (_, options) in cli.SUITES.items()] + \
+    [([command], cli.COMMANDS[command][1]) for command in ("dims", "dump")]
+OPTION_NAMES = sorted({opt[0] for _, options in LEAVES for opt in options})
+BAD_HEADS = [[], ["verify"], ["frobnicate"], ["verify", "frobnicate"], ["--help"], ["dims", "dump"]]
+NOISE = ["--", "-h", "--help", "stray", "-1", "--frobnicate", "--=3", "-"]
+
+
+def value_strategy(draw, kind):
+    """Mostly a good value of the kind; one draw in twelve an odd or bad one."""
+    odd = draw(st.integers(0, 11)) == 0
+    if isinstance(kind, tuple):
+        return draw(st.sampled_from(["fast", "", "Exact"] if odd else kind))
+    if kind is int:
+        return draw(st.sampled_from(["-2", "1.5", "x", "", " 4", "0x3", "1_0"]) if odd
+                    else st.integers(0, 12).map(str))
+    return draw(st.sampled_from(["-1,2", "", "--r", "-"] if odd else ["2,3/2", "T1", "a=b"]))
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed argv over the seven leaves, with abbreviations, both
+    value forms, repeats, options of other leaves and stray tokens mixed in."""
+    head, options = draw(st.sampled_from(LEAVES))
+    if draw(st.integers(0, 9)) == 0:
+        head = draw(st.sampled_from(BAD_HEADS))
+    table = {opt[0]: opt for opt in options}
+    required = [name for name, _, _, needed, _ in options if needed]
+    names = draw(st.permutations(
+        [name for name in required if draw(st.integers(0, 9))]
+        + draw(st.lists(st.sampled_from(list(table)), max_size=3))
+        + draw(st.lists(st.sampled_from(OPTION_NAMES), max_size=1))))
+    argv = list(head)
+    for name in names:
+        kind = table.get(name, (name, int))[1]
+        spelled = "--" + name
+        spelling = draw(st.integers(0, 15))
+        if spelling < 2:
+            spelled = spelled[:draw(st.integers(3, len(spelled)))]
+        elif spelling == 2:
+            spelled = spelled[1:]
+        if kind is bool:
+            bare = draw(st.integers(0, 5))
+            argv.append(spelled if bare else spelled + "=" + value_strategy(draw, int))
+        elif draw(st.booleans()):
+            argv.append(spelled + "=" + value_strategy(draw, kind))
+        else:
+            argv += [spelled, value_strategy(draw, kind)]
+    if draw(st.integers(0, 4)) == 0:
+        token = draw(st.sampled_from(NOISE))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def argparse_reading(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@given(command_lines())
+@settings(max_examples=300, deadline=None)
+def test_the_plain_reader_agrees_with_argparse_or_declines(argv):
+    read = cli.read_plain(argv)
+    assert read is None or vars(read) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hecke", "--r", "6"],
+    ["verify", "hecke", "--seed=3", "--r", "4", "--timestamps", "--bound", "5"],
+    ["verify", "alt", "--r=3", "--out", "r.json"],
+    ["verify", "schur-weyl", "--mode", "specialized", "--m", "1", "--n", "1", "--r", "2", "--dump"],
+    ["verify", "alt-centralizer", "--m", "2", "--n", "1", "--r", "3", "--mode=exact"],
+    ["verify", "specialize", "--m", "1", "--n", "1", "--r", "2", "--points=-1,2", "--bound", "9"],
+    ["dims", "--r", "3", "--m", "2", "--n", "0"],
+    ["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1", "--limit", "0"],
+], ids=["hecke", "hecke-all", "alt", "schur-weyl", "alt-centralizer", "specialize", "dims", "dump"])
+def test_well_formed_lines_are_read_plainly(argv):
+    read = cli.read_plain(argv)
+    assert read is not None and vars(read) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hecke", "--se", "3", "--r", "4"],
+    ["verify", "hecke", "--r", "4", "--r", "5"],
+    ["verify", "hecke", "--r", "4", "-h"],
+    ["verify", "hecke", "--r", "4", "--"],
+    ["verify", "hecke", "--r", "4", "stray"],
+    ["verify", "hecke", "-r", "4"],
+    ["verify", "hecke", "--r", "four"],
+    ["verify", "hecke"],
+    ["verify", "alt-centralizer", "--m", "1", "--n", "1", "--r", "2", "--mode", "fast"],
+    ["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "-1,2"],
+    ["dims", "--m", "-1", "--n", "1", "--r", "2"],
+    ["dump", "--m", "1", "--n", "1", "--r", "2", "--gen", "T1", "--timestamps"],
+    ["dims", "--m", "1", "--n", "1", "--r", "2", "--timestamps=yes"],
+], ids=["abbreviation", "repeat", "help", "double-dash", "stray-word", "single-dash", "bad-int",
+        "missing-r", "bad-choice", "negative-points", "negative-value", "other-leaf-option",
+        "flag-value"])
+def test_the_plain_reader_declines(argv):
+    assert cli.read_plain(argv) is None
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["dims", "--m", "1", "--n", "1", "--r", "2"], 0),
+    (["dims", "--m", "1", "--n", "1", "--r", "3", "--r", "2"], 1),
+], ids=["plain", "argparse"])
+def test_main_reads_sys_argv_on_both_paths(argv, parsed, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(sys, "argv", ["qhecke", *argv])
+    assert cli.main(None) == 0
+    assert len(built) == parsed
+    assert json.loads(capsys.readouterr().out)["config"] == {"m": "1", "n": "1", "r": "2"}
+
+
+def test_a_plain_line_constructs_no_argument_parser(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("argparse.ArgumentParser constructed")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", forbidden)
+    assert cli.main(["verify", "hecke", "--r", "6", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_seed_spellings_write_the_same_report(tmp_path):
+    reports = []
+    for seed in (["--seed", "3"], ["--seed=3"], ["--se", "3"]):
+        path = tmp_path / f"r{len(reports)}.json"
+        assert cli.main(["verify", "hecke", "--r", "6", *seed, "--out", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["config"]["seed"] == "3"
 
 
 class TestDimsCommand:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhecke.hecke import (
+    _as_field,
     _canonical,
     _from_field,
     _lc_to_rf,
+    _scalar_elem,
     _unit_vec,
     HeckeAlgebra,
     HeckeElement,
@@ -36,6 +38,7 @@ from qhecke.qfield import (
     _idiv_qp,
     _mul_terms,
     _qp_pow,
+    _qsq_den,
 )
 
 HALF = RationalFunction.constant(Fraction(1, 2))
@@ -327,6 +330,35 @@ def test_scalars_hash_like_the_values_they_equal():
         assert x == value and hash(x) == hash(value)
         assert {value: "v"}[x] == "v" and {x: "x"}[value] == "x"
     assert hash(H.zero()) == hash(0) and H.zero() in {0}
+
+
+@st.composite
+def scalar_values(draw):
+    """An int, a Fraction or a RationalFunction whose denominator may hold
+    (q^2 + 1)^k, a power of q and a factor (q - a)^j (q^2 + b q + 1)."""
+    fraction = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    kind = draw(st.sampled_from(["int", "fraction", "field"]))
+    if kind == "int":
+        return draw(st.integers(-50, 50))
+    if kind == "fraction":
+        return draw(fraction)
+    num = LaurentPolynomial(draw(st.dictionaries(st.integers(-3, 3), fraction,
+                                                 min_size=1, max_size=4)))
+    den = LaurentPolynomial(_qsq_den(draw(st.integers(0, 3))))
+    den *= LaurentPolynomial({draw(st.integers(-2, 2)): draw(fraction.filter(bool))})
+    if draw(st.booleans()):
+        den *= LaurentPolynomial({0: -draw(st.integers(-3, 3)), 1: 1})
+    if draw(st.booleans()):
+        den *= LaurentPolynomial({0: 1, 1: draw(st.integers(-3, 3)), 2: 1})
+    return RationalFunction(num, den)
+
+
+@given(scalar_values(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_scalar_elements_take_the_stored_pair_of_the_field_value(value, rank):
+    # the direct pair of a scalar is the reference conversion's, canonical form included
+    identity = symmetric_group_table(rank).identity
+    assert _scalar_elem(rank, value)._c == _from_field([(identity, _as_field(value))])
 
 
 def test_an_element_never_equals_its_tprime_coordinates():
