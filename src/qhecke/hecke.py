@@ -482,10 +482,10 @@ def symmetric_group_table(rank: int) -> SymmetricGroupTable:
 def _as_field(c) -> RationalFunction:
     if isinstance(c, RationalFunction):
         return c
-    if isinstance(c, (int, Fraction, LaurentPolynomial)):
-        prom = RationalFunction.zero()._promote(c)
-        if prom is not None:
-            return prom
+    if isinstance(c, (int, Fraction)):
+        return RationalFunction.constant(c)
+    if isinstance(c, LaurentPolynomial):
+        return RationalFunction._make(c, LaurentPolynomial.one())
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 

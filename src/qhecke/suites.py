@@ -28,7 +28,7 @@ exist for the linear-algebra-heavy suites:
   applies this policy, the one `commutant.certify` (which `certified_rank`
   shares) applies, to both tensor suites.  Where exact premises make every
   record a proof, a run whose records all pass at the first point stops
-  there (see "One point" below).  The suites build their generic generators
+  there (see "One point" below).  The suites test their premises over Q(q)
   once, before the points split.
 
 At a point, a dimension can move away from its generic value in one
@@ -60,7 +60,8 @@ direction only, and which one depends on the kind of check:
   quadratic below) stays evidence at the point: both are ranks at t, and
   nothing bounds dim A - dim C from above;
 * the Hecke image rests on one exact premise, tested once over Q(q) before
-  the points split: T_j^2 = (q - q^-1) T_j + 1 for every j.  With Y_j =
+  the points split: T_j^2 = (q - q^-1) T_j + 1 for every j, decided on the
+  two-site block R of T_j = 1 (x) R (x) 1 (`_quadratic`).  With Y_j =
   2 T_j - (q - q^-1) = (q + q^-1) T'_j it gives Y_j^2 = (q + q^-1)^2, so
   T'_j^2 = 1 and T'_1 X_i T'_1 = T'_{i+1} T'_1 = X_i^-1, which lies in C (a
   finite-dimensional algebra holds the inverse of each invertible element).
@@ -151,10 +152,10 @@ over Q(q).  Info records then report generic values too.
     D = B + phi B; its phi B part both commutes and anticommutes with T'_1,
     so it is 0 by (i) and (iii).
 
-Integer generators.  At a point t every generator the records read (the
-T_i, the superalgebra generators, the Y_j, the X~_i and phi) enters as
-`tensor.integral_specialization` gives it: a primitive integer matrix c g(t)
-with c a nonzero rational, made without a `Fraction`.  The records read only
+Integer generators.  At a point t every generator the records read enters as
+a primitive integer matrix c g(t), c a nonzero rational, made without a
+`Fraction`: the T_i, Y_j and X~_i from the two-site rule (`tensor.pi_T`),
+the others by `tensor.integral_specialization`.  The records read only
 spans: the unital algebra the generators generate (the c_i g_i generate the
 one the g_i do), its length, the residuals of C T_1 modulo C, commutants and
 anticommutants (X c g = +-c g X exactly when X g = +-g X), and membership in
@@ -204,9 +205,11 @@ from .tensor import (
     PiRepresentation,
     integral_specialization,
     phi_tensor,
+    pi_T,
     rho_generators,
     sign_permutation_matrix,
     specialize_matrix,
+    y_matrices,
 )
 
 SPECIALIZED_DIM_BOUND = 256
@@ -372,17 +375,16 @@ def suite_schur_weyl(m: int, n: int, r: int, *, mode: str | None = None,
     mode = _resolve_mode(space.dim, mode, bound, r=r)
     report = Report("schur-weyl", {"m": m, "n": n, "r": r, "seed": seed, "mode": mode})
     rep = PiRepresentation(space)
-    t_gens = rep.t_matrices()
     rho = rho_generators(space)
     rho_gens = [g for _, g in rho]
 
-    bad = _commutation_failures(t_gens, rho)
+    bad = _commutation_failures(rep.t_matrices(), rho)
     report.add("action-commutation", not bad, expected="all generator pairs commute",
                actual="all commute" if not bad else "; ".join(bad[:6]))
 
     pred = predicted_dimensions(m, n, r)
     _certify(report, mode, seed, space.dim, lambda sub, point: _schur_weyl_core(
-        sub, point, space, t_gens, rho_gens, pred, not bad),
+        sub, point, rep, rho_gens, pred, not bad),
         proof=None if bad else "action-commutation")
     return report
 
@@ -393,16 +395,15 @@ def _commutation_failures(t_gens, rho) -> list[str]:
             for name, g in rho if not tmat.commutes_with(g)]
 
 
-def _schur_weyl_core(report: Report, point, space: GradedSpace,
-                     t_gens, rho_gens, pred, commute: bool) -> None:
+def _schur_weyl_core(report: Report, point, rep: PiRepresentation,
+                     rho_gens, pred, commute: bool) -> None:
     if point is None:
-        one = RationalFunction.one()
+        one, t_gens = RationalFunction.one(), rep.t_matrices()
     else:
-        one = 1
-        t_gens = [integral_specialization(g, point) for g in t_gens]
+        one, t_gens = 1, rep.hecke_generators(point)[0]
         rho_gens = [integral_specialization(g, point) for g in rho_gens]
-    a_alg = _closure_of(t_gens, space.dim, one)
-    b_alg = _closure_of(rho_gens, space.dim, one)
+    a_alg = _closure_of(t_gens, rep.space.dim, one)
+    b_alg = _closure_of(rho_gens, rep.space.dim, one)
     report.add("hecke-image-dimension", len(a_alg) == pred.dimA,
                expected=pred.dimA, actual=len(a_alg))
     report.info("superalgebra-image-dimension", actual=len(b_alg))
@@ -436,56 +437,40 @@ def suite_alt_centralizer(m: int, n: int, r: int, *, mode: str | None = None,
     ]:
         report.add(name, ok, expected=exp, actual=act)
 
-    quadratic, ys, x_tilde = _hecke_generators(rep)
+    quadratic = _quadratic(space)
     square = proof = None
     if m == n:
         # premises (i)-(iv) of the split, once over Q(q); see the module docstring
         rho = rho_generators(space)
         phi = phi_tensor(space)
         sign = (-1) ** (r * (r - 1) // 2)
-        square = ([g for _, g in rho], phi, sign, ys, (
+        square = ([g for _, g in rho], phi, sign, (
             phi * phi == OperatorMatrix.identity(space.dim).scale(sign),
-            all(y.anticommutes_with(phi) for y in ys),
-            quadratic[0],
+            all(y.anticommutes_with(phi) for y in y_matrices(rep.t_matrices(), Q_MINUS_QINV)),
+            quadratic,
             not _commutation_failures(rep.t_matrices(), rho)))
-        if all(square[4]) and pred.dimA == 2 * pred.dimC:
+        if all(square[3]) and pred.dimA == 2 * pred.dimC:
             proof = "premises (i)-(iv)"
     _certify(report, mode, seed, space.dim, lambda sub, point: _alt_centralizer_core(
-        sub, point, space, pred, all(quadratic), rep.t_matrix(1), x_tilde, square),
+        sub, point, space, pred, quadratic, rep.hecke_generators(point), square),
         proof=proof)
     return report
 
 
-def _hecke_generators(rep: PiRepresentation):
-    """Over Q(q): whether each T_j satisfies T_j^2 = (q - q^-1) T_j + 1, the
-    Y_j = 2 T_j - (q - q^-1) = (q + q^-1) T'_j and the X~_i = Y_1 Y_{i+1} =
-    (q + q^-1)^2 X_i.  Every entry of the Y_j and the X~_i is a Laurent
-    polynomial."""
-    t_gens = rep.t_matrices()
-    ident = OperatorMatrix.identity(rep.space.dim)
-    qm = RationalFunction.q() - RationalFunction.q(-1)
-    quadratic = [t * t == t.scale(qm) + ident for t in t_gens]
-    ys = [t.scale(2) - ident.scale(qm) for t in t_gens]
-    return quadratic, ys, [ys[0] * y for y in ys[1:]]
+def _quadratic(space: GradedSpace) -> bool:
+    """T^2 = (q - q^-1) T + 1 over Q(q) on the block R = T_1 at r = 2: each
+    T_j is 1 (x) R (x) 1, an injective unital algebra map of R."""
+    block = pi_T(GradedSpace(space.m, space.n, 2), 1)
+    return block * block == block.scale(Q_MINUS_QINV) + OperatorMatrix.identity(block.dim)
 
 
-def _even_generators(x_tilde: list[OperatorMatrix], point) -> list[OperatorMatrix]:
-    """The generators of C: the X~_i over Q(q), and at q = t integer matrices
-    proportional to the X~_i(t), hence to the X_i(t), which generate the
-    same C_t (module docstring)."""
-    if point is None:
-        return x_tilde
-    return [integral_specialization(x, point) for x in x_tilde]
-
-
-def _images(x_tilde: list[OperatorMatrix], t1: OperatorMatrix, dim: int, point):
-    """(C, len(A)) over Q(q), or at q = t: C closed from the X~_i, and, given
-    the quadratic, A = C + C T_1 (module docstring), so len(A) is len(C) plus
-    the rank of the residuals of the c T_1 modulo C, which a residual up to
-    scale (`LinearSpan._clear`) gives."""
-    one = RationalFunction.one() if point is None else 1
-    c_alg = _closure_of(_even_generators(x_tilde, point), dim, one)
-    t1 = t1 if point is None else integral_specialization(t1, point)
+def _images(gens, dim: int, one):
+    """(C, len(A)) from ``gens`` = (the T_j, Y_j and X~_i), over Q(q) or at
+    q = t: C closed from the X~_i, and, given the quadratic, A = C + C T_1
+    (module docstring), so len(A) is len(C) plus the rank of the residuals of
+    the c T_1 modulo C, which a residual up to scale (`LinearSpan._clear`) gives."""
+    (t1, *_), _, x_gens = gens
+    c_alg = _closure_of(x_gens, dim, one)
     c_span, residuals = c_alg.span(), LinearSpan()
     rank = 0
     for c in c_alg.elements:
@@ -496,15 +481,14 @@ def _images(x_tilde: list[OperatorMatrix], t1: OperatorMatrix, dim: int, point):
 
 
 def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
-                          quadratic: bool, t1: OperatorMatrix,
-                          x_tilde: list[OperatorMatrix], square=None) -> None:
+                          quadratic: bool, gens, square=None) -> None:
     one = RationalFunction.one() if point is None else 1
     dim = space.dim
 
     def mat(matrix):
         return matrix if point is None else integral_specialization(matrix, point)
 
-    c_alg, dim_a = _images(x_tilde, t1, dim, point)
+    c_alg, dim_a = _images(gens, dim, one)
     report.add("even-image-dimension", len(c_alg) == pred.dimC,
                expected=pred.dimC, actual=len(c_alg))
     report.add("hecke-image-dimension", quadratic and dim_a == pred.dimA,
@@ -524,7 +508,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
                actual=f"dims {dim_cd} vs {len(c_alg)}")
 
     if square is not None:   # m = n: generic rho generators, phi, sign of phi^2, (i)-(iv)
-        rho_gens, phi, sign, ys, (squares, anti, involutive, commute) = square
+        rho_gens, phi, sign, (squares, anti, involutive, commute) = square
         phi = mat(phi)
         report.add("flip-squares-to-sign", squares,
                    expected=f"({sign})*identity", actual="equal" if squares else "differs")
@@ -532,7 +516,7 @@ def _alt_centralizer_core(report: Report, point, space: GradedSpace, pred,
 
         b_alg = _closure_of([mat(g) for g in rho_gens], dim, one)
         report.info("superalgebra-image-dimension", actual=len(b_alg))
-        bd = anticommutant_basis([mat(y) for y in ys])   # anti(Y_t) = anti(T'_t)
+        bd = anticommutant_basis(gens[1])   # anti(Y_t) = anti(T'_t)
         report.add("anticommutant-dimension-matches", len(bd) == len(b_alg),
                    expected=len(b_alg), actual=len(bd))
         report.add("flip-maps-commutant-onto-anticommutant", anti and commute)
@@ -566,11 +550,11 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
     space = GradedSpace(m, n, r)
     _resolve_mode(space.dim, "specialized", bound, r=r)
     rep = PiRepresentation(space)
-    quadratic, _, x_tilde = _hecke_generators(rep)   # built before the points split
+    quadratic = _quadratic(space)
 
     def image_ranks(t):
         """len(A) and len(C) at q = t, read off C given the quadratic."""
-        c_alg, dim_a = _images(x_tilde, rep.t_matrix(1), space.dim, t)
+        c_alg, dim_a = _images(rep.hecke_generators(t), space.dim, 1)
         return dim_a, len(c_alg)
 
     pairs = specialization_points(points, seed, image_ranks)
@@ -582,7 +566,7 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
     pred = predicted_dimensions(m, n, r)
 
     report.add("hecke-image-rank-agreement",
-               all(quadratic) and len(set(dims_a)) == 1 and dims_a[0] == pred.dimA,
+               quadratic and len(set(dims_a)) == 1 and dims_a[0] == pred.dimA,
                expected=f"rank {pred.dimA} at all points",
                actual=f"ranks {dims_a} at points {[str(p) for p in points]}")
     report.add("even-image-rank-agreement", len(set(dims_c)) == 1 and dims_c[0] == pred.dimC,
@@ -596,7 +580,7 @@ def suite_specialization(m: int, n: int, r: int, *, points=None,
                expected="entrywise equality for every generator",
                actual="equal" if classical_ok else "differs")
     # the quadratic at q = 1 reads T_i(1)^2 = 1, as specialization is a ring map
-    report.add("classical-point-involutions", all(quadratic))
+    report.add("classical-point-involutions", quadratic)
     # C is closed once per point, so not again when q = 1 is one of the points
     classical = dict(pairs).get(1) or image_ranks(Fraction(1))
     report.info("hecke-image-rank-at-classical-point", actual=classical[0],

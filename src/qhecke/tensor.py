@@ -8,7 +8,8 @@ matrix rows/columns use that lexicographic rank (0-based).
 Three families of operators are built here, all with entries in Q(q):
 
 * the Hecke action: each generator acts on two adjacent tensor slots by a
-  graded swap-plus-deformation rule (and its involutive normalized variant);
+  graded swap-plus-deformation rule (and its involutive normalized variant),
+  which at q = a/b also gives integer matrices (`pi_T`);
 * the quantized-superalgebra action: one-site matrices for sigma, the
   diagonal weight operators, and the raising/lowering operators, extended to
   r slots by the coproduct-expanded sums;
@@ -29,7 +30,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .hecke import HeckeElement, symmetric_group_table
-from .qfield import PoleError, RationalFunction, _as_point_value, _axpy
+from .qfield import Q_MINUS_QINV, Q_PLUS_QINV, PoleError, RationalFunction, _as_point_value, _axpy
 from .report import FrozenRecord
 
 
@@ -76,7 +77,7 @@ class GradedSpace(FrozenRecord):
 class OperatorMatrix:
     """Sparse square matrix; coefficient type is any exact field element."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_rows")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], object] | None = None):
         self.dim = dim
@@ -111,9 +112,11 @@ class OperatorMatrix:
 
     def __mul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_dim(other)
-        rows: dict[int, list[tuple[int, object]]] = {}
-        for (k, j), v in other.entries.items():
-            rows.setdefault(k, []).append((j, v))
+        rows = getattr(other, "_rows", None)   # built once: entries never change
+        if rows is None:
+            rows = other._rows = {}
+            for (k, j), v in other.entries.items():
+                rows.setdefault(k, []).append((j, v))
         out: dict[tuple[int, int], object] = {}
         for (i, k), u in self.entries.items():
             _axpy(out, u, [((i, j), v) for j, v in rows.get(k, ())])
@@ -200,17 +203,21 @@ def _two_site_operator(space: GradedSpace, i: int,
                                          for pair, c in local[idx[i - 1:i + 1]]])
 
 
-def pi_T(space: GradedSpace, i: int) -> OperatorMatrix:
-    """Matrix of the Hecke generator T_i on the graded tensor power."""
-    q = RationalFunction.q()
-    qinv = RationalFunction.q(-1)
+def pi_T(space: GradedSpace, i: int, point=None) -> OperatorMatrix:
+    """Matrix of the Hecke generator T_i on the graded tensor power; at q = a/b
+    (``point``) the int matrix ab T_i(a/b): q, q^-1, 1 in the rule are a^2, b^2, ab."""
+    if point is None:
+        q, qinv, one = RationalFunction.q(), RationalFunction.q(-1), RationalFunction.one()
+    else:
+        t = _as_point_value(point)
+        q, qinv, one = t.numerator ** 2, t.denominator ** 2, t.numerator * t.denominator
     qm = q - qinv
     diag = {0: q, 1: -qinv}    # ((-1)^d (q+q^-1) + (q-q^-1)) / 2 for degree d
 
     def rule(k: int, l: int) -> list:
         if k == l:
             return [((k, l), diag[space.degree(k)])]
-        sign = RationalFunction.constant((-1) ** (space.degree(k) * space.degree(l)))
+        sign = -one if space.degree(k) * space.degree(l) else one
         if k < l:
             return [((l, k), sign), ((k, l), qm)]
         return [((l, k), sign)]
@@ -218,23 +225,15 @@ def pi_T(space: GradedSpace, i: int) -> OperatorMatrix:
     return _two_site_operator(space, i, rule)
 
 
+def y_matrices(t_gens: list[OperatorMatrix], qm) -> list[OperatorMatrix]:
+    """The Y_j = 2 T_j - (q - q^-1) = (q + q^-1) T'_j from the T_j and ``qm`` =
+    q - q^-1, both over Q(q) or both ab times their values at q = a/b."""
+    return [t.scale(2) - OperatorMatrix.identity(t.dim, qm) for t in t_gens]
+
+
 def pi_Tprime(space: GradedSpace, i: int) -> OperatorMatrix:
-    """Matrix of the involutive generator T'_i on the graded tensor power."""
-    q = RationalFunction.q()
-    qinv = RationalFunction.q(-1)
-    qp_inv = (q + qinv).inverse()
-    ratio = (q - qinv) * qp_inv
-
-    def rule(k: int, l: int) -> list:
-        if k == l:
-            return [((k, l), RationalFunction.constant((-1) ** space.degree(k)))]
-        sign = (-1) ** (space.degree(k) * space.degree(l))
-        swap = RationalFunction.constant(2 * sign) * qp_inv
-        if k < l:
-            return [((l, k), swap), ((k, l), ratio)]
-        return [((l, k), swap), ((k, l), -ratio)]
-
-    return _two_site_operator(space, i, rule)
+    """Matrix of the involutive generator T'_i = Y_i / (q + q^-1)."""
+    return y_matrices([pi_T(space, i)], Q_MINUS_QINV)[0].scale(Q_PLUS_QINV.inverse())
 
 
 def sign_permutation_matrix(space: GradedSpace, i: int) -> OperatorMatrix:
@@ -432,6 +431,18 @@ class PiRepresentation:
     def x_matrices(self) -> list[OperatorMatrix]:
         return [self.x_matrix(i) for i in range(1, self.space.r - 1)]
 
+    def hecke_generators(self, point=None) -> tuple:
+        """The T_j, Y_j and X~_i = Y_1 Y_{i+1} = (q + q^-1)^2 X_i over Q(q) (Laurent
+        entries), or at q = a/b primitive integer multiples of their values."""
+        if point is None:
+            ts, qm, prim = self.t_matrices(), Q_MINUS_QINV, lambda g: g
+        else:
+            t = _as_point_value(point)
+            ts = [pi_T(self.space, j, t) for j in range(1, self.space.r)]
+            qm, prim = t.numerator ** 2 - t.denominator ** 2, _primitive
+        ys = y_matrices(ts, qm)
+        return [prim(g) for g in ts], [prim(y) for y in ys], [prim(ys[0] * y) for y in ys[1:]]
+
     def word_matrix(self, word) -> OperatorMatrix:
         return self.table.word_image(self._words, self.table.index[tuple(word)],
                                      lambda g, rest: self.t_matrix(g) * rest)
@@ -472,9 +483,14 @@ def integral_specialization(matrix: OperatorMatrix, point) -> OperatorMatrix:
     else:
         entries = specialize_matrix(matrix, t).entries
     scale = lcm(*(v.denominator for v in entries.values()))
-    entries = {k: int(v * scale) for k, v in entries.items()}
-    g = gcd(*entries.values())
-    return OperatorMatrix._raw(matrix.dim, {k: v // g for k, v in entries.items() if v})
+    return _primitive(OperatorMatrix._raw(matrix.dim, {k: int(v * scale)
+                                                       for k, v in entries.items() if v}))
+
+
+def _primitive(matrix: OperatorMatrix) -> OperatorMatrix:
+    """An integer matrix divided by the gcd of its entries."""
+    g = gcd(*matrix.entries.values())
+    return OperatorMatrix._raw(matrix.dim, {k: v // g for k, v in matrix.entries.items()})
 
 
 def specialize_matrix(matrix: OperatorMatrix, point) -> OperatorMatrix:

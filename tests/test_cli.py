@@ -28,6 +28,9 @@ ALT_CENTRALIZER_PINS = [
                  id="2-2-2-specialized"),
     pytest.param(["--m", "1", "--n", "0", "--r", "3"],
                  "9fa1317b0ba763d249e8864de1d91133538ff826cac7ba99663571043d0f0f9e", id="1-0-3"),
+    # more odd than even letters
+    pytest.param(["--m", "1", "--n", "2", "--r", "3"],
+                 "3340c768de560536e0d093bb1e45fd2833b2b1e7e81e0b9ac5ed0bdf1f38a035", id="1-2-3"),
     # even images of 12 and 10 dimensions: Gram matrices beyond 3 x 3
     pytest.param(["--m", "2", "--n", "0", "--r", "4"],
                  "b47a56f36e0d5e48baabcb84263b511ef70fad2806d1d6a498d2d6a046379573", id="2-0-4"),
@@ -537,6 +540,9 @@ class TestGoldenOutput:
         # the lone point 15 is seed 0's second draw: the fill must skip it
         (["verify", "specialize", "--m", "1", "--n", "1", "--r", "3", "--points", "15"],
          "a20e951f02f9767136a2011811bbf9e6f81988c4ab6c3c0a058b1ed012a1ca88"),
+        # a negative point, m != n: the integer generators at t = a/b with a < 0
+        (["verify", "specialize", "--m", "2", "--n", "1", "--r", "3", "--points=-3/2,5"],
+         "0331e6ec0d52bee09012559a320d6559420e3419b3e0669d2387845e61cc3f85"),
         # these seeds once drew sampled elements whose products a numerator
         # left with q^2 + 1 would change; now they pick the even words whose
         # T'-coordinates the direct-sum records read
@@ -553,6 +559,7 @@ class TestGoldenOutput:
         (["verify", "alt", "--r", "8", "--bound", "8"],
          "2ae79de0b6a0d3f481caf81d2b0e24948b3bbacc38cfae6dbabff35513930d9b"),
     ], ids=["specialize-1-1-3", "alt-centralizer-2-1-3-seed-7", "specialize-1-1-3-points-15",
+            "specialize-2-1-3-negative-point",
             "hecke-6-seed-820626892", "hecke-6-seed-1924014660", "hecke-7-bound-7",
             "alt-6", "alt-7-bound-7", "alt-8-bound-8"])
     def test_specialize_and_seeded_reports_are_pinned(self, args, digest, tmp_path):

@@ -361,6 +361,26 @@ def test_scalar_elements_take_the_stored_pair_of_the_field_value(value, rank):
     assert _scalar_elem(rank, value)._c == _from_field([(identity, _as_field(value))])
 
 
+@given(st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.dictionaries(st.integers(-4, 4), st.one_of(
+        st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=5)),
+        max_size=4).map(LaurentPolynomial)))
+@settings(max_examples=150, deadline=None)
+def test_coefficients_enter_the_field_as_their_promotion_did(value):
+    # the direct constructors give the value `_promote` made, in canonical form
+    got = _as_field(value)
+    assert type(got) is RationalFunction
+    assert (got.num, got.den) == (RationalFunction(value).num, RationalFunction(value).den)
+    assert got == RationalFunction.zero()._promote(value)
+
+
+def test_other_coefficients_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        _as_field(0.5)
+
+
 def test_an_element_never_equals_its_tprime_coordinates():
     one = HeckeAlgebra(3).one()
     assert (one == to_tprime_basis(one)) is False

@@ -20,7 +20,7 @@ from qhecke.commutant import (
 )
 from qhecke.hecke import U_SQUARED, HeckeAlgebra, SymmetricGroupTable, relation_failures
 from qhecke.partitions import predicted_dimensions
-from qhecke.qfield import RationalFunction
+from qhecke.qfield import Q_MINUS_QINV, RationalFunction
 from qhecke.report import Report
 from qhecke.suites import (
     SizeBoundError,
@@ -55,6 +55,26 @@ def count_products(monkeypatch):
 
     monkeypatch.setattr(SymmetricGroupTable, "elem_mul", counted)
     return calls, units
+
+
+_PI_T = tensor.pi_T
+
+
+def _off_its_quadratic(space, i, point=None):
+    """T_i with the two-site rule's block R made 3 R - (q - q^-1) (at q = a/b,
+    ab times that): it lies in the span of 1 and T_i and its Y is 3 Y, so
+    every length stays, but R^2 = (q - q^-1) R + 1 fails."""
+    qm = Q_MINUS_QINV
+    if point is not None:
+        t = Fraction(point)
+        qm = t.numerator ** 2 - t.denominator ** 2
+    return _PI_T(space, i, point).scale(3) - OperatorMatrix.identity(space.dim, qm)
+
+
+def break_the_quadratic(monkeypatch):
+    """Build every T_i, generic and at the points, from the broken rule."""
+    for module in (tensor, suites):
+        monkeypatch.setattr(module, "pi_T", _off_its_quadratic)
 
 
 def break_t2(monkeypatch):
@@ -288,11 +308,12 @@ class TestSchurWeylCommutantChecks:
     ], ids=["q=1", "q=2", "Q(q)"])
     def test_core_agrees_with_span_equal(self, point, expected):
         space = GradedSpace(1, 1, 3)
-        t_gens = PiRepresentation(space).t_matrices()
+        rep = PiRepresentation(space)
+        t_gens = rep.t_matrices()
         rho = rho_generators(space)
         rho_gens = [g for _, g in rho]
         report = Report("core", {})
-        suites._schur_weyl_core(report, point, space, t_gens, rho_gens,
+        suites._schur_weyl_core(report, point, rep, rho_gens,
                                 predicted_dimensions(1, 1, 3),
                                 not suites._commutation_failures(t_gens, rho))
         if point is not None:
@@ -359,12 +380,6 @@ def _identity_flip(space):
     return OperatorMatrix.identity(space.dim)
 
 
-def _t1_off_its_quadratic(rep, generators=suites._hecke_generators):
-    """The generic generators, with T_1's quadratic reported broken."""
-    quadratic, ys, x_tilde = generators(rep)
-    return [False, *quadratic[1:]], ys, x_tilde
-
-
 class TestSquareBlockFailures:
     """The square records are decided from premises tested over Q(q) and from
     lengths at the point; each mutation must fail exactly the records that
@@ -385,13 +400,15 @@ class TestSquareBlockFailures:
          {"flip-squares-to-sign", "flip-anticommutes-with-involutive-generators",
           "flip-maps-commutant-onto-anticommutant", "centralizer-splits-as-direct-sum",
           "conjugation-has-order-two", "crossed-system-axioms", "crossed-product-law"}),
-        # (iii) is T_1's quadratic, which is also the premise of A = C + C T_1
-        ("_hecke_generators", _t1_off_its_quadratic, {"centralizer-splits-as-direct-sum"}),
+        # (iii) is T_1's quadratic, which is also the premise of A = C + C T_1;
+        # the broken rule leaves every Y, up to scale, and so every length
+        ("pi_T", _off_its_quadratic, {"centralizer-splits-as-direct-sum"}),
     ], ids=["extra-generator", "conjugated", "identity-flip", "t1-off-its-quadratic"])
     @pytest.mark.parametrize("mode", ["exact", "specialized"])
     def test_mutation_fails_exactly_its_records(self, target, mutation, failing, mode,
                                                 monkeypatch):
-        monkeypatch.setattr(suites, target, mutation)
+        for module in (suites, tensor):
+            monkeypatch.setattr(module, target, mutation)
         report = suite_alt_centralizer(1, 1, 3, mode=mode)
         statuses = {}
         for c in report.checks:
@@ -429,11 +446,10 @@ class TestAltCentralizerSuite:
         assert "flip-squares-to-sign" not in checks   # only for m == n
 
     def test_collapse_fails_when_a_generator_breaks_the_quadratic(self, monkeypatch):
-        # -T_4 generates the same algebra, so every length stays at 42; only
-        # the premise T_j^2 = (q - q^-1) T_j + 1 of A = C + C T_1 can fail
-        pi_T = tensor.pi_T
-        monkeypatch.setattr(tensor, "pi_T",
-                            lambda space, i: -pi_T(space, i) if i == 4 else pi_T(space, i))
+        # the 3 T_j - (q - q^-1) generate the same algebra, so every length
+        # stays at 42; only the premise T_j^2 = (q - q^-1) T_j + 1 of
+        # A = C + C T_1 can fail
+        break_the_quadratic(monkeypatch)
         report = suite_alt_centralizer(2, 0, 5)
         assert not report.passed
         for name in ("hecke-image-dimension", "small-row-collapse"):
@@ -470,11 +486,11 @@ class TestAltCentralizerSuite:
         x_gens = [OperatorMatrix(8, {(a * 4 + x, b * 4 + x): Fraction(1)
                                      for (a, b) in units for x in range(4)})
                   for units in gens]
-        monkeypatch.setattr(suites, "_even_generators", lambda x_tilde, point: x_gens)
+        t_gens = PiRepresentation(space).hecke_generators(2)[0]
         calls = self._count_calls(monkeypatch, "commutant_basis")
         report = Report("core", {})
         suites._alt_centralizer_core(report, Fraction(2), space, predicted_dimensions(2, 0, 3),
-                                     True, PiRepresentation(space).t_matrix(1), [])
+                                     True, (t_gens, [], x_gens))
         record = check_map(report)["double-commutant-returns-even-image"]
         assert (record.status, record.actual) == (status, actual)
         assert len(calls) == 2      # D, then D's commutant
@@ -541,11 +557,10 @@ class TestHeckeImageFromEvenImage:
     def _core_checks(m, n, r, point):
         space = GradedSpace(m, n, r)
         rep = PiRepresentation(space)
-        quadratic, _, x_tilde = suites._hecke_generators(rep)
-        assert all(quadratic)
+        assert suites._quadratic(space)
         report = Report("core", {})
         suites._alt_centralizer_core(report, point, space, predicted_dimensions(m, n, r),
-                                     True, rep.t_matrix(1), x_tilde)
+                                     True, rep.hecke_generators(point))
         return rep, check_map(report)
 
     @pytest.mark.parametrize("m, n, r, field", [
@@ -568,12 +583,13 @@ class TestHeckeImageFromEvenImage:
 
     @pytest.mark.parametrize("shape", [(2, 1, 3), (1, 1, 4), (2, 0, 4)],
                              ids=lambda s: "-".join(map(str, s)))
-    @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7), 1, 2],
-                             ids=["q=2", "q=15/7", "int-1", "int-2"])
+    @pytest.mark.parametrize("point", [Fraction(2), Fraction(15, 7), 1, 2, Fraction(-3, 2)],
+                             ids=["q=2", "q=15/7", "int-1", "int-2", "q=-3/2"])
     def test_even_generators_at_a_point_are_proportional_to_the_xs(self, shape, point):
-        # integer matrices of content 1, each a nonzero multiple of X_i(t)
+        # integer matrices of content 1, each a nonzero multiple of X_i(t),
+        # built from the two-site rule
         rep = PiRepresentation(GradedSpace(*shape))
-        x_gens = suites._even_generators(suites._hecke_generators(rep)[2], point)
+        x_gens = rep.hecke_generators(point)[2]
         for scaled, x in zip(x_gens, rep.x_matrices(), strict=True):
             value = specialize_matrix(x, point)
             assert all(type(v) is int for v in scaled.entries.values())
@@ -584,8 +600,8 @@ class TestHeckeImageFromEvenImage:
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 0, 3)], ids=["1-1-3", "2-0-3"])
     def test_even_image_from_laurent_generators_has_the_length_of_c(self, shape):
         rep = PiRepresentation(GradedSpace(*shape))
-        x_tilde = suites._hecke_generators(rep)[2]
-        assert suites._even_generators(x_tilde, None) == x_tilde
+        x_tilde = rep.hecke_generators()[2]
+        assert all(len(v.den.terms) == 1 for x in x_tilde for v in x.entries.values())
         assert len(span_closure(x_tilde)) == len(span_closure(rep.x_matrices()))
 
     @staticmethod
@@ -600,11 +616,16 @@ class TestHeckeImageFromEvenImage:
             return closure(gens)
 
         monkeypatch.setattr(suites, "span_closure", recording)
-        return closed, lambda shape: {
-            g if t is None else evaluate(g, t)
-            for g in PiRepresentation(GradedSpace(*shape)).t_matrices()
-            for t in [None, Fraction(1), *draw_points(0)]
-            for evaluate in (specialize_matrix, tensor.integral_specialization)}
+
+        def ts(shape):
+            rep = PiRepresentation(GradedSpace(*shape))
+            points = [Fraction(1), *draw_points(0)]
+            return {*rep.t_matrices(),
+                    *(evaluate(g, t) for g in rep.t_matrices() for t in points
+                      for evaluate in (specialize_matrix, tensor.integral_specialization)),
+                    *(g for t in points for g in rep.hecke_generators(t)[0])}
+
+        return closed, ts
 
     @pytest.mark.parametrize("shape, mode", [((2, 1, 3), "specialized"), ((1, 1, 3), "exact"),
                                              ((2, 0, 4), "specialized")],
@@ -642,9 +663,57 @@ class TestHeckeImageFromEvenImage:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestTwoSitePremise:
+    """The quadratic is decided once over Q(q) on the two-site block R of
+    T_j = 1 (x) R (x) 1; at a point the T_j, Y_j and X~_i come from the
+    two-site rule, and no matrix over Q(q) on the tensor space is multiplied."""
+
+    @pytest.mark.parametrize("shape", [(1, 0, 2), (0, 1, 3), (2, 0, 3), (1, 1, 2), (1, 1, 3),
+                                       (2, 1, 3), (1, 2, 3), (0, 2, 3), (2, 0, 4), (1, 1, 4)],
+                             ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("broken", [False, True], ids=["rule", "broken-rule"])
+    def test_block_premise_agrees_with_every_t(self, shape, broken, monkeypatch):
+        if broken:
+            break_the_quadratic(monkeypatch)
+        space = GradedSpace(*shape)
+        ident = OperatorMatrix.identity(space.dim)
+        every_t = all(t * t == t.scale(Q_MINUS_QINV) + ident
+                      for t in PiRepresentation(space).t_matrices())
+        assert suites._quadratic(space) == every_t == (not broken)
+
+    @pytest.mark.parametrize("mode", ["exact", "specialized"])
+    def test_a_broken_rule_fails_only_the_hecke_image(self, mode, monkeypatch):
+        # every length stays; the failed premise alone fails the record
+        def records(report):
+            return [(c.name, c.status, c.expected, c.actual) for c in report.checks]
+
+        clean = records(suite_alt_centralizer(2, 1, 3, mode=mode))
+        break_the_quadratic(monkeypatch)
+        broken = records(suite_alt_centralizer(2, 1, 3, mode=mode))
+        changed = [(a, b) for a, b in zip(clean, broken, strict=True) if a != b]
+        names = [b[0] for _, b in changed]
+        assert names == (["hecke-image-dimension"] if mode == "exact" else
+                         [f"q={t}: hecke-image-dimension" for t in draw_points(0)])
+        assert all(a[1:] == ("pass", *b[2:]) and b[1] == "fail" for a, b in changed)
+
+    def test_specialized_run_multiplies_no_field_matrix_on_the_tensor_space(self, monkeypatch):
+        field_products, mul = [], OperatorMatrix.__mul__
+
+        def recording(a, b):
+            if any(isinstance(v, RationalFunction)
+                   for m in (a, b) for v in m.entries.values()):
+                field_products.append(a.dim)
+            return mul(a, b)
+
+        monkeypatch.setattr(OperatorMatrix, "__mul__", recording)
+        assert suite_alt_centralizer(2, 1, 3, mode="specialized").passed
+        assert field_products == [9]    # R * R, the quadratic on the 9-dimensional block
+
+
 class TestIntegerGeneratorsAtAPoint:
     """At a point the suites evaluate each generator as an integer multiple
-    of its value (`integral_specialization`).  Spans, and so the lengths of
+    of its value (the Hecke generators from the two-site rule, the others by
+    `integral_specialization`).  Spans, and so the lengths of
     closures, commutants and anticommutants and the trace form's (verdict,
     length), do not move: the `specialize_matrix` generators are the
     oracle."""
@@ -656,7 +725,7 @@ class TestIntegerGeneratorsAtAPoint:
     def test_lengths_equal_those_of_the_values(self, shape, point):
         space = GradedSpace(*shape)
         rep = PiRepresentation(space)
-        _, ys, x_tilde = suites._hecke_generators(rep)
+        _, ys, x_tilde = rep.hecke_generators()
         families = {"T": rep.t_matrices(), "rho": [g for _, g in rho_generators(space)],
                     "Y": ys, "X~": x_tilde}
         for name, gens in families.items():
@@ -691,8 +760,7 @@ class TestIntegerGeneratorsAtAPoint:
         monkeypatch.setattr(suites, "LinearSpan", Recording)
         space = GradedSpace(*shape)
         rep = PiRepresentation(space)
-        c_alg, dim_a = suites._images(suites._hecke_generators(rep)[2], rep.t_matrix(1),
-                                      space.dim, draw_points(0)[0])
+        c_alg, dim_a = suites._images(rep.hecke_generators(draw_points(0)[0]), space.dim, 1)
         (residuals,) = residual_spans
         assert dim_a == len(c_alg) + residuals.rank > len(c_alg)
         assert all(type(v) is int for m in c_alg.elements for v in m.entries.values())
@@ -735,16 +803,13 @@ class TestSpecializationSuite:
         named = {c.name: c for c in report.checks}
         assert named["even-image-rank-agreement"].status == "pass"
 
-    @pytest.mark.parametrize("shape, j", [((1, 1, 3), 2), ((2, 1, 3), 1)], ids=["1-1-3", "2-1-3"])
-    def test_rank_records_fail_when_a_generator_breaks_the_quadratic(self, shape, j,
-                                                                       monkeypatch):
-        # -T_j generates the same image, and the ranks read off C stay at the
-        # prediction; only the premise T_j^2 = (q - q^-1) T_j + 1 of A = C + C T_1
-        # and of T_j(1)^2 = 1 can fail the two records
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 3)], ids=["1-1-3", "2-1-3"])
+    def test_rank_records_fail_when_a_generator_breaks_the_quadratic(self, shape, monkeypatch):
+        # the 3 T_j - (q - q^-1) generate the same image, and the ranks read
+        # off C stay at the prediction; only the premise T_j^2 = (q - q^-1)
+        # T_j + 1 of A = C + C T_1 and of T_j(1)^2 = 1 can fail the two records
         ranks = check_map(suite_specialization(*shape))["hecke-image-rank-agreement"].actual
-        pi_T = tensor.pi_T
-        monkeypatch.setattr(tensor, "pi_T",
-                            lambda space, i: -pi_T(space, i) if i == j else pi_T(space, i))
+        break_the_quadratic(monkeypatch)
         report = suite_specialization(*shape)
         assert not report.passed
         checks = check_map(report)

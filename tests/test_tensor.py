@@ -12,6 +12,7 @@ from qhecke.qfield import (
     Q_MINUS_QINV,
     Q_PLUS_QINV,
     RationalFunction,
+    _axpy,
 )
 from qhecke.tensor import (
     GradedSpace,
@@ -333,18 +334,53 @@ class TestSpecialize:
         assert spec.entries == {(0, 1): Fraction(2)}
 
 
+class TestHeckeGeneratorsAtAPoint:
+    """At q = a/b the T_j, Y_j and X~_i come from the two-site rule as
+    integer matrices; the generic matrices evaluated by
+    `integral_specialization` are the oracle."""
+
+    SHAPES = [(2, 1, 3), (1, 2, 3), (1, 1, 4), (2, 0, 4)]
+    POINTS = [Fraction(2), Fraction(15, 7), Fraction(1, 5), 1, -1, Fraction(-3, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("t", POINTS, ids=str)
+    def test_equal_to_the_generic_matrices_up_to_sign(self, shape, t):
+        rep = PiRepresentation(GradedSpace(*shape))
+        built, generic = rep.hecke_generators(t), rep.hecke_generators()
+        assert [len(family) for family in built] == [len(family) for family in generic]
+        for b, g in zip((m for family in built for m in family),
+                        (m for family in generic for m in family)):
+            oracle = integral_specialization(g, t)
+            assert all(type(v) is int for v in b.entries.values())
+            assert b == oracle or b == -oracle
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("t", POINTS, ids=str)
+    def test_t_at_a_point_is_ab_times_its_value(self, shape, t):
+        space = GradedSpace(*shape)
+        a, b = Fraction(t).numerator, Fraction(t).denominator
+        for i in range(1, space.r):
+            at = pi_T(space, i, t)
+            assert all(type(v) is int for v in at.entries.values())
+            assert at == specialize_matrix(pi_T(space, i), t).scale(a * b)
+
+    def test_zero_is_refused(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            PiRepresentation(GradedSpace(1, 1, 3)).hecke_generators(0)
+
+
 @st.composite
-def laurent_matrix_strategy(draw):
-    """A 3 x 3 matrix of Laurent entries with int or Fraction coefficients;
+def laurent_matrix_strategy(draw, dim=3):
+    """A dim x dim matrix of Laurent entries with int or Fraction coefficients;
     some entries may vanish at the sampled points."""
     coeffs = draw(st.sampled_from([
         st.integers(min_value=-9, max_value=9),
         st.fractions(min_value=-9, max_value=9, max_denominator=5)]))
     entries = draw(st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.dictionaries(st.integers(-3, 3), coeffs, max_size=3), max_size=9))
-    return OperatorMatrix(3, {k: RationalFunction(LaurentPolynomial(v))
-                              for k, v in entries.items()})
+        st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+        st.dictionaries(st.integers(-3, 3), coeffs, max_size=3), max_size=dim * dim))
+    return OperatorMatrix(dim, {k: RationalFunction(LaurentPolynomial(v))
+                                for k, v in entries.items()})
 
 
 class TestIntegralSpecialization:
@@ -405,3 +441,39 @@ def test_equal_matrices_hash_alike():
     assert built == g and hash(built) == hash(g)
     assert {g: 1}[built] == 1
     assert g * g not in {g: 1}
+
+
+def _uncached_product(a, b):
+    """The product as `OperatorMatrix.__mul__` made it before it kept the
+    right factor's row index: the index rebuilt on every call."""
+    rows = {}
+    for (k, j), v in b.entries.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in a.entries.items():
+        _axpy(out, u, [((i, j), v) for j, v in rows.get(k, ())])
+    return OperatorMatrix(a.dim, out)
+
+
+@st.composite
+def int_matrix_strategy(draw, dim=4):
+    entries = draw(st.dictionaries(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                                   st.integers(-5, 5), max_size=dim * dim))
+    return OperatorMatrix(dim, entries)
+
+
+@given(mats=st.one_of(st.lists(int_matrix_strategy(), min_size=1, max_size=4),
+                     st.lists(laurent_matrix_strategy(dim=4), min_size=1, max_size=4)))
+@settings(max_examples=80, deadline=None)
+def test_products_with_a_kept_row_index_equal_the_uncached_loop(mats):
+    # every ordered pair, twice: each matrix is a right factor many times,
+    # a left factor before and after its index exists, and a product's
+    # index is built on the fresh result
+    for _ in range(2):
+        for a in mats:
+            for b in mats:
+                assert a * b == _uncached_product(a, b)
+    chain = mats[0]
+    for b in mats[1:]:
+        chain = chain * b
+        assert chain * chain == _uncached_product(chain, chain)
